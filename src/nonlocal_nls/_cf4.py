@@ -11,6 +11,13 @@ which are evaluated in closed form (2x2, trace handled by scalar shift), so
 the step size is governed by the smoothness of q alone and the work is
 vectorized across the whole z grid.  Fourth order was verified by a ratio
 test; see tests.
+
+Both frames (the full matrix in `y_matrix_batch`, the bounded first column
+in `analytic_column_batch`) share the segment and Gauss-sample set-up and
+one step control: the step count doubles until the end values of two
+consecutive levels agree.  Each level is a single pass; the matrix frame
+integrates it leg by leg through the requested x nodes, so the node values
+of the accepted level are the result and nothing is integrated twice.
 """
 
 from __future__ import annotations
@@ -27,27 +34,34 @@ _A2 = 0.25 + np.sqrt(3.0) / 6.0
 
 
 def _sinhc(m):
-    """sinh(m)/m with a series patch near m = 0."""
+    """sinh(m)/m for a complex array, with a series patch where |m| < 1e-6."""
     m = np.asarray(m, dtype=complex)
     small = np.abs(m) < 1e-6
+    if not small.any():
+        return np.sinh(m) / m
+    ms = m[small]
     msafe = np.where(small, 1.0, m)
     out = np.sinh(msafe) / msafe
-    m2 = m * m
-    return np.where(small, 1.0 + m2 / 6.0 + m2 * m2 / 120.0, out)
+    m2 = ms * ms
+    out[small] = 1.0 + m2 / 6.0 + m2 * m2 / 120.0
+    return out
 
 
-def _expm_shifted(d, b, c, shift):
-    """exp([[shift + d, b], [c, shift - d]]) entrywise for batched scalars."""
-    m = np.sqrt(d * d + b * c + 0.0j)
+def _expm_shifted(d, b, c, scale=None, dd=None):
+    """exp([[shift + d, b], [c, shift - d]]) entrywise for batched scalars.
+
+    `scale` is exp(shift); None stands for shift = 0.  `dd` is d * d, passed
+    by callers that reuse one d over many steps.
+    """
+    if dd is None:
+        dd = d * d
+    m = np.sqrt(dd + b * c + 0.0j)
     ch = np.cosh(m)
     sh = _sinhc(m)
-    scale = np.exp(shift)
-    return (
-        scale * (ch + sh * d),
-        scale * (sh * b),
-        scale * (sh * c),
-        scale * (ch - sh * d),
-    )
+    e = (ch + sh * d, sh * b, sh * c, ch - sh * d)
+    if scale is None:
+        return e
+    return tuple(scale * x for x in e)
 
 
 def _mul(a, b):
@@ -62,6 +76,10 @@ def _mul(a, b):
     )
 
 
+def _identity(z):
+    return (np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z))
+
+
 def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[float, float]]:
     """Split [x_from, x_to] at potential discontinuities (ordered along travel)."""
     pts = [x_from, x_to]
@@ -73,6 +91,53 @@ def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[fl
     return list(zip(pts[:-1], pts[1:]))
 
 
+def _cf4_steps(potential, x_from, x_to, n_steps):
+    """Yield (h, steps) for each smooth segment of [x_from, x_to].
+
+    The segment gets max(2, ceil(n_steps |segment| / |x_to - x_from|)) steps
+    of size h.  `steps` yields, per step, the off-diagonal entries (b, c) of
+    h (a2 A1 + a1 A2) and then of h (a1 A1 + a2 A2), the order in which the
+    two exponentials act.
+    """
+    sig = potential.sigma
+    total = abs(x_to - x_from)
+    for seg_from, seg_to in _segments(potential, x_from, x_to):
+        n = max(2, int(np.ceil(n_steps * abs(seg_to - seg_from) / total)))
+        h = (seg_to - seg_from) / n
+        xs = seg_from + h * np.arange(n)
+        # Gauss samples of q and conj(q(-x)) for the whole segment at once
+        xg1, xg2 = xs + _C1 * h, xs + _C2 * h
+        q1, q2 = potential(xg1), potential(xg2)
+        m1, m2 = potential.mirror_conj(xg1), potential.mirror_conj(xg2)
+        yield h, (
+            ((h * (_A2 * q1[i] + _A1 * q2[i]), -sig * h * (_A2 * m1[i] + _A1 * m2[i])),
+             (h * (_A1 * q1[i] + _A2 * q2[i]), -sig * h * (_A1 * m1[i] + _A2 * m2[i])))
+            for i in range(n)
+        )
+
+
+def _refine(level, n_steps, rtol, max_refine, what):
+    """Double n_steps until the end values of two consecutive levels agree.
+
+    `level(n)` integrates with n steps and returns (end, result), end being
+    a tuple of arrays.  Returns (result, err) of the first level whose end
+    is within rtol * (1 + max |end|) of the previous level's.
+    """
+    prev, _ = level(n_steps)
+    err = np.inf
+    for _ in range(max_refine):
+        n_steps *= 2
+        cur, result = level(n_steps)
+        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
+        scale = 1.0 + max(float(np.abs(c).max()) for c in cur)
+        if err <= rtol * scale:
+            return result, err
+        prev = cur
+    raise IntegratorDivergence(
+        f"CF4 {what} step control stalled at {n_steps} steps (err {err:.3e})"
+    )
+
+
 def _cf4_transfer(potential, z, x_from, x_to, n_steps):
     """Transfer matrix of the phi-frame system over [x_from, x_to].
 
@@ -80,32 +145,13 @@ def _cf4_transfer(potential, z, x_from, x_to, n_steps):
     phi(x_to) = T phi(x_from).
     """
     z = np.asarray(z, dtype=complex)
-    sig = potential.sigma
-    T = (
-        np.ones_like(z),
-        np.zeros_like(z),
-        np.zeros_like(z),
-        np.ones_like(z),
-    )
-    total = abs(x_to - x_from)
-    segs = _segments(potential, x_from, x_to)
-    for seg_from, seg_to in segs:
-        seg_len = abs(seg_to - seg_from)
-        n = max(2, int(np.ceil(n_steps * seg_len / total)))
-        h = (seg_to - seg_from) / n
-        xs = seg_from + h * np.arange(n)
-        # Gauss samples of q and conj(q(-x)) for the whole segment at once
-        xg1, xg2 = xs + _C1 * h, xs + _C2 * h
-        q1, q2 = potential(xg1), potential(xg2)
-        m1, m2 = potential.mirror_conj(xg1), potential.mirror_conj(xg2)
+    T = _identity(z)
+    for h, steps in _cf4_steps(potential, x_from, x_to, n_steps):
         dz = -1j * z * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
-        for i in range(n):
-            b_first = h * (_A1 * q1[i] + _A2 * q2[i])
-            c_first = -sig * h * (_A1 * m1[i] + _A2 * m2[i])
-            b_second = h * (_A2 * q1[i] + _A1 * q2[i])
-            c_second = -sig * h * (_A2 * m1[i] + _A1 * m2[i])
-            E2 = _expm_shifted(dz, b_second, c_second, 0.0)
-            E1 = _expm_shifted(dz, b_first, c_first, 0.0)
+        dd = dz * dz
+        for (b2, c2), (b1, c1) in steps:
+            E2 = _expm_shifted(dz, b2, c2, dd=dd)
+            E1 = _expm_shifted(dz, b1, c1, dd=dd)
             T = _mul(_mul(E1, E2), T)
     return T
 
@@ -122,65 +168,43 @@ def y_matrix_batch(potential, z, side="minus", n_steps=None, rtol=1e-10,
     side "minus" integrates from -X with Y(-X) = I; side "plus" from +X.
     Returns (Y_end, err_estimate) where Y_end is a 4-tuple of (nz,) arrays at
     the opposite end, or (trajectory, err) with shape (len(x_nodes), nz, 2, 2)
-    when x_nodes is given.  Step control doubles the step count until two
-    consecutive resolutions agree to rtol.
+    when x_nodes is given.
+
+    Each level of n steps is one pass, leg by leg through the nodes in
+    travel order and on to the opposite end; a leg gets
+    max(2, ceil(n |leg| / 2X)) steps and its transfer matrix multiplies the
+    product of the earlier legs from the left.  Step control doubles n until
+    Y at the opposite end agrees to rtol between two consecutive levels, and
+    the node values of the accepted level are returned.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
     x_from, x_to = (-X, X) if side == "minus" else (X, -X)
     if n_steps is None:
         n_steps = max(192, int(16 * 2 * X))
-
-    def endpoint(n):
-        T = _cf4_transfer(potential, z, x_from, x_to, n)
-        ep, em = _phase_diag(z, x_to)
-        sp, sm = _phase_diag(z, -x_from)
-        # Y(x_to) = e^{i x_to z s3} T e^{-i x_from z s3}
-        return (
-            ep * T[0] * sp,
-            ep * T[1] * sm,
-            em * T[2] * sp,
-            em * T[3] * sm,
-        )
-
-    prev = endpoint(n_steps)
-    err = np.inf
-    for _ in range(max_refine):
-        n_steps *= 2
-        cur = endpoint(n_steps)
-        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
-        scale = 1.0 + max(float(np.abs(c).max()) for c in cur)
-        if err <= rtol * scale:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise IntegratorDivergence(
-            f"CF4 step control stalled at {n_steps} steps (err {err:.3e})"
-        )
-
-    if x_nodes is None:
-        return prev, err
-
-    # trajectory on requested nodes: reuse the accepted resolution per leg
-    nodes = np.asarray(x_nodes, dtype=float)
+    nodes = np.empty(0) if x_nodes is None else np.asarray(x_nodes, dtype=float)
     order = np.argsort(nodes) if side == "minus" else np.argsort(nodes)[::-1]
-    traj = np.empty((len(nodes), z.size, 2, 2), dtype=complex)
-    T = (np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z))
-    x_cur = x_from
-    for idx in order:
-        x_tgt = float(nodes[idx])
-        if abs(x_tgt - x_cur) > 0:
-            n = max(2, int(np.ceil(n_steps * abs(x_tgt - x_cur) / (2 * X))))
-            T = _mul(_cf4_transfer(potential, z, x_cur, x_tgt, n), T)
-            x_cur = x_tgt
-        ep, em = _phase_diag(z, x_cur)
-        sp, sm = _phase_diag(z, -x_from)
-        traj[idx, :, 0, 0] = ep * T[0] * sp
-        traj[idx, :, 0, 1] = ep * T[1] * sm
-        traj[idx, :, 1, 0] = em * T[2] * sp
-        traj[idx, :, 1, 1] = em * T[3] * sm
-    return traj, err
+    targets = [(idx, float(nodes[idx])) for idx in order] + [(None, x_to)]
+    sp, sm = _phase_diag(z, -x_from)
+
+    def level(n_total):
+        traj = np.empty((len(nodes), z.size, 2, 2), dtype=complex)
+        T = _identity(z)
+        x_cur = x_from
+        for idx, x_tgt in targets:
+            if abs(x_tgt - x_cur) > 0:
+                n = max(2, int(np.ceil(n_total * abs(x_tgt - x_cur) / (2 * X))))
+                T = _mul(_cf4_transfer(potential, z, x_cur, x_tgt, n), T)
+                x_cur = x_tgt
+            # Y(x) = e^{i x z s3} T e^{-i x_from z s3}
+            ep, em = _phase_diag(z, x_cur)
+            Y = (ep * T[0] * sp, ep * T[1] * sm, em * T[2] * sp, em * T[3] * sm)
+            if idx is not None:
+                traj[idx, :, 0, 0], traj[idx, :, 0, 1] = Y[0], Y[1]
+                traj[idx, :, 1, 0], traj[idx, :, 1, 1] = Y[2], Y[3]
+        return Y, (Y if x_nodes is None else traj)
+
+    return _refine(level, n_steps, rtol, max_refine, "matrix")
 
 
 def analytic_column_batch(potential, z, n_steps=None, rtol=1e-10, max_refine=4):
@@ -192,40 +216,21 @@ def analytic_column_batch(potential, z, n_steps=None, rtol=1e-10, max_refine=4):
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
-    sig = potential.sigma
     if n_steps is None:
         n_steps = max(192, int(16 * 2 * X))
 
-    def run_ordered(n_total):
+    def level(n_total):
         m0 = np.ones_like(z)
         m1 = np.zeros_like(z)
-        for seg_from, seg_to in _segments(potential, -X, X):
-            n = max(2, int(np.ceil(n_total * (seg_to - seg_from) / (2 * X))))
-            h = (seg_to - seg_from) / n
-            xs = seg_from + h * np.arange(n)
-            xg1, xg2 = xs + _C1 * h, xs + _C2 * h
-            q1, q2 = potential(xg1), potential(xg2)
-            mc1, mc2 = potential.mirror_conj(xg1), potential.mirror_conj(xg2)
+        for h, steps in _cf4_steps(potential, -X, X, n_total):
             shift = 1j * z * (h / 2.0)
             d = -shift
-            for i in range(n):
-                b = h * (_A2 * q1[i] + _A1 * q2[i])
-                c = -sig * h * (_A2 * mc1[i] + _A1 * mc2[i])
-                e11, e12, e21, e22 = _expm_shifted(d, b, c, shift)
-                m0, m1 = e11 * m0 + e12 * m1, e21 * m0 + e22 * m1
-                b = h * (_A1 * q1[i] + _A2 * q2[i])
-                c = -sig * h * (_A1 * mc1[i] + _A2 * mc2[i])
-                e11, e12, e21, e22 = _expm_shifted(d, b, c, shift)
-                m0, m1 = e11 * m0 + e12 * m1, e21 * m0 + e22 * m1
-        return m0, m1
+            dd = d * d
+            scale = np.exp(shift)
+            for step in steps:
+                for b, c in step:
+                    e11, e12, e21, e22 = _expm_shifted(d, b, c, scale, dd)
+                    m0, m1 = e11 * m0 + e12 * m1, e21 * m0 + e22 * m1
+        return (m0, m1), (m0, m1)
 
-    prev = run_ordered(n_steps)
-    for _ in range(max_refine):
-        n_steps *= 2
-        cur = run_ordered(n_steps)
-        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
-        scale = 1.0 + max(float(np.abs(c).max()) for c in cur)
-        prev = cur
-        if err <= rtol * scale:
-            return cur
-    raise IntegratorDivergence("column propagation step control stalled")
+    return _refine(level, n_steps, rtol, max_refine, "column")[0]

@@ -57,14 +57,12 @@ def _guarded(fn):
 @click.option("--config", "config_path", default=None, help="JSON experiment config")
 @click.option("--out", "out_dir", default="out", help="output directory")
 @click.option("--tol-scale", default=1.0, type=float, help="scale all tolerances")
-@click.option("--threads", default=1, type=int, help="worker threads (advisory)")
 @click.pass_context
-def main(ctx, config_path, out_dir, tol_scale, threads):
+def main(ctx, config_path, out_dir, tol_scale):
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path
     ctx.obj["out"] = Path(out_dir)
     ctx.obj["tol_scale"] = tol_scale
-    ctx.obj["threads"] = threads
 
 
 def _load_config(ctx) -> ExperimentConfig:

@@ -23,6 +23,9 @@ class ExperimentConfig:
     tol_scale: float = 1.0
 
     def __post_init__(self):
+        numbers = [self.z_max, self.dt, self.t_min, self.tol_scale, *self.rays, *self.times]
+        if not all(np.isfinite(numbers)):
+            raise BadInput("window, rays, times, dt, t_min and tol_scale must be finite")
         if self.z_max <= 0 or self.nz < 9 or self.nz % 2 == 0:
             raise BadInput("window needs z_max > 0 and odd nz >= 9")
         span = 2.0 * self.z_max

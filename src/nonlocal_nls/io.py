@@ -38,21 +38,6 @@ def write_scattering_csv(data: ScatteringData, path):
     Path(path).write_text("\n".join(rows) + "\n")
 
 
-def read_scattering_csv(path) -> ScatteringData:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    return ScatteringData(
-        z_grid=raw[:, 0],
-        a=raw[:, 1] + 1j * raw[:, 2],
-        b=raw[:, 3] + 1j * raw[:, 4],
-        a_breve=raw[:, 5] + 1j * raw[:, 6],
-        b_breve=raw[:, 7] + 1j * raw[:, 8],
-        r=raw[:, 9] + 1j * raw[:, 10],
-        r_breve=raw[:, 11] + 1j * raw[:, 12],
-        truncation_L=float("nan"),
-        truncation_error=float("nan"),
-    )
-
-
 def write_genericity_json(report: GenericityReport, path):
     doc = {
         "min_abs_a": report.min_abs_a,

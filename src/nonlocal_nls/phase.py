@@ -108,11 +108,6 @@ def _interp(data: ScatteringData) -> _Interp:
     return itp
 
 
-def branch_diagnostics(data: ScatteringData) -> float:
-    """max |arg(1 - r rbreve)| over the grid after unwrapping."""
-    return _interp(data).branch_max_arg
-
-
 def nu_at(data: ScatteringData, s: float) -> complex:
     """nu(s) between grid nodes (cubic in r, rbreve before the log)."""
     itp = _interp(data)

@@ -24,6 +24,7 @@ sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 TAIL_LEVEL = 1e-12
 
 _KINDS = ("zero", "box", "gaussian", "samples")
+_NUMERIC_PARAMS = ("width", "center", "chirp", "left", "right")
 
 
 @dataclass
@@ -45,6 +46,10 @@ class Potential:
         if self.N < 4 or self.N & (self.N - 1):
             raise BadInput("N must be a power of two >= 4")
         self.amplitude = complex(self.amplitude)
+        numbers = [self.amplitude.real, self.amplitude.imag, self.L]
+        numbers += [float(self.params[k]) for k in _NUMERIC_PARAMS if k in self.params]
+        if not all(np.isfinite(numbers)):
+            raise BadInput("amplitude, L and numeric params must be finite")
         self._spline_re = None
         self._spline_im = None
         if self.kind == "box":
@@ -147,10 +152,6 @@ class Potential:
         x0 = float(self.params.get("center", 0.0))
         edge = self.L - abs(x0)
         return abs(self.amplitude) * float(np.exp(-(edge * edge) / (2.0 * w * w)))
-
-    def l1_norm_estimate(self) -> float:
-        x = self.grid()
-        return float(np.trapezoid(np.abs(self(x)), x))
 
     # -- serialization ------------------------------------------------------
 

@@ -24,6 +24,7 @@ import numpy as np
 from ._cf4 import analytic_column_batch, y_matrix_batch
 from .errors import (
     GenericityViolation,
+    IntegratorDivergence,
     NotPiecewiseConstant,
     TruncationTooSmall,
 )
@@ -95,9 +96,11 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray,
                        rtol: float = 1e-10, check: bool = True) -> ScatteringData:
     """Fill a(z), abreve, b, bbreve, r, rbreve over a symmetric real grid.
 
-    The determinant-formula value (read off S) is cross-checked against the
-    product formula built from first Jost columns at x = 0; disagreement
-    beyond tolerance indicates an integration fault, not a data property.
+    S = Y^-(z, X) and Y^-(z, 0) are the node values of the accepted CF4
+    level.  The determinant-formula value (read off S) is cross-checked
+    against the product formula built from first Jost columns at x = 0;
+    disagreement beyond tolerance is an integration fault, not a data
+    property, and raises IntegratorDivergence.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     if z_grid.ndim != 1 or z_grid.size < 8:
@@ -122,7 +125,7 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray,
                   - potential.sigma * Y0[:, 1, 0] * np.conj(Y0[flip, 1, 0]))
         mismatch = float(np.abs(a_prod - a).max())
         if mismatch > 200.0 * max(err, rtol):
-            raise GenericityViolation(
+            raise IntegratorDivergence(
                 f"determinant/product formulas disagree by {mismatch:.3e}"
             )
 

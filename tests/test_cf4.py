@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nonlocal_nls import Potential
-from nonlocal_nls._cf4 import _cf4_transfer, y_matrix_batch
+from nonlocal_nls._cf4 import (
+    _cf4_transfer,
+    analytic_column_batch,
+    _expm_shifted,
+    _mul,
+    _phase_diag,
+    _sinhc,
+    y_matrix_batch,
+)
 from nonlocal_nls.errors import IntegratorDivergence
 
 
@@ -38,8 +47,64 @@ def test_step_control_divergence_raises(box_plus):
                        rtol=1e-16, max_refine=1)
 
 
+def test_column_stall_reports_steps_and_error(gauss_small):
+    with pytest.raises(IntegratorDivergence, match=r"stalled at 4 steps \(err \d"):
+        analytic_column_batch(gauss_small, np.array([1.0j]), n_steps=2,
+                              rtol=1e-16, max_refine=1)
+
+
 def test_unimodular_transfer(box_plus):
     z = np.linspace(-5, 5, 11).astype(complex)
     T = _cf4_transfer(box_plus, z, -2.0, 2.0, 200)
     det = T[0] * T[3] - T[1] * T[2]
     assert np.abs(det - 1.0).max() < 1e-12
+
+
+def _exponent_args(regime, rng):
+    """(d, b, c) whose m = sqrt(d^2 + b c) is all large, all small or mixed."""
+    def cplx(scale, n=16):
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    large = [cplx(0.6) for _ in range(3)]
+    small = [cplx(1e-8) for _ in range(3)]
+    if regime == "large":
+        return large
+    if regime == "small":
+        return small
+    return [np.concatenate([lo, hi]) for lo, hi in zip(small, large)]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3 - 1.1j])
+@pytest.mark.parametrize("regime", ["large", "small", "mixed"])
+def test_closed_form_exponential(regime, shift):
+    d, b, c = _exponent_args(regime, np.random.default_rng(5))
+    m = np.sqrt(d * d + b * c + 0.0j)
+    ref = np.sinh(m) / m
+    assert np.abs(_sinhc(m) - ref).max() <= 1e-14 * np.abs(ref).max()
+    scale = None if shift == 0.0 else np.exp(shift)
+    E = _expm_shifted(d, b, c, scale)
+    for k in range(d.size):
+        want = expm(np.array([[shift + d[k], b[k]], [c[k], shift - d[k]]]))
+        got = np.array([[E[0][k], E[1][k]], [E[2][k], E[3][k]]])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_sinhc_at_zero():
+    assert np.array_equal(_sinhc(np.array([0.0, 1e-7j])), [1.0, 1.0 - 1e-14 / 6.0])
+
+
+def test_nodes_are_the_accepted_level_legs(box_plus):
+    # with one refinement the accepted level has 2 * 192 steps; its node
+    # values are the leg transfers -X -> 0 -> X, each with its share of steps
+    z = np.array([0.3, -1.7], dtype=complex)
+    X = box_plus.scatter_halfwidth()
+    traj, _ = y_matrix_batch(box_plus, z, n_steps=192, max_refine=1,
+                             x_nodes=np.array([0.0, X]))
+    sp, sm = _phase_diag(z, X)
+    T = (np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z))
+    for k, (x0, x1) in enumerate([(-X, 0.0), (0.0, X)]):
+        n = max(2, int(np.ceil(384 * abs(x1 - x0) / (2 * X))))
+        T = _mul(_cf4_transfer(box_plus, z, x0, x1, n), T)
+        ep, em = _phase_diag(z, x1)
+        want = [ep * T[0] * sp, ep * T[1] * sm, em * T[2] * sp, em * T[3] * sm]
+        assert np.array_equal(traj[k].reshape(-1, 4).T, want)

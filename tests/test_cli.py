@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nonlocal_nls import Potential, compute_scattering, scattering
 from nonlocal_nls.cli import main
+from nonlocal_nls.errors import IntegratorDivergence
 
 
 def _write_config(path, potential, **over):
@@ -74,6 +76,26 @@ def test_genericity_violation_exits_2(tmp_path, runner):
     res = runner.invoke(main, ["--config", str(cfg), "--out",
                                str(tmp_path / "o"), "scatter"])
     assert res.exit_code == 2
+
+
+def test_formula_mismatch_is_integrator_fault_exits_3(tmp_path, runner, monkeypatch):
+    # a Y(0) off by 1e-6 breaks the product formula for a(z): an integration
+    # fault, not a genericity verdict on the data
+    propagate = scattering.y_matrix_batch
+
+    def perturbed(*args, **kwargs):
+        traj, err = propagate(*args, **kwargs)
+        traj[0] *= 1.0 + 1e-6
+        return traj, err
+
+    monkeypatch.setattr(scattering, "y_matrix_batch", perturbed)
+    with pytest.raises(IntegratorDivergence):
+        compute_scattering(Potential.from_json_dict(BOX_POT), np.linspace(-6.0, 6.0, 257))
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    res = runner.invoke(main, ["--config", str(cfg), "--out",
+                               str(tmp_path / "o"), "scatter"])
+    assert res.exit_code == 3
+    assert "determinant/product formulas disagree" in res.output
 
 
 def test_report_missing_inputs_exits_4(tmp_path, runner):

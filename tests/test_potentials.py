@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonlocal_nls import Potential, build_lax_matrix
+from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import BadInput
 
 
@@ -86,3 +88,43 @@ def test_scatter_halfwidth_contains_support(gauss_small):
     X = gauss_small.scatter_halfwidth()
     x = np.linspace(X, gauss_small.L, 50)
     assert np.all(np.abs(gauss_small(x)) < 1e-12)
+
+
+
+def _config_doc(kind):
+    params = {"width": 1.0, "center": 0.2, "chirp": 0.5} if kind == "gaussian" \
+        else {"left": -1.0, "right": 1.0}
+    return {
+        "potential": {"kind": kind, "amplitude": [0.1, 0.05], "sigma": 1,
+                      "L": 16.0, "N": 256, "params": params},
+        "window": {"z_max": 6.0, "n": 257}, "rays": [0.4], "times": [20.0, 40.0],
+        "pde": {"dt": 0.01}, "t_min": 10.0, "tol_scale": 1.0,
+    }
+
+
+#: paths to the numbers of a config document, besides the kind's params
+_NUMBER_PATHS = [
+    ("potential", "amplitude", 0), ("potential", "amplitude", 1), ("potential", "L"),
+    ("window", "z_max"), ("rays", 0), ("times", 1), ("pde", "dt"), ("t_min",),
+    ("tol_scale",),
+]
+
+
+def test_config_doc_is_valid():
+    for kind in ("gaussian", "box"):
+        ExperimentConfig.from_json_dict(_config_doc(kind))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "box"]), data=st.data(),
+       value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_non_finite_config_is_bad_input(kind, data, value):
+    doc = _config_doc(kind)
+    params = [("potential", "params", key) for key in doc["potential"]["params"]]
+    *path, last = data.draw(st.sampled_from(_NUMBER_PATHS + params))
+    target = doc
+    for key in path:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(BadInput):
+        ExperimentConfig.from_json_dict(doc)

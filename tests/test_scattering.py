@@ -11,6 +11,7 @@ from nonlocal_nls import (
     evolve_reflection,
     exact_box_scattering,
 )
+from nonlocal_nls._cf4 import y_matrix_batch
 from nonlocal_nls.errors import (
     GenericityViolation,
     NotPiecewiseConstant,
@@ -175,6 +176,38 @@ class TestComputeScattering:
             val = (Y_zx[0, 0] * np.conj(Y_mzmx[0, 0])
                    - box_plus.sigma * Y_zx[1, 0] * np.conj(Y_mzmx[1, 0]))
             assert abs(val - a_ref) < 1e-8
+
+    def test_s_is_the_node_matrix_at_x(self, box_plus):
+        z = np.linspace(-4.0, 4.0, 33)
+        data = compute_scattering(box_plus, z)
+        X = box_plus.scatter_halfwidth()
+        traj, err = y_matrix_batch(box_plus, z.astype(complex),
+                                   x_nodes=np.array([0.0, X]))
+        S = traj[1]
+        assert np.array_equal(data.a, S[:, 0, 0])
+        assert np.array_equal(data.b_breve, S[:, 0, 1])
+        assert np.array_equal(data.b, S[:, 1, 0])
+        assert np.array_equal(data.a_breve, S[:, 1, 1])
+        assert data.truncation_error == err
+
+    def test_single_pass_potential_samples(self, box_plus, monkeypatch):
+        # S and Y(0) cost no more q samples than the end value alone, up to
+        # the step rounding of the two legs: at most 2 steps (8 samples, 4
+        # calls) per segment
+        calls = []
+        evaluate = Potential.__call__
+
+        def counted(pot, x):
+            calls.append(np.size(x))
+            return evaluate(pot, x)
+
+        monkeypatch.setattr(Potential, "__call__", counted)
+        z = np.linspace(-4.0, 4.0, 33)
+        y_matrix_batch(box_plus, z.astype(complex))
+        end_only = sum(calls)
+        calls.clear()
+        compute_scattering(box_plus, z)
+        assert sum(calls) <= end_only + 2 * len(calls)
 
     def test_requires_symmetric_grid(self, box_plus):
         with pytest.raises(ValueError):
