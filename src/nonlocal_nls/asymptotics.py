@@ -18,6 +18,9 @@ The formula is trusted only while |Im nu(xi)| < 1/4: at +1/4 the leading
 term would be overtaken by the O(t^{-3/4}) remainder (and the mirrored
 threshold is refused symmetrically); inside a 0.02-wide band below the
 threshold the evaluation is flagged "marginal".
+
+Pass a `SpectralContext` in place of the ScatteringData to evaluate many
+queries: `phase_data` then runs once per distinct float xi, memoized on it.
 """
 
 from __future__ import annotations
@@ -25,19 +28,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from .errors import ValidityViolation, WindowExceeded
 from .gammafn import complex_gamma
 from .model import connection_coefficients, nu_over_w
-from .phase import PhaseData, phase_data, stationary_point
+from .phase import PhaseData, SpectralContext, phase_data, stationary_point
 from .scattering import ScatteringData
 
 IM_NU_LIMIT = 0.25
 MARGIN = 0.02
 T_MIN_DEFAULT = 10.0
-
-_phase_cache: "WeakKeyDictionary[ScatteringData, dict]" = WeakKeyDictionary()
 
 
 @dataclass
@@ -51,12 +51,11 @@ class AsymptoticEvaluation:
     im_nu: float
 
 
-def _phase_at(data: ScatteringData, xi: float) -> PhaseData:
-    per_data = _phase_cache.setdefault(data, {})
-    key = round(float(xi), 12)
-    if key not in per_data:
-        per_data[key] = phase_data(data, xi)
-    return per_data[key]
+def _phase_at(ctx: SpectralContext, xi: float) -> PhaseData:
+    ph = ctx.phase_memo.get(xi)
+    if ph is None:
+        ph = ctx.phase_memo[xi] = phase_data(ctx, xi)
+    return ph
 
 
 def alpha(data: ScatteringData, phase: PhaseData, t: float) -> complex:
@@ -94,7 +93,7 @@ def _gate(nu: complex) -> str:
     return "valid" if abs(im) < IM_NU_LIMIT - MARGIN else "marginal"
 
 
-def q_asymptotic(x: float, t: float, data: ScatteringData,
+def q_asymptotic(x: float, t: float, data: ScatteringData | SpectralContext,
                  t_min: float = T_MIN_DEFAULT) -> AsymptoticEvaluation:
     """Leading-order q(x, t) with validity diagnostics.
 
@@ -109,7 +108,7 @@ def q_asymptotic(x: float, t: float, data: ScatteringData,
     span = z[-1] - z[0]
     if not (z[0] + 0.01 * span <= xi <= z[-1] - 0.01 * span):
         raise WindowExceeded(f"xi = {xi} outside the spectral window interior")
-    ph = _phase_at(data, xi)
+    ph = _phase_at(SpectralContext.of(data), xi)
     nu = ph.nu_at_xi
     validity = _gate(nu)
 

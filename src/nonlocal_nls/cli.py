@@ -8,6 +8,7 @@ byte-identical outputs; there is no randomness anywhere in the pipeline.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, spectral_interpolate
-from .phase import delta_boundary, phase_data
+from .phase import SpectralContext, delta_boundary, phase_data
 from .scattering import check_genericity, compute_scattering, exact_box_scattering
 from .potentials import Potential
 
@@ -109,8 +110,8 @@ def phase(ctx):
     out = _outdir(ctx)
     if not cfg.rays:
         raise BadInput("config has no rays")
-    data = _scatter_data(cfg)
-    docs = [phase_data(data, xi).to_json_dict() for xi in cfg.rays]
+    spectral = SpectralContext(_scatter_data(cfg))
+    docs = [phase_data(spectral, xi).to_json_dict() for xi in cfg.rays]
     nio.write_phase_json(docs, out / "phase.json")
     click.echo(f"wrote {out / 'phase.json'}")
 
@@ -132,18 +133,22 @@ def asym(ctx, queries_path):
                     line = line.strip()
                     if line:
                         doc = json.loads(line)
-                        queries.append((float(doc["x"]), float(doc["t"])))
+                        x, t = float(doc["x"]), float(doc["t"])
+                        if not (math.isfinite(x) and math.isfinite(t) and t >= cfg.t_min):
+                            raise ValueError(f"bad query x={x}, t={t}: need finite x, t "
+                                             f"and t >= t_min = {cfg.t_min}")
+                        queries.append((x, t))
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise BadInput(f"bad queries file: {exc}") from exc
     else:
         queries = [(-4.0 * xi * t, t) for xi in cfg.rays for t in cfg.times]
     if not queries:
         raise BadInput("no queries: pass --queries or configure rays and times")
-    data = _scatter_data(cfg)
+    spectral = SpectralContext(_scatter_data(cfg))
     rows = []
     for x, t in queries:
         try:
-            ev = q_asymptotic(x, t, data, t_min=cfg.t_min)
+            ev = q_asymptotic(x, t, spectral, t_min=cfg.t_min)
             rows.append({
                 "x": x, "t": t, "xi": ev.xi,
                 "re_q": ev.q_leading.real, "im_q": ev.q_leading.imag,
@@ -201,7 +206,7 @@ def compare(ctx):
     out = _outdir(ctx)
     if not cfg.rays or not cfg.times:
         raise BadInput("compare needs both rays and times in the config")
-    data = _scatter_data(cfg)
+    spectral = SpectralContext(_scatter_data(cfg))
     snaps = evolve(cfg.potential, cfg.times[-1], cfg.dt, snapshot_times=cfg.times)
     rows = []
     fits = {}
@@ -215,7 +220,7 @@ def compare(ctx):
                 continue
             q_num = complex(spectral_interpolate(snap, [x])[0])
             try:
-                ev = q_asymptotic(x, t, data, t_min=cfg.t_min)
+                ev = q_asymptotic(x, t, spectral, t_min=cfg.t_min)
                 q_asym, validity = ev.q_leading, ev.validity
             except (ValidityViolation, WindowExceeded):
                 q_asym, validity = complex("nan"), "invalid"
@@ -319,14 +324,14 @@ def verify(ctx):
         record("box oracle max deviation", dev, 1e-6 * cfg.tol_scale)
     if cfg.rays:
         xi = cfg.rays[0]
-        ph = phase_data(data, xi)
+        spectral = SpectralContext(data)
+        ph = phase_data(spectral, xi)
         worst = 0.0
         itp_pts = np.linspace(data.z_grid[0] * 0.6, xi - 0.2, 5)
         for z0 in itp_pts:
-            dp = delta_boundary(data, xi, float(z0), "plus")
-            dm = delta_boundary(data, xi, float(z0), "minus")
-            from .phase import _interp
-            w = complex(_interp(data).w(np.asarray(z0)))
+            dp = delta_boundary(spectral, xi, float(z0), "plus")
+            dm = delta_boundary(spectral, xi, float(z0), "minus")
+            w = complex(spectral.w(np.asarray(z0)))
             worst = max(worst, abs(dp / dm - w) / abs(w))
         record("delta jump |delta+/delta- - (1 - r rbreve)|", worst,
                1e-6 * cfg.tol_scale)

@@ -22,6 +22,7 @@ from .potentials import Potential
 
 OUTER_BAND = 0.1              # fraction of the domain counted as boundary
 CONTAMINATION_LIMIT = 1e-6    # outer-band |q|^2 mass fraction that aborts
+INTERP_BLOCK = 2 ** 18        # phase-matrix entries per spectral_interpolate block
 
 
 def mirror(q: np.ndarray) -> np.ndarray:
@@ -170,12 +171,17 @@ def evolve(potential: Potential, t_final: float, dt: float,
 
 
 def spectral_interpolate(snap: FieldSnapshot, x_points) -> np.ndarray:
-    """Band-limited evaluation of the field at arbitrary points."""
-    x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
+    """Band-limited evaluation of the field at arbitrary points, in blocks."""
+    x_points = np.asarray(x_points, dtype=float).ravel()
     qhat = np.fft.fft(snap.q) / snap.N
     k = snap.wavenumbers
-    # resolve the Nyquist mode symmetrically (real cosine contribution)
-    phases = np.exp(1j * np.outer(x_points - (-snap.L), k))
     ny = snap.N // 2
-    phases[:, ny] = np.cos(k[ny] * (x_points - (-snap.L)))
-    return phases @ qhat
+    rows = max(1, INTERP_BLOCK // snap.N)
+    out = np.empty(x_points.size, dtype=complex)
+    for i in range(0, x_points.size, rows):
+        x = x_points[i:i + rows] - (-snap.L)
+        phases = np.exp(1j * np.outer(x, k))
+        # resolve the Nyquist mode symmetrically (real cosine contribution)
+        phases[:, ny] = np.cos(k[ny] * x)
+        out[i:i + rows] = phases @ qhat
+    return out

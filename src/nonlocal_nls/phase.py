@@ -15,6 +15,11 @@ The delta exponent carries a single factor of i so that the stated jump
 holds; the beta integrand carries 1/(s - z) for the same reason.  The
 removable sqrt-type endpoint behavior at s = xi is integrated with the
 substitution s = xi - u^2.
+
+All of it is read off one `SpectralContext`.  `delta0` and the nu tail
+integral use composite Gauss-Legendre on the spline knots (nu is analytic
+between them), with the embedded half rule as error estimate; `delta`,
+`delta_boundary` and `beta` at general z keep `scipy.quad` as the oracle.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import legendre as leg
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
@@ -40,7 +46,9 @@ from .errors import (
 from .scattering import EPS_GENERIC, ScatteringData
 
 _QUAD_LIMIT = 400
-_interp_cache: "WeakKeyDictionary[ScatteringData, _Interp]" = WeakKeyDictionary()
+ERR_GATE = 1e-6      # largest accepted quadrature error estimate
+GL_NODES = 8         # Gauss-Legendre nodes per knot interval
+_NODE_CHUNK = 4096   # nodes per nu evaluation while the node table is built
 
 
 def stationary_point(x: float, t: float) -> float:
@@ -50,11 +58,18 @@ def stationary_point(x: float, t: float) -> float:
     return -x / (4.0 * t)
 
 
-class _Interp:
-    """Cubic interpolants of r, rbreve and the unwrapped arg of 1 - r rbreve."""
+def _gate(err: float) -> float:
+    if err > ERR_GATE:
+        raise QuadratureFailure(f"quadrature error estimate {err:.2e}")
+    return err
+
+
+class SpectralContext:
+    """Splines, quadrature node table and per-xi phase memo of one ScatteringData."""
 
     def __init__(self, data: ScatteringData):
         z = data.z_grid
+        self.z_grid = z
         self.z_lo = float(z[0])
         self.z_hi = float(z[-1])
         w = 1.0 - data.r * data.r_breve
@@ -77,7 +92,21 @@ class _Interp:
         # an oscillation node at the very end cannot fake a small tail
         edge = max(4, len(z) // 20)
         self._abs_nu_tail = float(np.abs(nu_grid[:edge]).max())
-        self.nu_grid = nu_grid
+        # m-point rule on [-1, 1]; the embedded rule interpolates on every
+        # other node of each half (exact for the first m/2 Legendre moments)
+        m = GL_NODES
+        self._gx, self._gw = leg.leggauss(m)
+        sub = np.r_[0:m // 2:2, m - 1 - np.r_[0:m // 2:2][::-1]]
+        w_low = np.zeros(m)
+        w_low[sub] = np.linalg.solve(leg.legvander(self._gx[sub], sub.size - 1).T,
+                                     np.eye(sub.size)[0] * 2.0)
+        self._gdw = self._gw - w_low
+        self.phase_memo: dict[float, PhaseData] = {}
+
+    @classmethod
+    def of(cls, data: ScatteringData | SpectralContext) -> SpectralContext:
+        """The context itself, or a throwaway one built from bare data."""
+        return data if isinstance(data, cls) else cls(data)
 
     def r(self, s):
         return self._re_r(s) + 1j * self._im_r(s)
@@ -86,6 +115,7 @@ class _Interp:
         return self._re_rb(s) + 1j * self._im_rb(s)
 
     def w(self, s):
+        """1 - r(s) rbreve(s) from the splines."""
         return 1.0 - self.r(s) * self.r_breve(s)
 
     def nu(self, s):
@@ -99,18 +129,35 @@ class _Interp:
         k = np.round((arg_ref - arg) / (2.0 * math.pi))
         return -(np.log(aw) + 1j * (arg + 2.0 * math.pi * k)) / (2.0 * math.pi)
 
+    def _rule(self, vals, half):
+        """Rule values and error estimates per interval (nodes on the last axis)."""
+        return (vals @ self._gw) * half, np.abs(vals @ self._gdw) * half
 
-def _interp(data: ScatteringData) -> _Interp:
-    itp = _interp_cache.get(data)
-    if itp is None:
-        itp = _Interp(data)
-        _interp_cache[data] = itp
-    return itp
+    def _gl_nodes(self, p):
+        """Nodes (one row per interval) and half-widths of the breakpoints p."""
+        half = 0.5 * np.diff(p)
+        return (p[:-1] + half)[:, None] + half[:, None] * self._gx, half
+
+    def _partial(self, b):
+        """k, nodes and half-width of [z_k, b], z_k the last knot <= b."""
+        z = self.z_grid
+        k = min(max(int(np.searchsorted(z, b, side="right")) - 1, 0), z.size - 2)
+        return (k, *self._gl_nodes(np.array([z[k], b])))
+
+    @cached_property
+    def _nodes(self):
+        """Nodes and nu on every knot interval; running rule sums and errors."""
+        s, half = self._gl_nodes(self.z_grid)
+        flat = s.ravel()
+        nu = np.concatenate([self.nu(flat[i:i + _NODE_CHUNK])
+                             for i in range(0, flat.size, _NODE_CHUNK)]).reshape(s.shape)
+        q, err = self._rule(nu, half)
+        return s, half, nu, np.r_[0.0, np.cumsum(q)], np.r_[0.0, np.cumsum(err)]
 
 
-def nu_at(data: ScatteringData, s: float) -> complex:
+def nu_at(data: ScatteringData | SpectralContext, s: float) -> complex:
     """nu(s) between grid nodes (cubic in r, rbreve before the log)."""
-    itp = _interp(data)
+    itp = SpectralContext.of(data)
     if not itp.z_lo <= s <= itp.z_hi:
         raise WindowExceeded(f"s = {s} outside the spectral grid")
     return complex(itp.nu(np.asarray(s)))
@@ -128,10 +175,7 @@ def _quad_complex(f, a, b, points=None, epsabs=1e-12, epsrel=1e-11):
         warnings.simplefilter("ignore", IntegrationWarning)
         re, re_err = quad(lambda s: f(s).real, a, b, **kw)
         im, im_err = quad(lambda s: f(s).imag, a, b, **kw)
-    err = re_err + im_err
-    if err > 1e-6:
-        raise QuadratureFailure(f"quadrature error estimate {err:.2e}")
-    return complex(re, im), err
+    return complex(re, im), _gate(re_err + im_err)
 
 
 def _log_ratio(z, hi, lo):
@@ -139,9 +183,9 @@ def _log_ratio(z, hi, lo):
     return cmath.log(hi - z) - cmath.log(lo - z)
 
 
-def _cauchy_exponent(data: ScatteringData, xi: float, z: complex):
+def _cauchy_exponent(data, xi: float, z: complex):
     """int_{z_lo}^{xi} i nu(s)/(s - z) ds with local subtraction near Re z."""
-    itp = _interp(data)
+    itp = SpectralContext.of(data)
     z_lo = itp.z_lo
     if xi > itp.z_hi or xi < z_lo:
         raise WindowExceeded(f"xi = {xi} outside the spectral grid")
@@ -167,7 +211,7 @@ def _cauchy_exponent(data: ScatteringData, xi: float, z: complex):
     return val, err + tail
 
 
-def delta(data: ScatteringData, xi: float, z: complex) -> complex:
+def delta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> complex:
     """delta(z) off the cut (-inf, xi]."""
     z = complex(z)
     if z.imag == 0.0 and z.real <= xi:
@@ -176,7 +220,8 @@ def delta(data: ScatteringData, xi: float, z: complex) -> complex:
     return cmath.exp(val)
 
 
-def delta_boundary(data: ScatteringData, xi: float, z0: float, side: str) -> complex:
+def delta_boundary(data: ScatteringData | SpectralContext, xi: float, z0: float,
+                   side: str) -> complex:
     """One-sided boundary value delta_+/- at z0 on the cut.
 
     Evaluated at z0 +- i eps with eps = 1e-6 (1 + |xi|) and Richardson
@@ -184,6 +229,7 @@ def delta_boundary(data: ScatteringData, xi: float, z0: float, side: str) -> com
     """
     if z0 > xi:
         raise CutEvaluation(f"z0 = {z0} is to the right of xi = {xi}")
+    data = SpectralContext.of(data)
     sgn = 1.0 if side == "plus" else -1.0
     eps = 1e-6 * (1.0 + abs(xi))
     e1, _ = _cauchy_exponent(data, xi, complex(z0, sgn * eps))
@@ -191,9 +237,9 @@ def delta_boundary(data: ScatteringData, xi: float, z0: float, side: str) -> com
     return cmath.exp(2.0 * e2 - e1)
 
 
-def beta(data: ScatteringData, xi: float, z: complex) -> complex:
+def beta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> complex:
     """Regularized phase beta(z, xi); finite at z = xi."""
-    itp = _interp(data)
+    itp = SpectralContext.of(data)
     z = complex(z)
     if z.imag == 0.0 and z.real < xi:
         raise CutEvaluation("beta is evaluated off (-inf, xi) or at xi itself")
@@ -229,29 +275,48 @@ def beta(data: ScatteringData, xi: float, z: complex) -> complex:
     return v1 + v2 - nu_xi * cmath.log(z - xi + 1.0)
 
 
-def delta0(data: ScatteringData, xi: float) -> complex:
-    """delta0(xi) = e^{i beta(xi, xi)}."""
-    return cmath.exp(1j * beta(data, xi, complex(xi)))
+def delta0(data: ScatteringData | SpectralContext, xi: float) -> complex:
+    """delta0(xi) = e^{i beta(xi, xi)}: the chunks of `beta` at z = xi by
+    Gauss-Legendre, the second in u split at the mapped knots sqrt(xi - z_k)."""
+    ctx = SpectralContext.of(data)
+    if not (ctx.z_lo <= xi - 1.0 and xi <= ctx.z_hi):
+        raise WindowExceeded("xi (and xi - 1) must lie inside the grid")
+    a = xi - 1.0
+    nu_xi = complex(ctx.nu(np.asarray(xi)))
+    nu_a = complex(ctx.nu(np.asarray(a)))
+    s, half, nu, _, _ = ctx._nodes
+    k, sp, hp = ctx._partial(a)
+    vals = nu[:k] - nu_a
+    vals /= s[:k] - xi
+    q1, e1 = ctx._rule(vals, half[:k])
+    qp, ep = ctx._rule((ctx.nu(sp) - nu_a) / (sp - xi), hp)
+    _gate(e1.sum() + ep.sum())
+    v1 = q1.sum() + qp.sum() + nu_a * _log_ratio(complex(xi), a, ctx.z_lo)
+
+    z = ctx.z_grid
+    u, hu = ctx._gl_nodes(np.r_[0.0, np.sqrt(xi - z[(z > a) & (z < xi)][::-1]), 1.0])
+    q2, e2 = ctx._rule(-2.0 * (ctx.nu(xi - u * u) - nu_xi) / u, hu)
+    _gate(e2.sum())
+    return cmath.exp(1j * (v1 + q2.sum()))
 
 
-def nu_tail_with_bound(data: ScatteringData, xi: float):
+def nu_tail_with_bound(data: ScatteringData | SpectralContext, xi: float):
     """(int_{-inf}^{xi} nu(s) ds over the grid, estimated truncation error)."""
-    itp = _interp(data)
-    if xi > itp.z_hi or xi < itp.z_lo:
+    ctx = SpectralContext.of(data)
+    if not ctx.z_lo <= xi <= ctx.z_hi:
         raise WindowExceeded(f"xi = {xi} outside the spectral grid")
-
-    def f(s):
-        return complex(itp.nu(np.asarray(s)))
-
-    val, err = _quad_complex(f, itp.z_lo, xi)
+    *_, cum, cum_err = ctx._nodes
+    k, sp, hp = ctx._partial(xi)
+    q, err = ctx._rule(ctx.nu(sp), hp)
+    err = _gate(cum_err[k] + err.sum())
     # tail: envelope |nu(s)| <= nu_edge (s/z_lo)^{-2} beyond the window
     # (the 1/s^2 rate is the slow box-like case; smooth data decay faster,
     # so the reported bound errs on the safe side)
-    tail = itp._abs_nu_tail * abs(itp.z_lo)
-    return val, err + tail
+    tail = ctx._abs_nu_tail * abs(ctx.z_lo)
+    return complex(cum[k] + q.sum()), err + tail
 
 
-def nu_tail_integral(data: ScatteringData, xi: float) -> complex:
+def nu_tail_integral(data: ScatteringData | SpectralContext, xi: float) -> complex:
     return nu_tail_with_bound(data, xi)[0]
 
 
@@ -276,14 +341,14 @@ class PhaseData:
         }
 
 
-def phase_data(data: ScatteringData, xi: float) -> PhaseData:
+def phase_data(data: ScatteringData | SpectralContext, xi: float) -> PhaseData:
     """All phase quantities the asymptotic formula consumes, at one xi."""
-    itp = _interp(data)
-    tail, bound = nu_tail_with_bound(data, xi)
+    itp = SpectralContext.of(data)
+    tail, bound = nu_tail_with_bound(itp, xi)
     return PhaseData(
         xi=float(xi),
-        nu_at_xi=nu_at(data, xi),
-        delta0=delta0(data, xi),
+        nu_at_xi=nu_at(itp, xi),
+        delta0=delta0(itp, xi),
         nu_tail_integral=tail,
         nu_tail_bound=bound,
         branch_max_arg=itp.branch_max_arg,

@@ -37,6 +37,14 @@ def box_minus_data(box_minus, zgrid_wide):
     return compute_scattering(box_minus, zgrid_wide)
 
 
+@pytest.fixture(scope="session")
+def accept_gauss_data(zgrid_wide):
+    """Scattering data of the acceptance-suite gaussian on |z| <= 16."""
+    pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                    params={"width": 2.6}, L=512.0, N=2 ** 15)
+    return compute_scattering(pot, zgrid_wide)
+
+
 def synthetic_data(z, r_fn, rb_fn):
     """ScatteringData with prescribed reflection functions.
 

@@ -23,7 +23,7 @@ from nonlocal_nls import (
 )
 from nonlocal_nls.errors import ValidityViolation
 from nonlocal_nls.pde import snapshot_from_potential
-from nonlocal_nls.phase import _interp, beta
+from nonlocal_nls.phase import SpectralContext, beta
 from conftest import synthetic_data
 
 
@@ -102,7 +102,7 @@ def test_criterion_2_algebraic_identities(box_datasets):
 def test_criterion_3_delta_jump_and_large_z(box_datasets, gauss_data):
     xi = 0.5
     _, data = box_datasets[(0.3, 1)]
-    itp = _interp(data)
+    itp = SpectralContext(data)
     worst = 0.0
     for z0 in np.linspace(-8.0, xi - 0.1, 20):
         dp = delta_boundary(data, xi, float(z0), "plus")

@@ -133,6 +133,23 @@ def test_asym_queries_file(tmp_path, runner):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("query", [
+    '{"x": -4, "t": 5}',           # t below t_min
+    '{"x": NaN, "t": 20}',
+    '{"x": -4, "t": Infinity}',
+])
+def test_asym_bad_query_exits_1(tmp_path, runner, query):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, t_min=10.0)
+    qf = tmp_path / "queries.jsonl"
+    qf.write_text('{"x": -40.0, "t": 25.0}\n' + query + "\n")
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "asym", "--queries", str(qf)])
+    assert res.exit_code == 1, res.output
+    assert "bad query" in res.output
+    assert not (out / "asym.csv").exists()
+
+
 def test_evolve_csv_and_binary(tmp_path, runner):
     pot = {"kind": "gaussian", "amplitude": [0.1, 0.0], "sigma": 1,
            "L": 64.0, "N": 1024, "params": {"width": 1.0}}

@@ -146,3 +146,14 @@ def test_spectral_interpolation_band_limited():
     xg = snap.grid[[10, 500]]
     assert np.allclose(spectral_interpolate(snap, xg), snap.q[[10, 500]],
                        atol=1e-12)
+
+
+def test_spectral_interpolation_blocks_match_pointwise():
+    pot = Potential(kind="gaussian", amplitude=0.2, sigma=1,
+                    params={"width": 1.5}, L=32.0, N=1024)
+    snap = snapshot_from_potential(pot)
+    x_pts = np.random.default_rng(5).uniform(-30.0, 30.0, 3000)
+    vals = spectral_interpolate(snap, x_pts)
+    single = np.array([spectral_interpolate(snap, [x])[0] for x in x_pts])
+    assert vals.shape == (3000,)
+    assert np.abs(vals - single).max() <= 1e-14 * np.abs(single).max()

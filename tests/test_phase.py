@@ -1,7 +1,12 @@
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nonlocal_nls import (
+    asymptotics,
     beta,
     delta,
     delta0,
@@ -9,16 +14,19 @@ from nonlocal_nls import (
     exact_box_scattering,
     nu_at,
     nu_tail_integral,
+    phase,
     phase_data,
+    q_asymptotic,
     stationary_point,
 )
 from nonlocal_nls.errors import (
     BranchViolation,
     CutEvaluation,
     NonpositiveTime,
+    QuadratureFailure,
     WindowExceeded,
 )
-from nonlocal_nls.phase import _interp, nu_tail_with_bound
+from nonlocal_nls.phase import SpectralContext, nu_tail_with_bound
 
 XI = 0.5
 
@@ -86,7 +94,7 @@ class TestDelta:
             delta(box_data, XI, complex(XI - 1.0, 0.0))
 
     def test_plemelj_jump(self, box_data):
-        itp = _interp(box_data)
+        itp = SpectralContext(box_data)
         for z0 in np.linspace(-10.0, XI - 0.1, 20):
             dp = delta_boundary(box_data, XI, float(z0), "plus")
             dm = delta_boundary(box_data, XI, float(z0), "minus")
@@ -174,3 +182,103 @@ def test_phase_data_bundle(box_data):
     assert ph.branch_max_arg < np.pi
     doc = ph.to_json_dict()
     assert set(doc) == {"xi", "nu", "delta0", "nu_tail", "branch_max_arg"}
+
+
+# ---------------------------------------------------------------------------
+# composite Gauss-Legendre production path against the quad oracle
+
+XI_FIXED = (-13.7, -5.1, 0.5, 7.3, 13.9)
+
+
+@pytest.fixture(params=["box", "gaussian"])
+def spectral(request, box_data, accept_gauss_data):
+    return box_data if request.param == "box" else accept_gauss_data
+
+
+def _quad_nu_tail(ctx, xi):
+    kw = dict(limit=400, epsabs=1e-12, epsrel=1e-11)
+    re = quad(lambda s: ctx.nu(np.asarray(s)).real, ctx.z_lo, xi, **kw)[0]
+    im = quad(lambda s: ctx.nu(np.asarray(s)).imag, ctx.z_lo, xi, **kw)[0]
+    return complex(re, im)
+
+
+class TestGaussLegendrePath:
+    def test_matches_quad_oracle(self, spectral):
+        ctx = SpectralContext(spectral)
+        for xi in XI_FIXED:
+            ph = phase_data(ctx, xi)
+            d0 = cmath.exp(1j * beta(ctx, xi, complex(xi)))
+            assert abs(ph.delta0 - d0) <= 1e-9 * abs(d0)
+            assert abs(ph.nu_tail_integral - _quad_nu_tail(ctx, xi)) <= 1e-10
+
+    def test_doubled_rule_agrees(self, spectral, monkeypatch):
+        coarse = SpectralContext(spectral)
+        monkeypatch.setattr(phase, "GL_NODES", 2 * phase.GL_NODES)
+        fine = SpectralContext(spectral)
+        for xi in XI_FIXED:
+            assert abs(delta0(coarse, xi) - delta0(fine, xi)) <= 1e-13
+            assert abs(nu_tail_integral(coarse, xi) - nu_tail_integral(fine, xi)) <= 1e-13
+
+    def test_phase_data_makes_no_quad_calls(self, box_data, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy quad called on the phase_data path")
+
+        monkeypatch.setattr(phase, "quad", refuse)
+        ctx = SpectralContext(box_data)
+        for xi in XI_FIXED:
+            phase_data(ctx, xi)
+
+    def test_error_gate_raises(self, box_data, monkeypatch):
+        monkeypatch.setattr(phase, "ERR_GATE", 1e-30)
+        with pytest.raises(QuadratureFailure):
+            phase_data(SpectralContext(box_data), XI)
+
+    def test_roundoff_noise_in_r_moves_little(self, box_data, monkeypatch):
+        # r, rbreve scaled by 1 + 1e-13 U(-1, 1): the fixed rule must neither
+        # change its node count nor amplify the noise
+        rng = np.random.default_rng(13)
+        n = box_data.z_grid.size
+        noisy = dataclasses.replace(
+            box_data,
+            r=box_data.r * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, n)),
+            r_breve=box_data.r_breve * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, n)),
+        )
+        nu = SpectralContext.nu
+        counts = []
+
+        def counted(self, s):
+            counts[-1] += np.size(s)
+            return nu(self, s)
+
+        monkeypatch.setattr(SpectralContext, "nu", counted)
+        runs = []
+        for data in (box_data, noisy):
+            counts.append(0)
+            ctx = SpectralContext(data)
+            runs.append([phase_data(ctx, xi) for xi in XI_FIXED])
+        assert counts[0] == counts[1]
+        for clean, moved in zip(*runs):
+            assert abs(clean.delta0 - moved.delta0) <= 1e-11
+            assert abs(clean.nu_tail_integral - moved.nu_tail_integral) <= 1e-11
+
+    def test_window_refuses_nan_and_outside(self, box_data):
+        ctx = SpectralContext(box_data)
+        for xi in (float("nan"), 16.5, -15.5):
+            with pytest.raises(WindowExceeded):
+                delta0(ctx, xi)
+        for xi in (float("nan"), 16.5, -16.5):
+            with pytest.raises(WindowExceeded):
+                nu_tail_integral(ctx, xi)
+
+    def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
+        calls = []
+        monkeypatch.setattr(asymptotics, "phase_data",
+                            lambda ctx, xi: calls.append(xi) or phase_data(ctx, xi))
+        ctx = SpectralContext(box_data)
+        t = 40.0
+        for xi in (0.5, 0.5 + 3e-13, 0.5):
+            q_asymptotic(-4.0 * xi * t, t, ctx)
+        keys = sorted(ctx.phase_memo)
+        assert len(keys) == 2 and keys[0] != keys[1]
+        assert round(keys[0], 12) == round(keys[1], 12)
+        assert len(calls) == 2
