@@ -10,14 +10,18 @@ a1,2 = 1/4 -+ sqrt(3)/6.  The z-oscillation sits in the matrix exponentials,
 which are evaluated in closed form (2x2, trace handled by scalar shift), so
 the step size is governed by the smoothness of q alone and the work is
 vectorized across the whole z grid.  Fourth order was verified by a ratio
-test; see tests.
+test; see tests.  The scheme is the commutator-free Magnus integrator of
+Alvermann & Fehske, J. Comput. Phys. 230 (2011).
 
-Both frames (the full matrix in `y_matrix_batch`, the bounded first column
-in `analytic_column_batch`) share the segment and Gauss-sample set-up and
-one step control: the step count doubles until the end values of two
-consecutive levels agree.  Each level is a single pass; the matrix frame
-integrates it leg by leg through the requested x nodes, so the node values
-of the accepted level are the result and nothing is integrated twice.
+One kernel, `_propagate`, applies these exponentials to a list of columns.
+The matrix frame (`y_matrix_batch`) carries both columns of the identity in
+the phi-frame; the column frame (`analytic_column_batch`) carries the
+bounded first column in the m-frame, where each exponential gains a factor
+exp(i z h / 2).  Both frames share one step control: the step count
+doubles until the end values of two consecutive levels agree.  Each level is
+a single pass; the matrix frame integrates it leg by leg through the
+requested x nodes, so the node values of the accepted level are the result
+and nothing is integrated twice.
 """
 
 from __future__ import annotations
@@ -62,22 +66,6 @@ def _expm_shifted(d, b, c, scale=None, dd=None):
     if scale is None:
         return e
     return tuple(scale * x for x in e)
-
-
-def _mul(a, b):
-    """Entrywise product of batched 2x2 matrices given as 4-tuples."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
-
-
-def _identity(z):
-    return (np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z))
 
 
 def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[float, float]]:
@@ -138,22 +126,23 @@ def _refine(level, n_steps, rtol, max_refine, what):
     )
 
 
-def _cf4_transfer(potential, z, x_from, x_to, n_steps):
-    """Transfer matrix of the phi-frame system over [x_from, x_to].
+def _propagate(potential, z, x_from, x_to, n_steps, cols, shifted=False):
+    """Apply the CF4 steps over [x_from, x_to] to a list of columns (u, v).
 
-    z is a complex/real array; returns the 4-tuple of (nz,) entry arrays T with
-    phi(x_to) = T phi(x_from).
+    The exponentials act one at a time, in the order `_cf4_steps` yields
+    them.  Unshifted, each is exp(h (a A1 + a' A2)) of the phi-frame;
+    `shifted` multiplies each by exp(i z h / 2), which turns the phi-frame
+    into the m-frame of `analytic_column_batch`.  Returns the new list.
     """
-    z = np.asarray(z, dtype=complex)
-    T = _identity(z)
     for h, steps in _cf4_steps(potential, x_from, x_to, n_steps):
-        dz = -1j * z * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
-        dd = dz * dz
-        for (b2, c2), (b1, c1) in steps:
-            E2 = _expm_shifted(dz, b2, c2, dd=dd)
-            E1 = _expm_shifted(dz, b1, c1, dd=dd)
-            T = _mul(_mul(E1, E2), T)
-    return T
+        d = -1j * z * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
+        dd = d * d
+        scale = np.exp(-d) if shifted else None
+        for step in steps:
+            for b, c in step:
+                e11, e12, e21, e22 = _expm_shifted(d, b, c, scale, dd)
+                cols = [(e11 * u + e12 * v, e21 * u + e22 * v) for u, v in cols]
+    return cols
 
 
 def _phase_diag(z, x):
@@ -170,12 +159,12 @@ def y_matrix_batch(potential, z, side="minus", n_steps=None, rtol=1e-10,
     the opposite end, or (trajectory, err) with shape (len(x_nodes), nz, 2, 2)
     when x_nodes is given.
 
-    Each level of n steps is one pass, leg by leg through the nodes in
-    travel order and on to the opposite end; a leg gets
-    max(2, ceil(n |leg| / 2X)) steps and its transfer matrix multiplies the
-    product of the earlier legs from the left.  Step control doubles n until
-    Y at the opposite end agrees to rtol between two consecutive levels, and
-    the node values of the accepted level are returned.
+    Each level of n steps is one pass that carries the two columns of the
+    identity leg by leg through the nodes in travel order and on to the
+    opposite end; a leg gets max(2, ceil(n |leg| / 2X)) steps.  Step control
+    doubles n until Y at the opposite end agrees to rtol between two
+    consecutive levels, and the node values of the accepted level are
+    returned.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
@@ -189,16 +178,17 @@ def y_matrix_batch(potential, z, side="minus", n_steps=None, rtol=1e-10,
 
     def level(n_total):
         traj = np.empty((len(nodes), z.size, 2, 2), dtype=complex)
-        T = _identity(z)
+        cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
         x_cur = x_from
         for idx, x_tgt in targets:
             if abs(x_tgt - x_cur) > 0:
                 n = max(2, int(np.ceil(n_total * abs(x_tgt - x_cur) / (2 * X))))
-                T = _mul(_cf4_transfer(potential, z, x_cur, x_tgt, n), T)
+                cols = _propagate(potential, z, x_cur, x_tgt, n, cols)
                 x_cur = x_tgt
-            # Y(x) = e^{i x z s3} T e^{-i x_from z s3}
+            # Y(x) = e^{i x z s3} T e^{-i x_from z s3}, T = [cols[0] | cols[1]]
+            (t11, t21), (t12, t22) = cols
             ep, em = _phase_diag(z, x_cur)
-            Y = (ep * T[0] * sp, ep * T[1] * sm, em * T[2] * sp, em * T[3] * sm)
+            Y = (ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm)
             if idx is not None:
                 traj[idx, :, 0, 0], traj[idx, :, 0, 1] = Y[0], Y[1]
                 traj[idx, :, 1, 0], traj[idx, :, 1, 1] = Y[2], Y[3]
@@ -220,17 +210,8 @@ def analytic_column_batch(potential, z, n_steps=None, rtol=1e-10, max_refine=4):
         n_steps = max(192, int(16 * 2 * X))
 
     def level(n_total):
-        m0 = np.ones_like(z)
-        m1 = np.zeros_like(z)
-        for h, steps in _cf4_steps(potential, -X, X, n_total):
-            shift = 1j * z * (h / 2.0)
-            d = -shift
-            dd = d * d
-            scale = np.exp(shift)
-            for step in steps:
-                for b, c in step:
-                    e11, e12, e21, e22 = _expm_shifted(d, b, c, scale, dd)
-                    m0, m1 = e11 * m0 + e12 * m1, e21 * m0 + e22 * m1
-        return (m0, m1), (m0, m1)
+        [m] = _propagate(potential, z, -X, X, n_total,
+                         [(np.ones_like(z), np.zeros_like(z))], shifted=True)
+        return m, m
 
     return _refine(level, n_steps, rtol, max_refine, "column")[0]

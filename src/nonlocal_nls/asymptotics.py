@@ -58,7 +58,7 @@ def _phase_at(ctx: SpectralContext, xi: float) -> PhaseData:
     return ph
 
 
-def alpha(data: ScatteringData, phase: PhaseData, t: float) -> complex:
+def alpha(phase: PhaseData, t: float) -> complex:
     """Ray amplitude alpha(xi); pure phase in t, refused outside validity."""
     if not t > 0:
         raise ValueError("t must be positive")
@@ -115,7 +115,7 @@ def q_asymptotic(x: float, t: float, data: ScatteringData | SpectralContext,
     coeffs = connection_coefficients(ph.r_xi, ph.r_breve_xi, nu, ph.delta0, xi, t)
     q_model = 2.0 * coeffs.beta1 / math.sqrt(8.0 * t)
 
-    a = alpha(data, ph, t)
+    a = alpha(ph, t)
     # t-power e^{(Im nu - 1/2) log t} in a single exponential
     q_closed = a * math.exp((nu.imag - 0.5) * math.log(t))
 

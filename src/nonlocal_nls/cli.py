@@ -180,6 +180,8 @@ def evolve_cmd(ctx, t_final, fmt):
         if not cfg.times:
             raise BadInput("no final time: pass --t or configure times")
         t_final = cfg.times[-1]
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise BadInput(f"final time must be finite and positive, got {t_final}")
     snap = evolve(cfg.potential, t_final, cfg.dt)
     if fmt == "csv":
         nio.write_snapshot_csv(snap, out / "snapshot.csv")

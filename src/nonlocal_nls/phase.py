@@ -187,7 +187,7 @@ def _cauchy_exponent(data, xi: float, z: complex):
     """int_{z_lo}^{xi} i nu(s)/(s - z) ds with local subtraction near Re z."""
     itp = SpectralContext.of(data)
     z_lo = itp.z_lo
-    if xi > itp.z_hi or xi < z_lo:
+    if not z_lo <= xi <= itp.z_hi:
         raise WindowExceeded(f"xi = {xi} outside the spectral grid")
     z = complex(z)
     near = (z_lo - 1.0 <= z.real <= xi + 1.0) and abs(z.imag) < 1.0
@@ -243,7 +243,7 @@ def beta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> compl
     z = complex(z)
     if z.imag == 0.0 and z.real < xi:
         raise CutEvaluation("beta is evaluated off (-inf, xi) or at xi itself")
-    if xi > itp.z_hi or xi - 1.0 < itp.z_lo:
+    if not (itp.z_lo <= xi - 1.0 and xi <= itp.z_hi):
         raise WindowExceeded("xi (and xi - 1) must lie inside the grid")
     nu_xi = complex(itp.nu(np.asarray(xi)))
 

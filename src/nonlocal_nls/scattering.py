@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cf4 import analytic_column_batch, y_matrix_batch
+from ._cf4 import _expm_shifted, analytic_column_batch, y_matrix_batch
 from .errors import (
     GenericityViolation,
     IntegratorDivergence,
@@ -144,22 +144,15 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray,
     )
 
 
-def _expm2_tracefree(d, b, c):
-    m = np.sqrt(d * d + b * c + 0.0j)
-    small = np.abs(m) < 1e-8
-    msafe = np.where(small, 1.0, m)
-    sh = np.where(small, 1.0 + m * m / 6.0, np.sinh(msafe) / msafe)
-    ch = np.cosh(m)
-    return ch + sh * d, sh * b, sh * c, ch - sh * d
-
-
 def exact_box_scattering(box: Potential, z):
     """Scattering coefficients of a box potential from interval exponentials.
 
     The box support and its mirror cut the line into constant-coefficient
     intervals; the transfer matrix is the ordered product of
     exp(dx (-i z sigma3 + Q_j)) with free phases outside, exact up to
-    matrix-exponential roundoff.  Returns (a, b, abreve, bbreve).
+    matrix-exponential roundoff.  Only the closed-form 2x2 exponential,
+    tested against scipy.linalg.expm, is shared with the CF4 propagator.
+    Returns (a, b, abreve, bbreve).
     """
     if box.kind != "box":
         raise NotPiecewiseConstant(f"kind {box.kind!r} is not piecewise constant")
@@ -181,7 +174,7 @@ def exact_box_scattering(box: Potential, z):
         q = A if left <= mid <= right else 0.0
         mc = np.conj(A) if left <= -mid <= right else 0.0
         h = hi - lo
-        e11, e12, e21, e22 = _expm2_tracefree(
+        e11, e12, e21, e22 = _expm_shifted(
             -1j * z * h, np.full_like(z, h * q), np.full_like(z, -box.sigma * h * mc)
         )
         t11, t12, t21, t22 = (

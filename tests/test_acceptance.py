@@ -193,7 +193,7 @@ def test_criterion_6_route_equivalence(box_datasets):
 
     from nonlocal_nls import alpha
     ph = phase_data(data, 0.45)
-    mags = [abs(alpha(data, ph, t)) for t in (20.0, 55.0, 300.0)]
+    mags = [abs(alpha(ph, t)) for t in (20.0, 55.0, 300.0)]
     t_dev = (max(mags) - min(mags)) / max(mags)
     assert t_dev <= 1e-12
     _report(6, "alpha-formula vs 2 beta1/sqrt(8t): agreement enforced at "

@@ -25,7 +25,7 @@ def test_scaling_law_exact(box_data):
 def test_alpha_modulus_t_independent(box_data):
     xi = 0.3
     ph = phase_data(box_data, xi)
-    mags = {abs(alpha(box_data, ph, t)) for t in (20.0, 50.0, 400.0)}
+    mags = {abs(alpha(ph, t)) for t in (20.0, 50.0, 400.0)}
     assert max(mags) - min(mags) < 1e-12 * max(mags)
 
 

@@ -4,23 +4,33 @@ from scipy.linalg import expm
 
 from nonlocal_nls import Potential
 from nonlocal_nls._cf4 import (
-    _cf4_transfer,
     analytic_column_batch,
     _expm_shifted,
-    _mul,
     _phase_diag,
+    _propagate,
     _sinhc,
     y_matrix_batch,
 )
 from nonlocal_nls.errors import IntegratorDivergence
 
 
+def _identity_cols(z):
+    return [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
+
+
+def _transfer(potential, z, x_from, x_to, n_steps):
+    """Entries (T11, T12, T21, T22) of the phi-frame transfer matrix."""
+    (t11, t21), (t12, t22) = _propagate(potential, z, x_from, x_to, n_steps,
+                                        _identity_cols(z))
+    return t11, t12, t21, t22
+
+
 def test_order_four_self_convergence(gauss_small):
     z = np.array([1.7 + 0.0j])
     errs = []
-    ref = _cf4_transfer(gauss_small, z, -8.0, 8.0, 4096)
+    ref = _transfer(gauss_small, z, -8.0, 8.0, 4096)
     for n in (64, 128, 256):
-        T = _cf4_transfer(gauss_small, z, -8.0, 8.0, n)
+        T = _transfer(gauss_small, z, -8.0, 8.0, n)
         errs.append(max(abs(a - b).max() for a, b in zip(T, ref)))
     assert 12.0 < errs[0] / errs[1] < 20.0
     assert 12.0 < errs[1] / errs[2] < 20.0
@@ -31,8 +41,8 @@ def test_constant_coefficient_exactness():
     box = Potential(kind="box", amplitude=0.4, sigma=1,
                     params={"left": -1.0, "right": 1.0}, L=8.0, N=64)
     z = np.array([0.9 + 0.0j])
-    coarse = _cf4_transfer(box, z, -0.5, 0.5, 2)
-    fine = _cf4_transfer(box, z, -0.5, 0.5, 512)
+    coarse = _transfer(box, z, -0.5, 0.5, 2)
+    fine = _transfer(box, z, -0.5, 0.5, 512)
     assert max(abs(a - b).max() for a, b in zip(coarse, fine)) < 1e-13
 
 
@@ -55,7 +65,7 @@ def test_column_stall_reports_steps_and_error(gauss_small):
 
 def test_unimodular_transfer(box_plus):
     z = np.linspace(-5, 5, 11).astype(complex)
-    T = _cf4_transfer(box_plus, z, -2.0, 2.0, 200)
+    T = _transfer(box_plus, z, -2.0, 2.0, 200)
     det = T[0] * T[3] - T[1] * T[2]
     assert np.abs(det - 1.0).max() < 1e-12
 
@@ -101,10 +111,24 @@ def test_nodes_are_the_accepted_level_legs(box_plus):
     traj, _ = y_matrix_batch(box_plus, z, n_steps=192, max_refine=1,
                              x_nodes=np.array([0.0, X]))
     sp, sm = _phase_diag(z, X)
-    T = (np.ones_like(z), np.zeros_like(z), np.zeros_like(z), np.ones_like(z))
+    cols = _identity_cols(z)
     for k, (x0, x1) in enumerate([(-X, 0.0), (0.0, X)]):
         n = max(2, int(np.ceil(384 * abs(x1 - x0) / (2 * X))))
-        T = _mul(_cf4_transfer(box_plus, z, x0, x1, n), T)
+        cols = _propagate(box_plus, z, x0, x1, n, cols)
+        (t11, t21), (t12, t22) = cols
         ep, em = _phase_diag(z, x1)
-        want = [ep * T[0] * sp, ep * T[1] * sm, em * T[2] * sp, em * T[3] * sm]
+        want = [ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm]
         assert np.array_equal(traj[k].reshape(-1, 4).T, want)
+
+
+def test_shifted_column_is_the_m_frame(box_plus):
+    # each shifted exponential carries exp(i z h / 2); over [-X, X] that is
+    # exp(2 i z X) times the first column of the phi-frame state
+    z = np.array([0.7 + 0.5j, -1.3 + 1.0j, 2.0j, 3.1 + 0.2j])
+    X = box_plus.scatter_halfwidth()
+    [(m0, m1)] = _propagate(box_plus, z, -X, X, 768,
+                            [(np.ones_like(z), np.zeros_like(z))], shifted=True)
+    [(u, v), _] = _propagate(box_plus, z, -X, X, 768, _identity_cols(z))
+    phase = np.exp(2j * z * X)
+    for got, want in ((m0, phase * u), (m1, phase * v)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

@@ -169,6 +169,17 @@ def test_evolve_csv_and_binary(tmp_path, runner):
     assert np.allclose(arr[:, 0], csv[:, 1])
 
 
+@pytest.mark.parametrize("t_final", ["-5", "0", "nan", "inf"])
+def test_evolve_bad_final_time_exits_1(tmp_path, runner, t_final):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, times=[])
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "evolve", "--t", t_final])
+    assert res.exit_code == 1, res.output
+    assert "final time must be finite and positive" in res.output
+    assert not (out / "snapshot.csv").exists()
+
+
 def test_determinism_byte_identical(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     outs = []

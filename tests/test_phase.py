@@ -270,6 +270,15 @@ class TestGaussLegendrePath:
             with pytest.raises(WindowExceeded):
                 nu_tail_integral(ctx, xi)
 
+    def test_quad_oracle_refuses_nan(self, box_data):
+        ctx = SpectralContext(box_data)
+        nan = float("nan")
+        for call in (lambda: delta(ctx, nan, 1 + 1j),
+                     lambda: delta_boundary(ctx, nan, 0.0, "plus"),
+                     lambda: beta(ctx, nan, 1 + 1j)):
+            with pytest.raises(WindowExceeded):
+                call()
+
     def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
         calls = []
         monkeypatch.setattr(asymptotics, "phase_data",
