@@ -29,8 +29,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from scipy.special import rgamma
+
 from .errors import ValidityViolation, WindowExceeded
-from .gammafn import complex_gamma
 from .model import connection_coefficients, nu_over_w
 from .phase import PhaseData, SpectralContext, phase_data, stationary_point
 from .scattering import ScatteringData
@@ -79,7 +80,7 @@ def alpha(phase: PhaseData, t: float) -> complex:
         * (-1j)
         * phase.r_breve_xi
         * nu_over_w(nu, w)
-        / complex_gamma(1.0 - 1j * nu)
+        * complex(rgamma(1.0 - 1j * nu))
     )
 
 

@@ -72,6 +72,8 @@ def _load_config(ctx) -> ExperimentConfig:
         raise BadInput("--config is required for this subcommand")
     cfg = ExperimentConfig.from_json_file(path)
     cfg.tol_scale *= ctx.obj.get("tol_scale", 1.0)
+    if not 0 < cfg.tol_scale < math.inf:
+        raise BadInput("--tol-scale must be finite and positive")
     return cfg
 
 

@@ -38,6 +38,8 @@ class ExperimentConfig:
             raise BadInput(f"times must all be >= t_min = {self.t_min}")
         if self.dt <= 0:
             raise BadInput("dt must be positive")
+        if self.tol_scale <= 0:
+            raise BadInput("tol_scale must be positive")
 
     def z_grid(self) -> np.ndarray:
         return np.linspace(-self.z_max, self.z_max, self.nz)

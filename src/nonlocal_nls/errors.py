@@ -46,7 +46,7 @@ class OutOfValidityBox(NonlocalNLSError):
 
 
 class SeriesNonConvergence(NonlocalNLSError):
-    """Neither series nor asymptotic expansion reached tolerance."""
+    """Parabolic-cylinder evaluation (mpmath) did not converge."""
 
 
 class ValidityViolation(NonlocalNLSError):

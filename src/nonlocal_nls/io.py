@@ -74,19 +74,6 @@ def write_snapshot_binary(snap: FieldSnapshot, path):
     Path(path).write_bytes(buf.tobytes())
 
 
-def write_model_samples_csv(samples, path):
-    """Diagnostic dump of model-matrix samples: re/im of the four entries."""
-    rows = ["re_zeta,im_zeta,re_p11,im_p11,re_p12,im_p12,"
-            "re_p21,im_p21,re_p22,im_p22"]
-    for m in samples:
-        vals = [m.zeta.real, m.zeta.imag]
-        for i in range(2):
-            for j in range(2):
-                vals.extend([m.Psi[i, j].real, m.Psi[i, j].imag])
-        rows.append(",".join(_f(v) for v in vals))
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
 COMPARE_COLUMNS = "xi,t,re_qnum,im_qnum,re_qasym,im_qasym,abs_err,validity"
 
 

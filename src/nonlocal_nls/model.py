@@ -19,7 +19,11 @@ sectors around the imaginary axis.  Its large-zeta (1,2) coefficient gives
 
 the quantity the leading long-time term is made of, and beta2 = nu/beta1.
 Both betas are evaluated through pole-free rearrangements, so the
-reflectionless limit r -> 0 or rbreve -> 0 is exact rather than a 0/0.
+reflectionless limit r -> 0 or rbreve -> 0 is exact rather than a 0/0:
+beta1 carries the entire 1/Gamma(1 - i nu) (`scipy.special.rgamma`) and
+beta2 Gamma(1 - i nu) (`scipy.special.gamma`, whose poles lie at
+Im nu <= -1, far outside the validity band |Im nu| < 1/4).  The entries
+of Psi are the D_a of `weber.weber_D`.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, rgamma
 
-from .gammafn import complex_gamma
 from .weber import weber_D
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -89,11 +93,12 @@ def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t) -> ModelCoeffic
     rho = r_xi * delta0 ** -2 * phase_t * osc
     rho_hat = r_breve_xi * delta0 ** 2 / phase_t / osc
     # beta1 = sqrt(2pi) e^{i pi/4 - pi nu/2} / (rho Gamma(-i nu)), stabilized
-    # through 1/Gamma(-i nu) = -i nu / Gamma(1 - i nu) and nu/r = rbreve*(nu/w):
-    core = _SQRT2PI * cmath.exp(_PIQ - math.pi * nu / 2.0) / complex_gamma(1.0 - 1j * nu)
+    # through 1/Gamma(-i nu) = -i nu / Gamma(1 - i nu) and nu/r = rbreve*(nu/w),
+    # with the entire 1/Gamma(1 - i nu):
+    core = _SQRT2PI * cmath.exp(_PIQ - math.pi * nu / 2.0) * complex(rgamma(1.0 - 1j * nu))
     beta1 = core * (-1j) * r_breve_xi * nu_over_w(nu, w) * delta0 ** 2 / phase_t / osc
     # beta2 = nu/beta1 in the same pole-free style:
-    beta2 = (1j * rho * complex_gamma(1.0 - 1j * nu)
+    beta2 = (1j * rho * complex(gamma(1.0 - 1j * nu))
              * cmath.exp(math.pi * nu / 2.0 - _PIQ) / _SQRT2PI)
     return ModelCoefficients(
         nu=nu, r_xi=r_xi, r_breve_xi=r_breve_xi, delta0=delta0, xi=float(xi),

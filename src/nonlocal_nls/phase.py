@@ -36,6 +36,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
 from .errors import (
+    BadInput,
     BranchViolation,
     CutEvaluation,
     GenericityViolation,
@@ -183,6 +184,13 @@ def _log_ratio(z, hi, lo):
     return cmath.log(hi - z) - cmath.log(lo - z)
 
 
+def _finite_point(z) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise BadInput(f"spectral point z = {z} must be finite")
+    return z
+
+
 def _cauchy_exponent(data, xi: float, z: complex):
     """int_{z_lo}^{xi} i nu(s)/(s - z) ds with local subtraction near Re z."""
     itp = SpectralContext.of(data)
@@ -213,7 +221,7 @@ def _cauchy_exponent(data, xi: float, z: complex):
 
 def delta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> complex:
     """delta(z) off the cut (-inf, xi]."""
-    z = complex(z)
+    z = _finite_point(z)
     if z.imag == 0.0 and z.real <= xi:
         raise CutEvaluation(f"z = {z} lies on the cut (-inf, {xi}]")
     val, _ = _cauchy_exponent(data, xi, z)
@@ -227,6 +235,7 @@ def delta_boundary(data: ScatteringData | SpectralContext, xi: float, z0: float,
     Evaluated at z0 +- i eps with eps = 1e-6 (1 + |xi|) and Richardson
     extrapolation in eps on the exponent.
     """
+    _finite_point(z0)
     if z0 > xi:
         raise CutEvaluation(f"z0 = {z0} is to the right of xi = {xi}")
     data = SpectralContext.of(data)
@@ -240,7 +249,7 @@ def delta_boundary(data: ScatteringData | SpectralContext, xi: float, z0: float,
 def beta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> complex:
     """Regularized phase beta(z, xi); finite at z = xi."""
     itp = SpectralContext.of(data)
-    z = complex(z)
+    z = _finite_point(z)
     if z.imag == 0.0 and z.real < xi:
         raise CutEvaluation("beta is evaluated off (-inf, xi) or at xi itself")
     if not (itp.z_lo <= xi - 1.0 and xi <= itp.z_hi):

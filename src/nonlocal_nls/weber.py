@@ -3,176 +3,43 @@
 Whittaker normalization: D_a(0) = 2^{a/2} sqrt(pi) / Gamma((1-a)/2) and
 D_a(eta) ~ eta^a e^{-eta^2/4} as eta -> infinity inside |arg eta| < 3pi/4.
 
-Evaluation strategy over the supported box |a| <= 10, |eta| <= 50:
-
-* Maclaurin series through the even/odd Weber solutions (Kummer sums) for
-  moderate |eta|.  The two parity pieces cancel the dominant e^{+eta^2/4}
-  branch, so the running magnitude of the partial sums is monitored; when
-  the cancellation would eat more than ~5 digits the sum is redone in
-  arbitrary precision (same series, mpmath arithmetic).
-* Poincare asymptotic series for large |eta| inside the principal sector,
-  with the two connection formulas
-
-      D_a(eta) = e^{+a pi i} D_a(-eta)
-                 + sqrt(2 pi)/Gamma(-a) e^{+(a+1) pi i/2} D_{-a-1}(-i eta)
-      D_a(eta) = e^{-a pi i} D_a(-eta)
-                 + sqrt(2 pi)/Gamma(-a) e^{-(a+1) pi i/2} D_{-a-1}(+i eta)
-
-  rotating arguments near the negative axis back into the sector.  The
-  asymptotic sum self-reports failure (terms grow before reaching
-  tolerance) and falls back to the high-precision series.
+Values come from `mpmath.pcfd` at 15 significant digits over the supported
+box |a| <= 10, |eta| <= 50.  mpmath combines the confluent hypergeometric
+representations itself and raises its working precision internally when
+the terms cancel, so the recessive solution stays accurate along the whole
+negative axis (e.g. D_1(-12) = -12 e^{-36}), where any mix of Weber
+solutions would still satisfy the Weber equation.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import mpmath as mp
+from mpmath.libmp import NoConvergence
 
 from .errors import OutOfValidityBox, SeriesNonConvergence
-from .gammafn import reciprocal_gamma
 
 BOX_ORDER = 10.0
 BOX_ARG = 50.0
 
-_SERIES_RADIUS = 6.2
-_SECTOR_MARGIN = 0.12
-# Allowed (peak partial magnitude)/|result| in the double series.  Kept small
-# enough that returned values hold ~14 digits: the stencil residual check
-# amplifies value noise by 1/h^2, so anything noisier must take the
-# extended-precision path.
-_CANCEL_LIMIT = 30.0
+
+def _D(a, eta) -> complex:
+    try:
+        with mp.workdps(15):
+            return complex(mp.pcfd(a, eta))
+    except NoConvergence as exc:
+        raise SeriesNonConvergence(f"D_{a}({eta}): {exc}") from exc
 
 
-def _kummer_sum(alpha, beta, x, tol, nmax=4000):
-    """Confluent series M(alpha, beta, x); returns (value, peak magnitude)."""
-    term = 1.0 + 0.0 * x
-    total = term
-    peak = abs(term)
-    small_run = 0
-    for k in range(nmax):
-        term = term * (alpha + k) * x / ((beta + k) * (k + 1))
-        total += term
-        mag = abs(term)
-        if mag > peak:
-            peak = mag
-        small_run = small_run + 1 if mag <= tol * abs(total) else 0
-        if small_run >= 2 and k > 2:
-            return total, peak
-    raise SeriesNonConvergence("Kummer series did not converge")
-
-
-def _series_double(a, eta):
-    """Parity-series evaluation in double precision; None when cancellation
-    would leave fewer than ~10 safe digits."""
-    x = eta * eta / 2.0
-    m1, p1 = _kummer_sum(-a / 2.0, 0.5, x, 1e-17)
-    m2, p2 = _kummer_sum(0.5 - a / 2.0, 1.5, x, 1e-17)
-    c1 = 2.0 ** (a / 2.0) * math.sqrt(math.pi) * reciprocal_gamma((1.0 - a) / 2.0)
-    c2 = -(2.0 ** ((a + 1.0) / 2.0)) * math.sqrt(math.pi) * reciprocal_gamma(-a / 2.0)
-    pref = cmath.exp(-eta * eta / 4.0)
-    combo = c1 * m1 + c2 * eta * m2
-    value = pref * combo
-    peak = abs(c1) * p1 + abs(c2 * eta) * p2
-    if abs(combo) == 0.0:
-        return value
-    if peak / abs(combo) > _CANCEL_LIMIT:
-        return None
-    return value
-
-
-def _series_mp(a, eta):
-    """Same parity series in mpmath arithmetic with cancellation headroom."""
-    x_mag = abs(eta) ** 2 / 2.0
-    dps = 30 + int(2.2 * x_mag / math.log(10.0))
-    if dps > 700:
-        raise SeriesNonConvergence("extended-precision series would need "
-                                   f"{dps} digits; argument too large")
-    with mp.workdps(dps):
-        am = mp.mpc(a)
-        em = mp.mpc(eta)
-        x = em * em / 2
-        one = mp.mpc(1)
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
-
-        def ksum(alpha, beta):
-            term = one
-            total = one
-            small_run = 0
-            for k in range(20000):
-                term = term * (alpha + k) * x / ((beta + k) * (k + 1))
-                total += term
-                small_run = small_run + 1 if abs(term) <= tol * abs(total) else 0
-                if small_run >= 2 and k > 2:
-                    return total
-            raise SeriesNonConvergence("mp Kummer series stalled")
-
-        m1 = ksum(-am / 2, mp.mpf(0.5))
-        m2 = ksum((1 - am) / 2, mp.mpf(1.5))
-        c1 = 2 ** (am / 2) * mp.sqrt(mp.pi) / mp.gamma((1 - am) / 2)
-        c2 = -(2 ** ((am + 1) / 2)) * mp.sqrt(mp.pi) / mp.gamma(-am / 2)
-        val = mp.e ** (-em * em / 4) * (c1 * m1 + c2 * em * m2)
-        return complex(val)
-
-
-def _asymptotic(a, eta):
-    """Poincare expansion eta^a e^{-eta^2/4} sum_k t_k; None if it refuses."""
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    best = None
-    ieta2 = 1.0 / (eta * eta)
-    for k in range(0, 80):
-        term = term * (-(-a + 2 * k) * (-a + 2 * k + 1)) * 0.5 * ieta2 / (k + 1.0)
-        new = abs(term)
-        if best is not None and new > best:
-            return None            # divergence reached before tolerance
-        best = new if best is None else min(best, new)
-        s += term
-        if new <= 1e-16 * abs(s):
-            break
-    else:
-        return None
-    if new > 1e-11 * abs(s):
-        return None
-    return cmath.exp(a * cmath.log(eta)) * cmath.exp(-eta * eta / 4.0) * s
-
-
-def _D(a, eta, depth=0):
-    if abs(eta) <= _SERIES_RADIUS:
-        val = _series_double(a, eta)
-        return val if val is not None else _series_mp(a, eta)
-
-    ph = cmath.phase(eta)
-    if abs(ph) <= 0.75 * math.pi - _SECTOR_MARGIN or depth > 0:
-        val = _asymptotic(a, eta)
-        if val is not None:
-            return val
-        val = _series_double(a, eta)
-        if val is not None:
-            return val
-        return _series_mp(a, eta)
-
-    # rotate out of the sector gap along the negative real axis
-    rg = reciprocal_gamma(-a)
-    if ph > 0:
-        # D_a(eta) = e^{a pi i} D_a(-eta) + sqrt(2pi) rg e^{(a+1) pi i/2} D_{-a-1}(-i eta)
-        return (cmath.exp(1j * math.pi * a) * _D(a, -eta, depth + 1)
-                + math.sqrt(2.0 * math.pi) * rg
-                * cmath.exp(1j * math.pi * (a + 1.0) / 2.0)
-                * _D(-a - 1.0, -1j * eta, depth + 1))
-    return (cmath.exp(-1j * math.pi * a) * _D(a, -eta, depth + 1)
-            + math.sqrt(2.0 * math.pi) * rg
-            * cmath.exp(-1j * math.pi * (a + 1.0) / 2.0)
-            * _D(-a - 1.0, 1j * eta, depth + 1))
+def _check_box(a: complex, eta: complex):
+    if not (abs(a) <= BOX_ORDER + 1e-12 and abs(eta) <= BOX_ARG + 1e-12):
+        raise OutOfValidityBox(f"(a, eta) = ({a}, {eta}) outside supported box")
 
 
 def weber_D(a, eta) -> complex:
     """Parabolic cylinder D_a(eta), complex order and argument."""
     a = complex(a)
     eta = complex(eta)
-    if abs(a) > BOX_ORDER + 1e-12 or abs(eta) > BOX_ARG + 1e-12:
-        raise OutOfValidityBox(f"(a, eta) = ({a}, {eta}) outside supported box")
+    _check_box(a, eta)
     return _D(a, eta)
 
 
@@ -180,8 +47,7 @@ def weber_D_deriv(a, eta) -> complex:
     """d/d eta D_a(eta) through the recurrence (eta/2) D_a - D_{a+1}."""
     a = complex(a)
     eta = complex(eta)
-    if abs(a) > BOX_ORDER + 1e-12 or abs(eta) > BOX_ARG + 1e-12:
-        raise OutOfValidityBox(f"(a, eta) = ({a}, {eta}) outside supported box")
+    _check_box(a, eta)
     return (eta / 2.0) * _D(a, eta) - _D(a + 1.0, eta)
 
 
@@ -194,6 +60,7 @@ def weber_residual(a, eta, h=1e-3) -> float:
     """
     a = complex(a)
     eta = complex(eta)
+    _check_box(a, eta)
     w = [_D(a, eta + k * h) for k in (-2, -1, 0, 1, 2)]
     d2 = (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12.0 * h * h)
     res = d2 + (a + 0.5 - eta * eta / 4.0) * w[2]

@@ -180,6 +180,24 @@ def test_evolve_bad_final_time_exits_1(tmp_path, runner, t_final):
     assert not (out / "snapshot.csv").exists()
 
 
+@pytest.mark.parametrize("tol_scale", ["inf", "nan", "-1", "0"])
+def test_bad_tol_scale_option_exits_1(tmp_path, runner, tol_scale):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                               "--tol-scale", tol_scale, "verify"])
+    assert res.exit_code == 1, res.output
+    assert "--tol-scale must be finite and positive" in res.output
+
+
+@pytest.mark.parametrize("tol_scale", [-1.0, 0.0])
+def test_bad_tol_scale_config_exits_1(tmp_path, runner, tol_scale):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, tol_scale=tol_scale)
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                               "verify"])
+    assert res.exit_code == 1, res.output
+    assert "tol_scale must be positive" in res.output
+
+
 def test_determinism_byte_identical(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     outs = []

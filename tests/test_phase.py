@@ -20,6 +20,7 @@ from nonlocal_nls import (
     stationary_point,
 )
 from nonlocal_nls.errors import (
+    BadInput,
     BranchViolation,
     CutEvaluation,
     NonpositiveTime,
@@ -278,6 +279,19 @@ class TestGaussLegendrePath:
                      lambda: beta(ctx, nan, 1 + 1j)):
             with pytest.raises(WindowExceeded):
                 call()
+
+    @pytest.mark.parametrize("call", [
+        lambda ctx: delta(ctx, 0.5, complex(float("nan"), 1.0)),
+        lambda ctx: delta_boundary(ctx, 0.5, float("nan"), "plus"),
+        lambda ctx: beta(ctx, 0.5, complex(float("nan"), 1.0)),
+    ], ids=["delta", "delta_boundary", "beta"])
+    def test_quad_oracle_refuses_nan_point(self, box_data, monkeypatch, call):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad ran on a non-finite spectral point")
+
+        monkeypatch.setattr(phase, "quad", no_quad)
+        with pytest.raises(BadInput):
+            call(SpectralContext(box_data))
 
     def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
         calls = []
