@@ -4,14 +4,8 @@ closed-form long-time asymptotics, and a split-step spectral oracle."""
 
 from . import errors
 from .asymptotics import AsymptoticEvaluation, alpha, q_asymptotic
-from .model import (
-    ModelCoefficients,
-    ModelMatrix,
-    connection_coefficients,
-    jump_matrix,
-    psi,
-)
-from .pde import FieldSnapshot, evolve, linear_half_step, nonlinear_step, spectral_interpolate
+from .model import ModelCoefficients, connection_coefficients, jump_matrix, psi
+from .pde import FieldSnapshot, evolve, spectral_interpolate
 from .phase import (
     PhaseData,
     beta,
@@ -19,19 +13,15 @@ from .phase import (
     delta0,
     delta_boundary,
     nu_at,
-    nu_tail_integral,
     phase_data,
     stationary_point,
 )
-from .potentials import LaxMatrix, Potential, build_lax_matrix
+from .potentials import Potential
 from .scattering import (
     GenericityReport,
-    JostSolution,
     ScatteringData,
     check_genericity,
-    compute_jost,
     compute_scattering,
-    evolve_reflection,
     exact_box_scattering,
 )
 from .weber import weber_D, weber_D_deriv, weber_residual
@@ -40,13 +30,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticEvaluation", "FieldSnapshot", "GenericityReport",
-    "JostSolution", "LaxMatrix", "ModelCoefficients", "ModelMatrix",
-    "PhaseData", "Potential", "ScatteringData", "alpha", "beta",
-    "build_lax_matrix", "check_genericity", "compute_jost",
-    "compute_scattering", "connection_coefficients", "delta", "delta0",
-    "delta_boundary", "errors", "evolve", "evolve_reflection",
-    "exact_box_scattering", "jump_matrix", "linear_half_step",
-    "nonlinear_step", "nu_at", "nu_tail_integral", "phase_data", "psi",
-    "q_asymptotic", "spectral_interpolate", "stationary_point", "weber_D",
-    "weber_D_deriv", "weber_residual",
+    "ModelCoefficients", "PhaseData", "Potential", "ScatteringData", "alpha",
+    "beta", "check_genericity", "compute_scattering",
+    "connection_coefficients", "delta", "delta0", "delta_boundary", "errors",
+    "evolve", "exact_box_scattering", "jump_matrix", "nu_at", "phase_data",
+    "psi", "q_asymptotic", "spectral_interpolate", "stationary_point",
+    "weber_D", "weber_D_deriv", "weber_residual",
 ]

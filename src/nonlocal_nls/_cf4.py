@@ -150,42 +150,38 @@ def _phase_diag(z, x):
     return np.exp(1j * x * z), np.exp(-1j * x * z)
 
 
-def y_matrix_batch(potential, z, side="minus", n_steps=None, rtol=1e-10,
-                   x_nodes=None, max_refine=4):
+def y_matrix_batch(potential, z, n_steps=None, rtol=1e-10, x_nodes=None,
+                   max_refine=4):
     """Normalized Jost matrix Y(z, x) = exp(i x z sigma3) phi(z, x).
 
-    side "minus" integrates from -X with Y(-X) = I; side "plus" from +X.
-    Returns (Y_end, err_estimate) where Y_end is a 4-tuple of (nz,) arrays at
-    the opposite end, or (trajectory, err) with shape (len(x_nodes), nz, 2, 2)
-    when x_nodes is given.
+    Integrates from -X with Y(-X) = I.  Returns (Y_end, err_estimate) where
+    Y_end is a 4-tuple of (nz,) arrays at +X, or (trajectory, err) with
+    shape (len(x_nodes), nz, 2, 2) when x_nodes is given.
 
     Each level of n steps is one pass that carries the two columns of the
-    identity leg by leg through the nodes in travel order and on to the
-    opposite end; a leg gets max(2, ceil(n |leg| / 2X)) steps.  Step control
-    doubles n until Y at the opposite end agrees to rtol between two
-    consecutive levels, and the node values of the accepted level are
-    returned.
+    identity leg by leg through the nodes in ascending order and on to +X;
+    a leg gets max(2, ceil(n |leg| / 2X)) steps.  Step control doubles n
+    until Y(+X) agrees to rtol between two consecutive levels, and the node
+    values of the accepted level are returned.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
-    x_from, x_to = (-X, X) if side == "minus" else (X, -X)
     if n_steps is None:
         n_steps = max(192, int(16 * 2 * X))
     nodes = np.empty(0) if x_nodes is None else np.asarray(x_nodes, dtype=float)
-    order = np.argsort(nodes) if side == "minus" else np.argsort(nodes)[::-1]
-    targets = [(idx, float(nodes[idx])) for idx in order] + [(None, x_to)]
-    sp, sm = _phase_diag(z, -x_from)
+    targets = [(idx, float(nodes[idx])) for idx in np.argsort(nodes)] + [(None, X)]
+    sp, sm = _phase_diag(z, X)
 
     def level(n_total):
         traj = np.empty((len(nodes), z.size, 2, 2), dtype=complex)
         cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
-        x_cur = x_from
+        x_cur = -X
         for idx, x_tgt in targets:
             if abs(x_tgt - x_cur) > 0:
                 n = max(2, int(np.ceil(n_total * abs(x_tgt - x_cur) / (2 * X))))
                 cols = _propagate(potential, z, x_cur, x_tgt, n, cols)
                 x_cur = x_tgt
-            # Y(x) = e^{i x z s3} T e^{-i x_from z s3}, T = [cols[0] | cols[1]]
+            # Y(x) = e^{i x z s3} T e^{i X z s3}, T = [cols[0] | cols[1]]
             (t11, t21), (t12, t22) = cols
             ep, em = _phase_diag(z, x_cur)
             Y = (ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm)

@@ -27,10 +27,9 @@ from .errors import (
     WindowExceeded,
 )
 from .model import connection_coefficients, jump_matrix, psi
-from .pde import evolve, spectral_interpolate
+from .pde import evolve, snapshot_from_potential, spectral_interpolate
 from .phase import SpectralContext, delta_boundary, phase_data
 from .scattering import check_genericity, compute_scattering, exact_box_scattering
-from .potentials import Potential
 
 
 def _fail(exc: BaseException, code: int):
@@ -191,14 +190,10 @@ def evolve_cmd(ctx, t_final, fmt):
     else:
         nio.write_snapshot_binary(snap, out / "snapshot.bin")
         click.echo(f"wrote {out / 'snapshot.bin'}")
-    drift = abs(snap.nonlocal_mass - nonlocal_mass_initial(cfg.potential))
+    m0 = snapshot_from_potential(cfg.potential).nonlocal_mass
+    drift = abs(snap.nonlocal_mass - m0)
     scale = max(abs(snap.nonlocal_mass), 1e-300)
     click.echo(f"nonlocal mass drift: {drift / scale:.3e} relative")
-
-
-def nonlocal_mass_initial(potential: Potential) -> complex:
-    from .pde import snapshot_from_potential
-    return snapshot_from_potential(potential).nonlocal_mass
 
 
 @main.command()
@@ -282,7 +277,9 @@ def report(ctx):
     (out / "plot_long.csv").write_text("\n".join(long_rows) + "\n")
 
     verdict = []
-    ok = True
+    ok = bool(fits)
+    if not fits:
+        verdict.append("[FAIL] no ray was fitted: fits.json is empty")
     for xi, fit in sorted(fits.items()):
         status = "PASS" if fit["exponent"] <= -0.65 and fit["monotone_decreasing"] else "FAIL"
         ok &= status == "PASS"
@@ -347,8 +344,8 @@ def verify(ctx):
         V = jump_matrix(co)
         jr = 0.0
         for zr in (0.7, -1.3, 2.6):
-            up = psi(complex(zr, 1e-9), co).Psi
-            dn = psi(complex(zr, -1e-9), co).Psi
+            up = psi(complex(zr, 1e-9), co)
+            dn = psi(complex(zr, -1e-9), co)
             jr = max(jr, float(np.abs(up - dn @ V).max()))
         record("model jump |Psi+ - Psi- V|", jr, 1e-6 * cfg.tol_scale)
     width = max(len(c[0]) for c in checks)

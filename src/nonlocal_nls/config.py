@@ -34,6 +34,8 @@ class ExperimentConfig:
                 raise BadInput(f"ray xi = {xi} not strictly inside the window")
         if list(self.times) != sorted(self.times):
             raise BadInput("times must be sorted ascending")
+        if self.t_min <= 0:
+            raise BadInput("t_min must be positive")
         if self.times and self.times[0] < self.t_min:
             raise BadInput(f"times must all be >= t_min = {self.t_min}")
         if self.dt <= 0:

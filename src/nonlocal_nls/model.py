@@ -67,13 +67,6 @@ class ModelCoefficients:
     beta2: complex
 
 
-@dataclass
-class ModelMatrix:
-    zeta: complex
-    Psi: np.ndarray            # 2x2 complex
-    half_plane: str            # "upper" | "lower"
-
-
 def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t) -> ModelCoefficients:
     """Scaled jump data and the explicit-solution coefficients beta1, beta2.
 
@@ -114,19 +107,19 @@ def jump_matrix(coeffs: ModelCoefficients) -> np.ndarray:
     )
 
 
-def psi(zeta, coeffs: ModelCoefficients) -> ModelMatrix:
-    """Evaluate the explicit model solution off the real axis.
+def psi(zeta, coeffs: ModelCoefficients) -> np.ndarray:
+    """The explicit model solution Psi(zeta) as a 2x2 array, for Im zeta != 0.
 
-    Diagonal entries are single parabolic-cylinder values; the off-diagonal
-    ones use the first-order system, reduced by the ladder identity to
-    neighboring orders so that no division by beta can occur.
+    The sector constants follow the half-plane of zeta.  Diagonal entries
+    are single parabolic-cylinder values; the off-diagonal ones use the
+    first-order system, reduced by the ladder identity to neighboring
+    orders so that no division by beta can occur.
     """
     zeta = complex(zeta)
     if zeta.imag == 0.0:
         raise ValueError("psi is defined off the real axis; pass Im zeta != 0")
     nu = coeffs.nu
-    upper = zeta.imag > 0
-    if upper:
+    if zeta.imag > 0:
         c1, p1 = cmath.exp(-0.75j * math.pi), cmath.exp(-0.75 * math.pi * nu)
         c2, p2 = cmath.exp(-0.25j * math.pi), cmath.exp(0.25 * math.pi * nu)
     else:
@@ -137,11 +130,7 @@ def psi(zeta, coeffs: ModelCoefficients) -> ModelMatrix:
     P22 = p2 * weber_D(-a1, c2 * zeta)
     P21 = 1j * coeffs.beta2 * p1 * c1 * weber_D(a1 - 1.0, c1 * zeta)
     P12 = -1j * coeffs.beta1 * p2 * c2 * weber_D(-a1 - 1.0, c2 * zeta)
-    return ModelMatrix(
-        zeta=zeta,
-        Psi=np.array([[P11, P12], [P21, P22]], dtype=complex),
-        half_plane="upper" if upper else "lower",
-    )
+    return np.array([[P11, P12], [P21, P22]], dtype=complex)
 
 
 def psi_normalizer(zeta, nu) -> np.ndarray:
@@ -160,7 +149,7 @@ def row_ode_residual(coeffs: ModelCoefficients, zeta, h=1e-3) -> float:
     conjugate-sign variant; returns the worst normalized residual.
     """
     zeta = complex(zeta)
-    stack = [psi(zeta + k * h, coeffs).Psi for k in (-2, -1, 0, 1, 2)]
+    stack = [psi(zeta + k * h, coeffs) for k in (-2, -1, 0, 1, 2)]
     worst = 0.0
     for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
         w = [m[i, j] for m in stack]

@@ -79,25 +79,6 @@ def _pt_flow(q: np.ndarray, sigma: int, dt: float) -> np.ndarray:
     return q * np.exp(2j * sigma * dt * (q * np.conj(mirror(q))))
 
 
-def linear_half_step(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
-    """Free flow over dt: spectral multiplier e^{-i k^2 dt}."""
-    k = snap.wavenumbers
-    q = _free_flow(snap.q, np.exp(-1j * k * k * dt))
-    return FieldSnapshot(
-        t=snap.t + dt, L=snap.L, N=snap.N, sigma=snap.sigma, q=q,
-        nonlocal_mass=nonlocal_mass(q, snap.dx), step_count=snap.step_count,
-    )
-
-
-def nonlinear_step(snap: FieldSnapshot, dt: float) -> FieldSnapshot:
-    """Exact nonlinear flow over dt: q <- q e^{2 i sigma V dt}, V = q conj(q(-x))."""
-    q = _pt_flow(snap.q, snap.sigma, dt)
-    return FieldSnapshot(
-        t=snap.t, L=snap.L, N=snap.N, sigma=snap.sigma, q=q,
-        nonlocal_mass=nonlocal_mass(q, snap.dx), step_count=snap.step_count + 1,
-    )
-
-
 def signal_bandwidth(q: np.ndarray, L: float, rel: float = 1e-10) -> float:
     """Largest |k| whose spectral amplitude exceeds rel * max |qhat|."""
     N = len(q)

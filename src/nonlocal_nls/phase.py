@@ -325,10 +325,6 @@ def nu_tail_with_bound(data: ScatteringData | SpectralContext, xi: float):
     return complex(cum[k] + q.sum()), err + tail
 
 
-def nu_tail_integral(data: ScatteringData | SpectralContext, xi: float) -> complex:
-    return nu_tail_with_bound(data, xi)[0]
-
-
 @dataclass
 class PhaseData:
     xi: float

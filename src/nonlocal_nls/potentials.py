@@ -1,11 +1,13 @@
-"""Initial data q0(x) and the off-diagonal Lax-pair coefficient matrix.
+"""Initial data q0(x).
 
 The evolution couples q(x) with conj(q(-x)), so every potential evaluator
-exposes both q(x) and the mirrored conjugate m(x) = conj(q(-x)).  The matrix
+exposes both q(x) and the mirrored conjugate m(x) = conj(q(-x)).  They are
+the entries of the off-diagonal Lax coefficient
 
     Q(x) = [[0, q(x)], [-sigma * conj(q(-x)), 0]]
 
-feeds the linear system  phi_x + i z sigma3 phi = Q phi.
+in the linear system  phi_x + i z sigma3 phi = Q phi, which `_cf4` samples
+at the Gauss points of each step.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import BadInput
-
-sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: |q| below this level counts as numerically absent (truncation criterion)
 TAIL_LEVEL = 1e-12
@@ -63,7 +63,7 @@ class Potential:
             if float(self.params.get("width", 1.0)) <= 0:
                 raise BadInput("gaussian width must be positive")
             if self.tail_bound() > TAIL_LEVEL:
-                raise BadInput("gaussian tail exceeds 1e-12 inside [-L, L]")
+                raise BadInput("gaussian tail exceeds 1e-12 at the edge of [-L, L]")
         elif self.kind == "samples":
             vals = np.asarray(self.params["samples"], dtype=complex)
             if vals.shape != (self.N,):
@@ -150,7 +150,8 @@ class Potential:
             return float(max(vals[:edge].max(), vals[-edge:].max()))
         w = float(self.params.get("width", 1.0))
         x0 = float(self.params.get("center", 0.0))
-        edge = self.L - abs(x0)
+        # a centre outside [-L, L] leaves the peak itself outside
+        edge = max(self.L - abs(x0), 0.0)
         return abs(self.amplitude) * float(np.exp(-(edge * edge) / (2.0 * w * w)))
 
     # -- serialization ------------------------------------------------------
@@ -177,46 +178,3 @@ class Potential:
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise BadInput(f"bad potential descriptor: {exc}") from exc
-
-    def to_json_dict(self) -> dict[str, Any]:
-        params = dict(self.params)
-        if "samples" in params:
-            vals = np.asarray(params["samples"], dtype=complex)
-            params["samples"] = np.stack([vals.real, vals.imag], axis=1).tolist()
-        return {
-            "kind": self.kind,
-            "amplitude": [self.amplitude.real, self.amplitude.imag],
-            "params": params,
-            "sigma": self.sigma,
-            "L": self.L,
-            "N": self.N,
-        }
-
-
-@dataclass(frozen=True)
-class LaxMatrix:
-    """Q(x) evaluated at one point; diagonal is identically zero."""
-
-    x: float
-    q: complex
-    mirror: complex
-    sigma: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[0.0, self.q], [-self.sigma * self.mirror, 0.0]], dtype=complex
-        )
-
-
-def build_lax_matrix(potential: Potential, x: float) -> LaxMatrix:
-    """Q(x) with entries Q12 = q(x), Q21 = -sigma conj(q(-x)).
-
-    Out-of-range x yields the zero matrix, consistent with truncation.
-    """
-    X = potential.scatter_halfwidth()
-    if abs(x) > max(X, potential.L):
-        return LaxMatrix(x=x, q=0.0j, mirror=0.0j, sigma=potential.sigma)
-    q = complex(potential(np.array([x]))[0])
-    m = complex(potential.mirror_conj(np.array([x]))[0])
-    return LaxMatrix(x=x, q=q, mirror=m, sigma=potential.sigma)

@@ -32,21 +32,8 @@ from .potentials import Potential
 
 EPS_GENERIC = 1e-6   # floor for |1 - r rbreve|
 EPS_A = 1e-8         # floor for |a| on the real grid
-
-
-@dataclass
-class JostSolution:
-    """Normalized Jost matrix Y(z, x) on an x grid, one spectral point."""
-
-    side: str
-    z: float
-    x_nodes: np.ndarray
-    Y: np.ndarray              # shape (len(x_nodes), 2, 2)
-    err_estimate: float
-
-    def det_deviation(self) -> float:
-        det = self.Y[:, 0, 0] * self.Y[:, 1, 1] - self.Y[:, 0, 1] * self.Y[:, 1, 0]
-        return float(np.abs(det - 1.0).max())
+RTOL = 1e-10         # CF4 step-control tolerance on S
+N_ARC = 256          # points on the winding contour's arc
 
 
 @dataclass(eq=False)
@@ -58,7 +45,6 @@ class ScatteringData:
     b_breve: np.ndarray
     r: np.ndarray
     r_breve: np.ndarray
-    truncation_L: float
     truncation_error: float
     potential: Potential | None = field(default=None, repr=False)
 
@@ -71,29 +57,7 @@ class ScatteringData:
         return float(np.abs(det - 1.0).max())
 
 
-def compute_jost(potential: Potential, z: float, side: str = "minus",
-                 n_nodes: int = 129, rtol: float = 1e-10) -> JostSolution:
-    """Integrate the Volterra/ODE system for one Jost solution.
-
-    Y satisfies Y'(x) = e^{i x z ad(sigma3)}[Q(x)] Y(x) with Y = I at the
-    side's own infinity; det Y = 1 up to integrator tolerance.
-    """
-    if side not in ("minus", "plus"):
-        raise ValueError("side must be 'minus' or 'plus'")
-    if potential.tail_bound() > 1e-10 * (1.0 + abs(potential.amplitude)):
-        raise TruncationTooSmall("potential tail outside [-L, L] too heavy")
-    X = potential.scatter_halfwidth()
-    x_nodes = np.linspace(-X, X, n_nodes)
-    traj, err = y_matrix_batch(
-        potential, np.array([z], dtype=complex), side=side,
-        rtol=rtol, x_nodes=x_nodes,
-    )
-    return JostSolution(side=side, z=float(z), x_nodes=x_nodes,
-                        Y=traj[:, 0, :, :], err_estimate=err)
-
-
-def compute_scattering(potential: Potential, z_grid: np.ndarray,
-                       rtol: float = 1e-10, check: bool = True) -> ScatteringData:
+def compute_scattering(potential: Potential, z_grid: np.ndarray) -> ScatteringData:
     """Fill a(z), abreve, b, bbreve, r, rbreve over a symmetric real grid.
 
     S = Y^-(z, X) and Y^-(z, 0) are the node values of the accepted CF4
@@ -111,23 +75,22 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray,
         raise TruncationTooSmall("potential tail outside [-L, L] too heavy")
     X = potential.scatter_halfwidth()
     traj, err = y_matrix_batch(potential, z_grid.astype(complex),
-                               rtol=rtol, x_nodes=np.array([0.0, X]))
+                               rtol=RTOL, x_nodes=np.array([0.0, X]))
     S = traj[1]                     # Y^-(z, +X) = S(z)
     a, b_breve = S[:, 0, 0], S[:, 0, 1]
     b, a_breve = S[:, 1, 0], S[:, 1, 1]
 
-    if check:
-        # product formula at x = 0: a(z) = Y11(z,0) conj(Y11(-z,0))
-        #                                 - sigma Y21(z,0) conj(Y21(-z,0))
-        Y0 = traj[0]
-        flip = slice(None, None, -1)
-        a_prod = (Y0[:, 0, 0] * np.conj(Y0[flip, 0, 0])
-                  - potential.sigma * Y0[:, 1, 0] * np.conj(Y0[flip, 1, 0]))
-        mismatch = float(np.abs(a_prod - a).max())
-        if mismatch > 200.0 * max(err, rtol):
-            raise IntegratorDivergence(
-                f"determinant/product formulas disagree by {mismatch:.3e}"
-            )
+    # product formula at x = 0: a(z) = Y11(z,0) conj(Y11(-z,0))
+    #                                 - sigma Y21(z,0) conj(Y21(-z,0))
+    Y0 = traj[0]
+    flip = slice(None, None, -1)
+    a_prod = (Y0[:, 0, 0] * np.conj(Y0[flip, 0, 0])
+              - potential.sigma * Y0[:, 1, 0] * np.conj(Y0[flip, 1, 0]))
+    mismatch = float(np.abs(a_prod - a).max())
+    if mismatch > 200.0 * max(err, RTOL):
+        raise IntegratorDivergence(
+            f"determinant/product formulas disagree by {mismatch:.3e}"
+        )
 
     w = 1.0 - (b / a) * (b_breve / a_breve)
     min_a = float(np.abs(a).min())
@@ -140,7 +103,7 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray,
     return ScatteringData(
         z_grid=z_grid, a=a, a_breve=a_breve, b=b, b_breve=b_breve,
         r=b / a, r_breve=b_breve / a_breve,
-        truncation_L=X, truncation_error=err, potential=potential,
+        truncation_error=err, potential=potential,
     )
 
 
@@ -213,12 +176,11 @@ class GenericityReport:
         return ok
 
 
-def check_genericity(data: ScatteringData, n_arc: int = 256,
-                     radius: float | None = None) -> GenericityReport:
+def check_genericity(data: ScatteringData) -> GenericityReport:
     """Report min |a|, min |1 - r rbreve| and the winding number of a(z).
 
-    The winding is counted along the boundary of the half-disc of the given
-    radius in the closed upper half-plane; a(z) on the arc is obtained by
+    The winding is counted along the boundary of the half-disc of radius
+    z_grid[-1] in the closed upper half-plane; a(z) on the arc is obtained by
     integrating the analytic first column at complex z.  Zero winding means
     no zeros of a(z) are claimed inside.  Requires the data to remember its
     potential; otherwise the winding entry is None.
@@ -230,10 +192,9 @@ def check_genericity(data: ScatteringData, n_arc: int = 256,
     winding_pass = None
     R = None
     if data.potential is not None:
-        R = radius if radius is not None else float(data.z_grid[-1])
-        on_axis = np.abs(data.z_grid) <= R
-        a_real = data.a[on_axis]
-        theta = np.linspace(0.0, np.pi, n_arc)
+        R = float(data.z_grid[-1])
+        a_real = data.a[np.abs(data.z_grid) <= R]
+        theta = np.linspace(0.0, np.pi, N_ARC)
         z_arc = R * np.exp(1j * theta)
         a_arc, _ = analytic_column_batch(data.potential, z_arc)
         path = np.concatenate([a_real, a_arc[1:]])
@@ -250,28 +211,4 @@ def check_genericity(data: ScatteringData, n_arc: int = 256,
         a_pass=min_a >= EPS_A,
         rr_pass=min_w >= EPS_GENERIC,
         winding_pass=winding_pass,
-    )
-
-
-def evolve_reflection(data: ScatteringData, t0: float) -> ScatteringData:
-    """Push reflection data forward in time by the unimodular phase.
-
-    r -> r e^{4 i z^2 t0}, rbreve -> rbreve e^{-4 i z^2 t0}; a, abreve are
-    untouched and b, bbreve move with their ratios, so unimodularity and
-    1 - r rbreve are preserved exactly.
-    """
-    if t0 < 0:
-        raise ValueError("t0 must be nonnegative")
-    phase = np.exp(4j * data.z_grid ** 2 * t0)
-    return ScatteringData(
-        z_grid=data.z_grid,
-        a=data.a.copy(),
-        a_breve=data.a_breve.copy(),
-        b=data.b * phase,
-        b_breve=data.b_breve / phase,
-        r=data.r * phase,
-        r_breve=data.r_breve / phase,
-        truncation_L=data.truncation_L,
-        truncation_error=data.truncation_error,
-        potential=data.potential,
     )

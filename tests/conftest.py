@@ -57,7 +57,7 @@ def synthetic_data(z, r_fn, rb_fn):
     a = w ** -0.5
     return ScatteringData(
         z_grid=z, a=a, a_breve=a.copy(), b=r * a, b_breve=rb * a,
-        r=r, r_breve=rb, truncation_L=float("nan"), truncation_error=0.0,
+        r=r, r_breve=rb, truncation_error=0.0,
     )
 
 

@@ -14,7 +14,6 @@ from nonlocal_nls import (
     exact_box_scattering,
     jump_matrix,
     nu_at,
-    nu_tail_integral,
     phase_data,
     psi,
     q_asymptotic,
@@ -23,7 +22,7 @@ from nonlocal_nls import (
 )
 from nonlocal_nls.errors import ValidityViolation
 from nonlocal_nls.pde import snapshot_from_potential
-from nonlocal_nls.phase import SpectralContext, beta
+from nonlocal_nls.phase import SpectralContext, beta, nu_tail_with_bound
 from conftest import synthetic_data
 
 
@@ -111,7 +110,7 @@ def test_criterion_3_delta_jump_and_large_z(box_datasets, gauss_data):
         worst = max(worst, abs(dp / dm - w) / abs(w))
     assert worst <= 1e-6
 
-    tail = nu_tail_integral(gauss_data, xi)
+    tail = nu_tail_with_bound(gauss_data, xi)[0]
     zbig = complex(xi, 1e3)
     dev = abs(zbig * (delta(gauss_data, xi, zbig) - 1.0) - (-1j * tail)) / abs(tail)
     assert dev <= 1e-4
@@ -162,8 +161,8 @@ def test_criterion_5_model_problem(gauss_data):
     for zr in np.linspace(-3.5, 3.5, 20):
         if abs(zr) < 1e-6:
             continue
-        up = psi(complex(zr, 1e-10), co).Psi
-        dn = psi(complex(zr, -1e-10), co).Psi
+        up = psi(complex(zr, 1e-10), co)
+        dn = psi(complex(zr, -1e-10), co)
         worst_jump = max(worst_jump, float(np.abs(up - dn @ V).max()))
     prod_dev = abs(co.beta1 * co.beta2 - co.nu)
     assert worst_jump <= 1e-6

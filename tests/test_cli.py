@@ -105,6 +105,27 @@ def test_report_missing_inputs_exits_4(tmp_path, runner):
     assert res.exit_code == 4
 
 
+def test_report_empty_fits_fails(tmp_path, runner):
+    # no fitted ray is no evidence: the verdict must not read as a pass
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "compare.csv").write_text(
+        "xi,t,re_qnum,im_qnum,re_qasym,im_qasym,abs_err,validity\n")
+    (out / "fits.json").write_text("{}\n")
+    res = runner.invoke(main, ["--out", str(out), "report"])
+    assert res.exit_code == 3, res.output
+    assert res.output.count("[FAIL]") == 1 and "no ray was fitted" in res.output
+    assert json.loads((out / "summary.json").read_text())["all_pass"] is False
+
+
+def test_asym_nonpositive_t_min_exits_1(tmp_path, runner):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, t_min=-5.0, times=[-1.0, 0.5])
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                               "asym"])
+    assert res.exit_code == 1, res.output
+    assert "t_min must be positive" in res.output
+
+
 def test_phase_and_asym_outputs(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     out = tmp_path / "out"

@@ -13,7 +13,6 @@ from nonlocal_nls import (
     delta_boundary,
     exact_box_scattering,
     nu_at,
-    nu_tail_integral,
     phase,
     phase_data,
     q_asymptotic,
@@ -156,12 +155,12 @@ class TestNuTail:
     def test_zero_reflection(self, make_synthetic):
         z = np.linspace(-8, 8, 257)
         data = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
-        assert abs(nu_tail_integral(data, 0.0)) < 1e-12
+        assert abs(nu_tail_with_bound(data, 0.0)[0]) < 1e-12
 
     def test_matches_large_z_slope_of_delta(self, gauss_small):
         from nonlocal_nls import compute_scattering
         data = compute_scattering(gauss_small, np.linspace(-16, 16, 2049))
-        tail = nu_tail_integral(data, XI)
+        tail = nu_tail_with_bound(data, XI)[0]
         zbig = complex(XI, 1e3)
         lhs = zbig * (delta(data, XI, zbig) - 1.0)
         assert abs(lhs - (-1j * tail)) < 1e-4 * abs(tail)
@@ -218,7 +217,8 @@ class TestGaussLegendrePath:
         fine = SpectralContext(spectral)
         for xi in XI_FIXED:
             assert abs(delta0(coarse, xi) - delta0(fine, xi)) <= 1e-13
-            assert abs(nu_tail_integral(coarse, xi) - nu_tail_integral(fine, xi)) <= 1e-13
+            assert abs(nu_tail_with_bound(coarse, xi)[0]
+                       - nu_tail_with_bound(fine, xi)[0]) <= 1e-13
 
     def test_phase_data_makes_no_quad_calls(self, box_data, monkeypatch):
         def refuse(*args, **kwargs):
@@ -269,7 +269,7 @@ class TestGaussLegendrePath:
                 delta0(ctx, xi)
         for xi in (float("nan"), 16.5, -16.5):
             with pytest.raises(WindowExceeded):
-                nu_tail_integral(ctx, xi)
+                nu_tail_with_bound(ctx, xi)
 
     def test_quad_oracle_refuses_nan(self, box_data):
         ctx = SpectralContext(box_data)

@@ -2,45 +2,60 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonlocal_nls import Potential, build_lax_matrix
+from nonlocal_nls import Potential
+from nonlocal_nls._cf4 import _cf4_steps, _expm_shifted
 from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import BadInput
+
+
+def _lax_entries(pot, x, h=1e-6):
+    """(Q12, Q21) near x as the CF4 steps sample them.
+
+    The first exponential of a step of size h carries the off-diagonal
+    entries h (a2 Q(x1) + a1 Q(x2)) at the two Gauss points, a1 + a2 = 1/2.
+    """
+    [(step, steps)] = _cf4_steps(pot, x, x + 2 * h, 2)
+    (b, c), _ = next(steps)
+    return b / (step / 2), c / (step / 2)
 
 
 def test_zero_potential_gives_zero_matrix():
     pot = Potential(kind="zero", L=8.0, N=64)
     for x in (-3.0, 0.0, 5.5):
-        Q = build_lax_matrix(pot, x).matrix
-        assert np.all(Q == 0)
+        assert _lax_entries(pot, x) == (0, 0)
 
 
 def test_real_even_box_entries(box_plus):
     # conj(q(-x)) = q(x) for a real even box
-    Q = build_lax_matrix(box_plus, 0.0).matrix
-    assert Q[0, 1] == pytest.approx(0.3)
-    assert Q[1, 0] == pytest.approx(-0.3)
-    assert Q[0, 0] == 0 and Q[1, 1] == 0
+    q12, q21 = _lax_entries(box_plus, 0.0)
+    assert q12 == pytest.approx(0.3)
+    assert q21 == pytest.approx(-0.3)
 
 
 def test_complex_gaussian_sigma_minus():
     pot = Potential(kind="gaussian", amplitude=0.2j, sigma=-1,
                     params={"width": 1.0}, L=16.0, N=128)
-    Q = build_lax_matrix(pot, 0.0).matrix
-    assert Q[0, 1] == pytest.approx(0.2j)
+    q12, q21 = _lax_entries(pot, 0.0)
+    assert q12 == pytest.approx(0.2j)
     # -sigma conj(q(0)) = +conj(0.2i) = -0.2i
-    assert Q[1, 0] == pytest.approx(-0.2j)
+    assert q21 == pytest.approx(-0.2j)
 
 
 def test_trace_of_lax_rhs_is_zero(box_plus):
-    # tr(Q - i z sigma3) = 0: Q has zero diagonal and sigma3 is traceless
-    Q = build_lax_matrix(box_plus, 0.4).matrix
+    # tr(Q - i z sigma3) = 0, so every CF4 exponential has det = e^0 = 1
+    [(h, steps)] = _cf4_steps(box_plus, 0.4, 0.4 + 2e-3, 2)
+    step = next(steps)
     for z in (0.0, 1.7, -3.2):
-        M = Q - 1j * z * np.diag([1.0, -1.0])
-        assert abs(np.trace(M)) < 1e-15
+        for b, c in step:
+            e11, e12, e21, e22 = _expm_shifted(-1j * z * h / 2, b, c)
+            assert abs(e11 * e22 - e12 * e21 - 1.0) < 1e-15
 
 
 def test_out_of_range_x_truncates(box_plus):
-    assert np.all(build_lax_matrix(box_plus, 100.0).matrix == 0)
+    assert _lax_entries(box_plus, 100.0) == (0, 0)
+    vals = np.ones(64, dtype=complex)
+    pot = Potential(kind="samples", L=4.0, N=64, params={"samples": vals})
+    assert np.all(pot(np.array([-4.5, 4.5, 100.0])) == 0)
 
 
 def test_mirror_conj_relation():
@@ -68,27 +83,30 @@ def test_potential_validation_errors():
     with pytest.raises(BadInput):
         # tail of a wide gaussian exceeds 1e-12 inside a tiny domain
         Potential(kind="gaussian", amplitude=0.5, params={"width": 4.0}, L=8.0)
+    with pytest.raises(BadInput):
+        # the whole gaussian lies off [-L, L]; it must not pass as q = 0
+        Potential(kind="gaussian", amplitude=0.5, params={"center": 100.0}, L=64.0)
 
 
 def test_samples_roundtrip_json():
-    N = 64
-    base = Potential(kind="zero", L=4.0, N=N)
-    vals = 0.05 * np.exp(-base.grid() ** 2) * (1 + 0.3j)
-    pot = Potential(kind="samples", sigma=-1, L=4.0, N=N,
-                    params={"samples": vals}, amplitude=0.05)
-    doc = pot.to_json_dict()
-    back = Potential.from_json_dict(doc)
-    assert back.sigma == -1
-    assert np.allclose(back.params["samples"], vals)
-    x = np.linspace(-3.5, 3.5, 37)
-    assert np.allclose(back(x), pot(x), atol=1e-12)
+    # a hand-written descriptor: samples as [re, im] pairs over the grid
+    N, L = 64, 4.0
+    x = -L + (2 * L / N) * np.arange(N)
+    vals = 0.05 * np.exp(-x ** 2) * (1 + 0.3j)
+    doc = {"kind": "samples", "amplitude": [0.05, 0.0], "sigma": -1,
+           "L": L, "N": N,
+           "params": {"samples": [[v.real, v.imag] for v in vals]}}
+    pot = Potential.from_json_dict(doc)
+    assert pot.sigma == -1 and pot.L == L and pot.N == N
+    assert pot.amplitude == 0.05
+    assert np.array_equal(pot.params["samples"], vals)
+    assert np.allclose(pot(x), vals, atol=1e-15)
 
 
 def test_scatter_halfwidth_contains_support(gauss_small):
     X = gauss_small.scatter_halfwidth()
     x = np.linspace(X, gauss_small.L, 50)
     assert np.all(np.abs(gauss_small(x)) < 1e-12)
-
 
 
 def _config_doc(kind):
@@ -113,6 +131,13 @@ _NUMBER_PATHS = [
 def test_config_doc_is_valid():
     for kind in ("gaussian", "box"):
         ExperimentConfig.from_json_dict(_config_doc(kind))
+
+
+@pytest.mark.parametrize("t_min,times", [(0.0, [20.0, 40.0]), (-5.0, [-1.0, 0.5])])
+def test_nonpositive_t_min_is_bad_input(t_min, times):
+    doc = dict(_config_doc("box"), t_min=t_min, times=times)
+    with pytest.raises(BadInput, match="t_min must be positive"):
+        ExperimentConfig.from_json_dict(doc)
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,9 +6,7 @@ from scipy.integrate import quad
 from nonlocal_nls import (
     Potential,
     check_genericity,
-    compute_jost,
     compute_scattering,
-    evolve_reflection,
     exact_box_scattering,
 )
 from nonlocal_nls._cf4 import y_matrix_batch
@@ -78,52 +76,55 @@ class TestExactBoxOracle:
             exact_box_scattering(gauss_small, 1.0)
 
 
+def _trajectory(potential, z, n_nodes=129):
+    """Y(z, x) from `y_matrix_batch` on n_nodes points over [-X, X]."""
+    X = potential.scatter_halfwidth()
+    traj, _ = y_matrix_batch(potential, np.array([z], dtype=complex),
+                             x_nodes=np.linspace(-X, X, n_nodes))
+    return traj[:, 0]
+
+
 class TestJost:
     def test_zero_potential_identity(self):
         pot = Potential(kind="zero", L=8.0, N=64)
-        sol = compute_jost(pot, 1.3, "minus")
-        assert np.abs(sol.Y - np.eye(2)).max() < 1e-12
+        Y = _trajectory(pot, 1.3)
+        assert np.abs(Y - np.eye(2)).max() < 1e-12
 
     def test_det_is_one_along_trajectory(self, box_plus):
-        for side in ("minus", "plus"):
-            sol = compute_jost(box_plus, 0.7, side)
-            assert sol.det_deviation() < 1e-8
+        Y = _trajectory(box_plus, 0.7)
+        det = Y[:, 0, 0] * Y[:, 1, 1] - Y[:, 0, 1] * Y[:, 1, 0]
+        assert np.abs(det - 1.0).max() < 1e-8
 
     def test_normalized_at_own_end(self, box_plus):
-        sol_m = compute_jost(box_plus, 0.7, "minus")
-        assert np.abs(sol_m.Y[0] - np.eye(2)).max() < 1e-10
-        sol_p = compute_jost(box_plus, 0.7, "plus")
-        assert np.abs(sol_p.Y[-1] - np.eye(2)).max() < 1e-10
+        Y = _trajectory(box_plus, 0.7)
+        assert np.abs(Y[0] - np.eye(2)).max() < 1e-10
 
     def test_volterra_matches_box_oracle(self, box_plus):
-        sol = compute_jost(box_plus, 0.7, "minus")
-        S = sol.Y[-1]
+        S = _trajectory(box_plus, 0.7)[-1]
         a, b, ab, bb = exact_box_scattering(box_plus, 0.7)
         assert abs(S[0, 0] - a) < 1e-6 * abs(a)
         assert abs(S[1, 0] - b) < 1e-6 * abs(b)
 
     def test_born_limit_small_amplitude(self):
-        # Y - I agrees with the one-term Neumann/Born integral to O(A^2)
+        # S - I agrees with the one-term Neumann/Born integral to O(A^2)
         A, z = 1e-3, 0.8
         pot = Potential(kind="gaussian", amplitude=A, sigma=1,
                         params={"width": 1.0}, L=16.0, N=512)
-        sol = compute_jost(pot, z, "minus")
-        S = sol.Y[-1]
+        data = compute_scattering(pot, np.linspace(-z, z, 9))
         born = quad(lambda y: A * np.exp(-y * y / 2.0) * np.cos(2 * y * z),
                     -16, 16)[0] - 1j * quad(
             lambda y: A * np.exp(-y * y / 2.0) * np.sin(2 * y * z), -16, 16)[0]
-        # Y21(+inf) ~ -sigma int conj(q(-y)) e^{-2iyz} dy
-        assert abs(S[1, 0] - (-born)) < 20 * A * A
-        assert abs(S[0, 0] - 1.0) < 20 * A * A
+        # b(z) = Y21(z, +inf) ~ -sigma int conj(q(-y)) e^{-2iyz} dy
+        assert abs(data.b[-1] - (-born)) < 20 * A * A
+        assert abs(data.a[-1] - 1.0) < 20 * A * A
 
     def test_truncation_guard_for_fat_tailed_samples(self):
         N = 256
-        base = Potential(kind="zero", L=8.0, N=N)
         vals = np.full(N, 0.05, dtype=complex)      # no decay at the edges
         pot = Potential(kind="samples", sigma=1, L=8.0, N=N,
                         params={"samples": vals})
         with pytest.raises(TruncationTooSmall):
-            compute_jost(pot, 0.5, "minus")
+            compute_scattering(pot, np.linspace(-4, 4, 9))
 
 
 class TestComputeScattering:
@@ -168,7 +169,6 @@ class TestComputeScattering:
         z = 0.9
         a_ref = exact_box_scattering(box_plus, z)[0]
         for x in (-0.7, 0.0, 0.45, 1.2):
-            from nonlocal_nls._cf4 import y_matrix_batch
             traj, _ = y_matrix_batch(box_plus, np.array([z, -z]),
                                      x_nodes=np.array([x, -x]))
             Y_zx = traj[0, 0]
@@ -260,26 +260,3 @@ class TestGenericity:
                 break
         assert tripped
 
-
-class TestEvolveReflection:
-    def test_t0_zero_is_identity(self, box_data):
-        out = evolve_reflection(box_data, 0.0)
-        assert np.allclose(out.r, box_data.r)
-        assert np.allclose(out.b_breve, box_data.b_breve)
-
-    def test_modulus_preserved(self, box_data):
-        out = evolve_reflection(box_data, 3.7)
-        assert np.allclose(np.abs(out.r), np.abs(box_data.r))
-        assert np.allclose(np.abs(out.r_breve), np.abs(box_data.r_breve))
-
-    def test_nu_input_invariant(self, box_data):
-        out = evolve_reflection(box_data, 2.2)
-        w0 = 1 - box_data.r * box_data.r_breve
-        w1 = 1 - out.r * out.r_breve
-        assert np.abs(w0 - w1).max() < 1e-14
-
-    def test_unimodularity_and_symmetry_preserved(self, box_data):
-        out = evolve_reflection(box_data, 1.3)
-        assert out.unimodularity_deviation() < 1e-8
-        sigma = out.potential.sigma
-        assert np.abs(out.b + sigma * np.conj(out.b_breve[::-1])).max() < 1e-8
