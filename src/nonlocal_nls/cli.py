@@ -194,6 +194,7 @@ def evolve_cmd(ctx, t_final, fmt):
     drift = abs(snap.nonlocal_mass - m0)
     scale = max(abs(snap.nonlocal_mass), 1e-300)
     click.echo(f"nonlocal mass drift: {drift / scale:.3e} relative")
+    click.echo(f"working grid N' = {snap.working_N} of N = {snap.N}")
 
 
 @main.command()
@@ -253,6 +254,24 @@ def compare(ctx):
         raise pending_failure
 
 
+def _read_fits(path: Path) -> dict:
+    """fits.json as written by `compare`: ray -> {exponent, monotone_decreasing, ...}."""
+    try:
+        fits = json.loads(path.read_text())
+    except ValueError as exc:
+        raise BadInput(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(fits, dict):
+        raise BadInput(f"{path}: expected an object keyed by ray, "
+                       f"got {type(fits).__name__}")
+    for xi, fit in fits.items():
+        if not (isinstance(fit, dict)
+                and type(fit.get("exponent")) in (int, float)
+                and type(fit.get("monotone_decreasing")) is bool):
+            raise BadInput(f"{path}: ray {xi} needs a numeric exponent and a "
+                           "boolean monotone_decreasing")
+    return fits
+
+
 @main.command()
 @click.pass_context
 @_guarded
@@ -263,14 +282,21 @@ def report(ctx):
     fits_path = out / "fits.json"
     if not compare_path.exists() or not fits_path.exists():
         raise MissingInputs("run `compare` first: compare.csv / fits.json missing")
-    fits = json.loads(fits_path.read_text())
+    fits = _read_fits(fits_path)
     lines = compare_path.read_text().strip().splitlines()
+    n_cells = len(nio.COMPARE_COLUMNS.split(","))
     long_rows = ["xi,t,series,value"]
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
+        try:
+            if len(parts) != n_cells:
+                raise ValueError(f"{len(parts)} cells, expected {n_cells}")
+            nums = [float(cell) for cell in parts[:-1]]
+        except ValueError as exc:
+            raise BadInput(f"{compare_path} line {lineno}: {exc}") from exc
         xi, t = parts[0], parts[1]
-        qnum = abs(complex(float(parts[2]), float(parts[3])))
-        qasym = abs(complex(float(parts[4]), float(parts[5])))
+        qnum = abs(complex(nums[2], nums[3]))
+        qasym = abs(complex(nums[4], nums[5]))
         long_rows.append(f"{xi},{t},abs_qnum,{qnum!r}")
         long_rows.append(f"{xi},{t},abs_qasym,{qasym!r}")
         long_rows.append(f"{xi},{t},abs_err,{parts[6]}")

@@ -118,6 +118,28 @@ def test_report_empty_fits_fails(tmp_path, runner):
     assert json.loads((out / "summary.json").read_text())["all_pass"] is False
 
 
+COMPARE_HEADER = "xi,t,re_qnum,im_qnum,re_qasym,im_qasym,abs_err,validity\n"
+COMPARE_ROW = "0.3,10.0,0.1,0.0,0.1,0.0,0.001,valid\n"
+FIT = '{"0.3": {"exponent": -1.0, "monotone_decreasing": true}}'
+
+
+@pytest.mark.parametrize("fits, row", [
+    ("[]", COMPARE_ROW),
+    ('{"0.3": {"exponent": -1}}', COMPARE_ROW),
+    ('{"0.3": {"exponent": "-1", "monotone_decreasing": true}}', COMPARE_ROW),
+    (FIT, "0.3,10.0,abc,0.0,0.1,0.0,0.001,valid\n"),
+], ids=["fits-list", "fits-missing-key", "fits-string-exponent", "csv-non-numeric"])
+def test_report_malformed_inputs_exit_1(tmp_path, runner, fits, row):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "compare.csv").write_text(COMPARE_HEADER + row)
+    (out / "fits.json").write_text(fits)
+    res = runner.invoke(main, ["--out", str(out), "report"])
+    assert res.exit_code == 1, res.output
+    assert "error:" in res.output
+    assert not (out / "summary.json").exists()
+
+
 def test_asym_nonpositive_t_min_exits_1(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT, t_min=-5.0, times=[-1.0, 0.5])
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -188,6 +210,16 @@ def test_evolve_csv_and_binary(tmp_path, runner):
     arr = np.frombuffer(blob, dtype="<f8").reshape(-1, 2)
     csv = np.loadtxt(out / "snapshot.csv", delimiter=",", skiprows=1)
     assert np.allclose(arr[:, 0], csv[:, 1])
+
+
+def test_evolve_reports_working_grid(tmp_path, runner):
+    pot = {"kind": "gaussian", "amplitude": [0.3, 0.0], "sigma": 1,
+           "L": 64.0, "N": 4096, "params": {"width": 1.0}}
+    cfg = _write_config(tmp_path / "cfg.json", pot, times=[])
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                               "evolve", "--t", "0.5"])
+    assert res.exit_code == 0, res.output
+    assert "working grid N' = 2048 of N = 4096" in res.output
 
 
 @pytest.mark.parametrize("t_final", ["-5", "0", "nan", "inf"])

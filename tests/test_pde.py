@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from nonlocal_nls import Potential, evolve
+from nonlocal_nls import Potential, evolve, pde
 from nonlocal_nls.errors import BoundaryContamination, StepTooLarge
 from nonlocal_nls.pde import (
+    OUTER_BAND,
     _free_flow,
     _pt_flow,
+    _run,
     mirror,
     nonlocal_mass,
     snapshot_from_potential,
@@ -139,6 +141,75 @@ class TestEvolve:
         qp = evolve(mk(1), 1.0, 1e-3).q
         qm = evolve(mk(-1), 1.0, 1e-3).q
         assert np.abs(qp - qm).max() > 1e-4
+
+
+def _full_grid(pot, T, dt):
+    """The step loop of `evolve` run on all N points of the configured grid."""
+    snap = snapshot_from_potential(pot)
+    n = max(1, int(round(T / dt)))
+    outer = np.abs(snap.grid) > (1.0 - OUTER_BAND) * snap.L
+    return _run(snap.q, snap.wavenumbers, snap.sigma, n, T / n, 100, outer)
+
+
+def _accept_gauss():
+    return Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                     params={"width": 2.6}, L=512.0, N=2 ** 15)
+
+
+def _compact_gauss(N):
+    return Potential(kind="gaussian", amplitude=0.3, sigma=1,
+                     params={"width": 1.0}, L=64.0, N=N)
+
+
+@pytest.fixture(scope="module")
+def accept_full():
+    return _full_grid(_accept_gauss(), 5.0, 5e-3)
+
+
+class TestWorkingGrid:
+    @pytest.mark.parametrize("pot, T, dt, n_work", [
+        (_accept_gauss(), 5.0, 5e-3, 4096),
+        (_compact_gauss(4096), 2.0, 1e-3, 2048),
+        (_compact_gauss(2048), 2.0, 1e-3, 2048),
+    ], ids=["acceptance", "compact-strided", "compact-full"])
+    def test_matches_full_grid(self, pot, T, dt, n_work, request):
+        snap = evolve(pot, T, dt)
+        assert snap.working_N == n_work
+        assert snap.q.shape == (pot.N,)
+        assert np.array_equal(snap.grid, pot.grid())
+        assert snap.step_count == round(T / dt)
+        if pot.N == 2 ** 15:
+            ref = request.getfixturevalue("accept_full")
+        else:
+            ref = _full_grid(pot, T, dt)
+        if n_work == pot.N:
+            assert np.array_equal(snap.q, ref)
+        assert np.abs(snap.q - ref).max() <= 1e-11 * np.abs(ref).max()
+        m_ref = nonlocal_mass(ref, snap.dx)
+        assert abs(snap.nonlocal_mass - m_ref) <= 1e-11 * abs(m_ref)
+
+    def test_band_monitor_regrows_grid(self, monkeypatch, accept_full):
+        sizes = []
+
+        def spy(q, *args):
+            sizes.append(len(q))
+            return _run(q, *args)
+
+        monkeypatch.setattr(pde, "_run", spy)
+        monkeypatch.setattr(pde, "BAND_MARGIN", 1.0)
+        snap = evolve(_accept_gauss(), 5.0, 5e-3)
+        # 1024 and 2048 points resolve k_sig but not the top half of their band
+        assert sizes == [1024, 2048, 4096]
+        assert snap.working_N == 4096
+        assert snap.step_count == 1000
+        assert np.abs(snap.q - accept_full).max() <= 1e-11 * np.abs(accept_full).max()
+
+    def test_full_band_runs_on_full_grid(self):
+        pot = Potential(kind="box", amplitude=0.3, sigma=1,
+                        params={"left": -1.0, "right": 1.0}, L=8.0, N=256)
+        snap = evolve(pot, 0.01, 1e-4)
+        assert snap.working_N == 256
+        assert np.array_equal(snap.q, _full_grid(pot, 0.01, 1e-4))
 
 
 def test_spectral_interpolation_band_limited():
