@@ -7,11 +7,20 @@ two-exponential CF4 scheme
 
 A1,2 sampled at the Gauss points x + (1/2 -+ sqrt(3)/6) h and
 a1,2 = 1/4 -+ sqrt(3)/6.  The z-oscillation sits in the matrix exponentials,
-which are evaluated in closed form (2x2, trace handled by scalar shift), so
-the step size is governed by the smoothness of q alone and the work is
+so the step size is governed by the smoothness of q alone and the work is
 vectorized across the whole z grid.  Fourth order was verified by a ratio
 test; see tests.  The scheme is the commutator-free Magnus integrator of
 Alvermann & Fehske, J. Comput. Phys. 230 (2011).
+
+Each exponential is exp([[d, b], [c, -d]]) with d = -i z h / 2 fixed over a
+smooth segment; only the scalar eps = b c changes from step to step.  It
+equals C(w) I + S(w) [[d, b], [c, -d]] with w = d^2 + eps, where C and S are
+entire in w, so `_series_coefficients` expands them in eps about d^2 once
+per segment.  A step is then a short sum of coefficient rows times powers of
+eps plus the column update, with no transcendental function in the step
+loop.  The expansion is an identity, truncated where the remaining terms
+fall below 2^-55 of the entries, so it matches the closed form
+(`_expm_shifted`, which the box oracle uses) to roundoff.
 
 One kernel, `_propagate`, applies these exponentials to a list of columns.
 The matrix frame (`y_matrix_batch`) carries both columns of the identity in
@@ -35,6 +44,10 @@ _C1 = 0.5 - np.sqrt(3.0) / 6.0
 _C2 = 0.5 + np.sqrt(3.0) / 6.0
 _A1 = 0.25 - np.sqrt(3.0) / 6.0
 _A2 = 0.25 + np.sqrt(3.0) / 6.0
+_SERIES_TOL = 2.0 ** -55   # truncation of the series exponential, see below
+_TAYLOR_TOL = 2.0 ** -60   # last term of a Taylor series in w0, relative
+_MAX_ORDER = 64
+_EPS_MAX = 64.0            # largest |bc| of a step the series accepts
 
 
 def _sinhc(m):
@@ -51,21 +64,112 @@ def _sinhc(m):
     return out
 
 
-def _expm_shifted(d, b, c, scale=None, dd=None):
-    """exp([[shift + d, b], [c, shift - d]]) entrywise for batched scalars.
-
-    `scale` is exp(shift); None stands for shift = 0.  `dd` is d * d, passed
-    by callers that reuse one d over many steps.
-    """
-    if dd is None:
-        dd = d * d
-    m = np.sqrt(dd + b * c + 0.0j)
+def _expm_shifted(d, b, c):
+    """exp([[d, b], [c, -d]]) entrywise for batched scalars, in closed form."""
+    m = np.sqrt(d * d + b * c + 0.0j)
     ch = np.cosh(m)
     sh = _sinhc(m)
-    e = (ch + sh * d, sh * b, sh * c, ch - sh * d)
-    if scale is None:
-        return e
-    return tuple(scale * x for x in e)
+    return ch + sh * d, sh * b, sh * c, ch - sh * d
+
+
+def _taylor_s(w, k, radius):
+    """s_k(w) = S^(k)(w)/k! = sum_n C(n, k) w^(n-k) / (2n+1)! for |w| < radius."""
+    coefs = [1.0]
+    for n in range(2, 2 * k + 2):
+        coefs[0] /= n
+    j = 0
+    while coefs[-1] * radius ** j > _TAYLOR_TOL * coefs[0]:
+        n = k + j
+        coefs.append(coefs[-1] * (n + 1) / ((j + 1) * (2 * n + 2) * (2 * n + 3)))
+        j += 1
+    acc = np.full(w.shape, coefs[-1], dtype=complex)
+    for t in coefs[-2::-1]:
+        acc = acc * w + t
+    return acc
+
+
+def _series_coefficients(d, eps_max, g_max, shifted=False):
+    """Per-segment coefficients of exp([[d, b], [c, -d]]) as a series in bc.
+
+    With w = d^2 + eps, eps = b c, the exponential is C(w) I + S(w) A for
+    C(w) = cosh(sqrt w) and S(w) = sinh(sqrt w)/sqrt w, both entire in w.
+    Their Taylor coefficients about w0 = d^2, c_k = C^(k)(w0)/k! and
+    s_k = S^(k)(w0)/k!, obey c_{k+1} = s_k / (2 (k+1)) (from C' = S/2) and,
+    from 4 w S'' + 6 S' - S = 0,
+
+        4 w0 (k+1)(k+2) s_{k+2} = s_k - (4k+6)(k+1) s_{k+1}.
+
+    c_0 and s_0 are evaluated in closed form.  Where |w0| >= R =
+    4 max(1, eps_max) the recurrence runs upward from s_0 and
+    s_1 = (c_0 - s_0) / (2 w0): an error in s_k grows by at most 1/|w0| per
+    order, which the weight |eps|^k <= (R/4)^k more than cancels.  Below R
+    each s_k, k >= 1, is its own Taylor series in w0, whose terms fall off
+    factorially.  The expansion is an identity, so truncation is its only
+    error beyond roundoff: orders are kept up to K, the first with orders
+    K+1 and K+2 both below 2^-55 of max |e^(+-d)| at |eps| = eps_max and
+    |b|, |c| <= g_max, for every z.
+
+    A step with |bc| > 64, |h q| of about 16, is far outside the range of
+    CF4 and raises IntegratorDivergence, as does a series that has not
+    converged after 64 orders.
+
+    Returns rows of shape (K+1, 3 nz): the eps^k coefficients of
+    (C + S d, C - S d, S), each times exp(-d) when `shifted`.
+    """
+    if not eps_max <= _EPS_MAX:
+        raise IntegratorDivergence(
+            f"CF4 step too coarse for the series exponential (max |bc| {eps_max:.3e})"
+        )
+    w0 = d * d
+    u = np.sqrt(w0)
+    c0, s0 = np.cosh(u), _sinhc(u)
+    radius = 4.0 * max(1.0, eps_max)
+    small = np.abs(w0) < radius
+    wb = w0[~small]
+    s_big = [s0[~small], (c0[~small] - s0[~small]) / (2.0 * wb)]
+    rows = [(np.exp(d), np.exp(-d), s0)]   # C + S d = e^d at eps = 0
+    scale = np.maximum(np.abs(rows[0][0]), np.abs(rows[0][1]))
+    abs_d = np.abs(d)
+    s_prev, quiet = s0, 0
+    for k in range(1, _MAX_ORDER + 1):
+        if k >= len(s_big):
+            j = k - 2
+            s_big.append((s_big[j] - (4 * j + 6) * (j + 1) * s_big[j + 1])
+                         / (4.0 * (j + 1) * (j + 2) * wb))
+        s = np.empty_like(w0)
+        s[~small] = s_big[k]
+        s[small] = _taylor_s(w0[small], k, radius)
+        c = s_prev / (2.0 * k)
+        rows.append((c + s * d, c - s * d, s))
+        weight = (np.abs(c) + (abs_d + g_max) * np.abs(s)) * eps_max ** k
+        quiet = quiet + 1 if np.all(weight <= _SERIES_TOL * scale) else 0
+        if quiet == 2:
+            break
+        s_prev = s
+    else:
+        raise IntegratorDivergence(
+            f"CF4 series exponential did not converge (max |bc| {eps_max:.3e})"
+        )
+    coef = np.array(rows[:k - 1]).reshape(k - 1, -1)
+    if shifted:
+        coef *= np.tile(np.exp(-d), 3)
+    return coef
+
+
+def _eps_powers(eps, order):
+    """Rows (1, eps, ..., eps^order), one per entry of `eps`."""
+    return np.cumprod(np.column_stack([np.ones_like(eps)] + [eps] * order), axis=1)
+
+
+def _series_expm(coef, b, c, powers):
+    """Entries (e11, e12, e21, e22) of one exponential from segment coefficients.
+
+    `powers` holds (1, eps, ..., eps^K) for eps = b c.
+    """
+    nz = coef.shape[1] // 3
+    e = powers @ coef
+    s = e[2 * nz:]
+    return e[:nz], s * b, s * c, e[nz:2 * nz]
 
 
 def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[float, float]]:
@@ -80,12 +184,12 @@ def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[fl
 
 
 def _cf4_steps(potential, x_from, x_to, n_steps):
-    """Yield (h, steps) for each smooth segment of [x_from, x_to].
+    """Yield (h, b, c) for each smooth segment of [x_from, x_to].
 
-    The segment gets max(2, ceil(n_steps |segment| / |x_to - x_from|)) steps
-    of size h.  `steps` yields, per step, the off-diagonal entries (b, c) of
-    h (a2 A1 + a1 A2) and then of h (a1 A1 + a2 A2), the order in which the
-    two exponentials act.
+    The segment gets n = max(2, ceil(n_steps |segment| / |x_to - x_from|))
+    steps of size h.  b and c hold the off-diagonal entries of its 2n
+    exponentials in the order they act: per step, those of
+    h (a2 A1 + a1 A2) and then of h (a1 A1 + a2 A2).
     """
     sig = potential.sigma
     total = abs(x_to - x_from)
@@ -97,11 +201,9 @@ def _cf4_steps(potential, x_from, x_to, n_steps):
         xg1, xg2 = xs + _C1 * h, xs + _C2 * h
         q1, q2 = potential(xg1), potential(xg2)
         m1, m2 = potential.mirror_conj(xg1), potential.mirror_conj(xg2)
-        yield h, (
-            ((h * (_A2 * q1[i] + _A1 * q2[i]), -sig * h * (_A2 * m1[i] + _A1 * m2[i])),
-             (h * (_A1 * q1[i] + _A2 * q2[i]), -sig * h * (_A1 * m1[i] + _A2 * m2[i])))
-            for i in range(n)
-        )
+        b = h * np.column_stack([_A2 * q1 + _A1 * q2, _A1 * q1 + _A2 * q2])
+        c = -sig * h * np.column_stack([_A2 * m1 + _A1 * m2, _A1 * m1 + _A2 * m2])
+        yield h, b.ravel(), c.ravel()
 
 
 def _refine(level, n_steps, rtol, max_refine, what):
@@ -130,19 +232,28 @@ def _propagate(potential, z, x_from, x_to, n_steps, cols, shifted=False):
     """Apply the CF4 steps over [x_from, x_to] to a list of columns (u, v).
 
     The exponentials act one at a time, in the order `_cf4_steps` yields
-    them.  Unshifted, each is exp(h (a A1 + a' A2)) of the phi-frame;
-    `shifted` multiplies each by exp(i z h / 2), which turns the phi-frame
-    into the m-frame of `analytic_column_batch`.  Returns the new list.
+    them, each summed from its segment's `_series_coefficients`.
+    Unshifted, each is exp(h (a A1 + a' A2)) of the phi-frame; `shifted`
+    multiplies each by exp(i z h / 2), which turns the phi-frame into the
+    m-frame of `analytic_column_batch`.  Returns the new list.
     """
-    for h, steps in _cf4_steps(potential, x_from, x_to, n_steps):
+    u = np.array([col[0] for col in cols])
+    v = np.array([col[1] for col in cols])
+    tmp = np.empty_like(v)
+    for h, b, c in _cf4_steps(potential, x_from, x_to, n_steps):
         d = -1j * z * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
-        dd = d * d
-        scale = np.exp(-d) if shifted else None
-        for step in steps:
-            for b, c in step:
-                e11, e12, e21, e22 = _expm_shifted(d, b, c, scale, dd)
-                cols = [(e11 * u + e12 * v, e21 * u + e22 * v) for u, v in cols]
-    return cols
+        eps = b * c
+        g_max = max(float(np.abs(b).max()), float(np.abs(c).max()))
+        coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
+        powers = _eps_powers(eps, coef.shape[0] - 1)
+        for bk, ck, pk in zip(b.tolist(), c.tolist(), powers):
+            e11, e12, e21, e22 = _series_expm(coef, bk, ck, pk)
+            u_new = e11 * u
+            u_new += np.multiply(e12, v, out=tmp)
+            v *= e22
+            v += np.multiply(e21, u, out=tmp)
+            u = u_new
+    return list(zip(u, v))
 
 
 def _phase_diag(z, x):

@@ -180,8 +180,6 @@ def _evolve_on(snap: FieldSnapshot, n: int, times, dt: float, monitor_every: int
     steps_done = 0
     for t_next in times:
         span = t_next - t_cur
-        if span < -1e-12:
-            raise ValueError("snapshot times must be ascending")
         if span > 1e-12:
             steps = max(1, int(round(span / dt)))
             q = _run(q, k, snap.sigma, steps, span / steps, monitor_every, outer, band)
@@ -210,16 +208,17 @@ def evolve(potential: Potential, t_final: float, dt: float,
     Raises StepTooLarge when dt k_sig^2 > 0.5 for the populated bandwidth,
     BoundaryContamination when the dispersive front reaches the outer band.
     """
-    if snapshot_times is None:
-        times = [float(t_final)]
-    else:
-        times = sorted(float(t) for t in snapshot_times)
-        if not times or abs(times[-1] - t_final) > 1e-12:
-            times = times + [float(t_final)]
     if not t_final > 0:
         raise ValueError("t_final must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    times = [float(t_final)]
+    if snapshot_times is not None:
+        times = sorted(float(t) for t in snapshot_times)
+        if not all(-1e-12 <= t <= t_final + 1e-12 for t in times):
+            raise ValueError("snapshot times must lie in [0, t_final]")
+        if not times or abs(times[-1] - t_final) > 1e-12:
+            times.append(float(t_final))
 
     snap = snapshot_from_potential(potential)
     k_sig = signal_bandwidth(snap.q, snap.L)

@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from nonlocal_nls import Potential
+from nonlocal_nls import (
+    Potential,
+    _cf4,
+    check_genericity,
+    compute_scattering,
+    exact_box_scattering,
+)
 from nonlocal_nls._cf4 import (
     analytic_column_batch,
+    _eps_powers,
     _expm_shifted,
     _phase_diag,
     _propagate,
+    _series_coefficients,
+    _series_expm,
     _sinhc,
     y_matrix_batch,
 )
@@ -91,8 +100,9 @@ def test_closed_form_exponential(regime, shift):
     m = np.sqrt(d * d + b * c + 0.0j)
     ref = np.sinh(m) / m
     assert np.abs(_sinhc(m) - ref).max() <= 1e-14 * np.abs(ref).max()
-    scale = None if shift == 0.0 else np.exp(shift)
-    E = _expm_shifted(d, b, c, scale)
+    E = _expm_shifted(d, b, c)
+    if shift != 0.0:
+        E = tuple(np.exp(shift) * e for e in E)
     for k in range(d.size):
         want = expm(np.array([[shift + d[k], b[k]], [c[k], shift - d[k]]]))
         got = np.array([[E[0][k], E[1][k]], [E[2][k], E[3][k]]])
@@ -132,3 +142,86 @@ def test_shifted_column_is_the_m_frame(box_plus):
     phase = np.exp(2j * z * X)
     for got, want in ((m0, phase * u), (m1, phase * v)):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _series_z(path, size):
+    """z on the real axis or on an upper half-plane arc; h = 1, so |d| = |z|/2.
+
+    size "small" keeps |w0| = |d|^2 < 1, size "large" spans 1 <= |d| <= 10.
+    """
+    rho = np.array([0.3, 0.9, 1.9]) if size == "small" else np.array([2.0, 6.0, 20.0])
+    theta = np.array([0.0, np.pi]) if path == "real" else np.linspace(0.1, np.pi - 0.1, 7)
+    return (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("size", ["small", "large"])
+@pytest.mark.parametrize("path", ["real", "arc"])
+def test_series_exponential(path, size, shifted):
+    # |bc| from 0 up to 1 covers every step of the amplitude-4.5 box
+    z = _series_z(path, size)
+    d = -1j * z / 2.0
+    ang = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+    for eps_max in (0.0, 1e-8, 1e-4, 0.1, 1.0):
+        b = np.sqrt(eps_max) * np.exp(1j * ang) * np.array([1.0, 0.5, 1.0, 0.8, 0.3])
+        c = np.sqrt(eps_max) * np.exp(-0.7j * ang)
+        if eps_max == 0.0:
+            b = b + 0.3
+        eps = b * c
+        g_max = max(np.abs(b).max(), np.abs(c).max())
+        coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
+        powers = _eps_powers(eps, coef.shape[0] - 1)
+        for i in range(b.size):
+            E = _series_expm(coef, b[i], c[i], powers[i])
+            C = _expm_shifted(d, b[i], c[i])
+            for k in range(z.size):
+                shift = -d[k] if shifted else 0.0
+                got = np.array([[E[0][k], E[1][k]], [E[2][k], E[3][k]]])
+                closed = np.exp(shift) * np.array([[C[0][k], C[1][k]], [C[2][k], C[3][k]]])
+                want = expm(np.array([[shift + d[k], b[i]], [c[i], shift - d[k]]]))
+                for ref in (closed, want):
+                    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_series_order_follows_bc():
+    d = -0.5j * np.linspace(-3.0, 3.0, 7)
+    orders = [_series_coefficients(d, eps_max, 1.0).shape[0] - 1
+              for eps_max in (0.0, 1e-10, 1e-5, 1e-2, 1.0)]
+    assert orders[0] == 0
+    assert orders == sorted(orders) and orders[-1] > orders[1]
+
+
+@pytest.mark.parametrize("eps_max", [65.0, np.inf, np.nan])
+def test_series_refuses_coarse_steps(eps_max):
+    with pytest.raises(IntegratorDivergence, match="too coarse"):
+        _series_coefficients(np.array([0.5j]), eps_max, 10.0)
+
+
+def test_wide_window_box_matches_oracle(box_plus, monkeypatch):
+    # |z| up to 2000 puts every segment of every level at |z| h / 2 > 5,
+    # where the coefficients come from the recurrence
+    seen = []
+
+    def spy(d, *args):
+        seen.append(float(np.abs(d).max()))
+        return series(d, *args)
+
+    series = _cf4._series_coefficients
+    monkeypatch.setattr(_cf4, "_series_coefficients", spy)
+    z = np.linspace(-2000.0, 2000.0, 1025)
+    data = compute_scattering(box_plus, z)
+    assert min(seen) > 5.0
+    exact = exact_box_scattering(box_plus, z)
+    for got, want in zip((data.a, data.b, data.a_breve, data.b_breve), exact):
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_cf4_makes_no_closed_form_call(box_plus, zgrid_wide, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form exponential called on the CF4 path")
+
+    monkeypatch.setattr(_cf4, "_expm_shifted", refuse)
+    gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                      params={"width": 2.6}, L=512.0, N=2 ** 15)
+    for pot in (box_plus, gauss):
+        assert check_genericity(compute_scattering(pot, zgrid_wide)).passed

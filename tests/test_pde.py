@@ -135,6 +135,17 @@ class TestEvolve:
         assert [s.t for s in snaps] == [1.0, 2.0]
         assert snaps[0].step_count < snaps[1].step_count
 
+    @pytest.mark.parametrize("times", [[3.0], [-0.5, 1.0]])
+    def test_snapshot_times_outside_run_refused_before_stepping(self, monkeypatch, times):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("stepped before refusing the snapshot times")
+
+        monkeypatch.setattr(pde, "_run", no_steps)
+        pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                        params={"width": 1.0}, L=64.0, N=1024)
+        with pytest.raises(ValueError, match="snapshot times"):
+            evolve(pot, 1.0, 1e-3, snapshot_times=times)
+
     def test_sigma_matters(self):
         mk = lambda s: Potential(kind="gaussian", amplitude=0.3, sigma=s,
                                  params={"width": 1.0}, L=64.0, N=1024)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlocal_nls import Potential
-from nonlocal_nls._cf4 import _cf4_steps, _expm_shifted
+from nonlocal_nls._cf4 import (
+    _cf4_steps,
+    _eps_powers,
+    _expm_shifted,
+    _series_coefficients,
+    _series_expm,
+)
 from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import BadInput
 
@@ -14,9 +20,8 @@ def _lax_entries(pot, x, h=1e-6):
     The first exponential of a step of size h carries the off-diagonal
     entries h (a2 Q(x1) + a1 Q(x2)) at the two Gauss points, a1 + a2 = 1/2.
     """
-    [(step, steps)] = _cf4_steps(pot, x, x + 2 * h, 2)
-    (b, c), _ = next(steps)
-    return b / (step / 2), c / (step / 2)
+    [(step, b, c)] = _cf4_steps(pot, x, x + 2 * h, 2)
+    return b[0] / (step / 2), c[0] / (step / 2)
 
 
 def test_zero_potential_gives_zero_matrix():
@@ -43,12 +48,27 @@ def test_complex_gaussian_sigma_minus():
 
 def test_trace_of_lax_rhs_is_zero(box_plus):
     # tr(Q - i z sigma3) = 0, so every CF4 exponential has det = e^0 = 1
-    [(h, steps)] = _cf4_steps(box_plus, 0.4, 0.4 + 2e-3, 2)
-    step = next(steps)
+    [(h, bs, cs)] = _cf4_steps(box_plus, 0.4, 0.4 + 2e-3, 2)
     for z in (0.0, 1.7, -3.2):
-        for b, c in step:
+        for b, c in zip(bs[:2], cs[:2]):
             e11, e12, e21, e22 = _expm_shifted(-1j * z * h / 2, b, c)
             assert abs(e11 * e22 - e12 * e21 - 1.0) < 1e-15
+
+
+def test_series_step_is_unimodular(box_plus):
+    # the per-segment series keeps det = 1 for each exponential of a step
+    [(h, bs, cs)] = _cf4_steps(box_plus, 0.4, 0.4 + 2e-3, 2)
+    d = -1j * np.array([0.0, 1.7, -3.2]) * h / 2
+    eps = bs * cs
+    g_max = max(np.abs(bs).max(), np.abs(cs).max())
+    for shifted in (False, True):
+        coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
+        powers = _eps_powers(eps, coef.shape[0] - 1)
+        for b, c, p in zip(bs[:2], cs[:2], powers[:2]):
+            e11, e12, e21, e22 = _series_expm(coef, b, c, p)
+            det = e11 * e22 - e12 * e21
+            want = np.exp(-2 * d) if shifted else 1.0
+            assert np.all(np.abs(det - want) < 1e-15)
 
 
 def test_out_of_range_x_truncates(box_plus):
