@@ -156,18 +156,14 @@ def _series_coefficients(d, eps_max, g_max, shifted=False):
     return coef
 
 
-def _eps_powers(eps, order):
-    """Rows (1, eps, ..., eps^order), one per entry of `eps`."""
-    return np.cumprod(np.column_stack([np.ones_like(eps)] + [eps] * order), axis=1)
-
-
-def _series_expm(coef, b, c, powers):
-    """Entries (e11, e12, e21, e22) of one exponential from segment coefficients.
-
-    `powers` holds (1, eps, ..., eps^K) for eps = b c.
-    """
+def _series_expm(coef, b, c):
+    """Entries (e11, e12, e21, e22) of one exponential from segment coefficients."""
+    eps = b * c
+    powers = [1.0]
+    for _ in range(coef.shape[0] - 1):
+        powers.append(powers[-1] * eps)
     nz = coef.shape[1] // 3
-    e = powers @ coef
+    e = np.dot(powers, coef)
     s = e[2 * nz:]
     return e[:nz], s * b, s * c, e[nz:2 * nz]
 
@@ -242,12 +238,11 @@ def _propagate(potential, z, x_from, x_to, n_steps, cols, shifted=False):
     tmp = np.empty_like(v)
     for h, b, c in _cf4_steps(potential, x_from, x_to, n_steps):
         d = -1j * z * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
-        eps = b * c
+        eps_max = float(np.abs(b * c).max())
         g_max = max(float(np.abs(b).max()), float(np.abs(c).max()))
-        coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
-        powers = _eps_powers(eps, coef.shape[0] - 1)
-        for bk, ck, pk in zip(b.tolist(), c.tolist(), powers):
-            e11, e12, e21, e22 = _series_expm(coef, bk, ck, pk)
+        coef = _series_coefficients(d, eps_max, g_max, shifted)
+        for bk, ck in zip(b.tolist(), c.tolist()):
+            e11, e12, e21, e22 = _series_expm(coef, bk, ck)
             u_new = e11 * u
             u_new += np.multiply(e12, v, out=tmp)
             v *= e22
