@@ -235,7 +235,6 @@ def _propagate(potential, z, x_from, x_to, n_steps, cols, shifted=False):
     """
     u = np.array([col[0] for col in cols])
     v = np.array([col[1] for col in cols])
-    tmp = np.empty_like(v)
     for h, b, c in _cf4_steps(potential, x_from, x_to, n_steps):
         d = -1j * z * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
         eps_max = float(np.abs(b * c).max())
@@ -243,11 +242,7 @@ def _propagate(potential, z, x_from, x_to, n_steps, cols, shifted=False):
         coef = _series_coefficients(d, eps_max, g_max, shifted)
         for bk, ck in zip(b.tolist(), c.tolist()):
             e11, e12, e21, e22 = _series_expm(coef, bk, ck)
-            u_new = e11 * u
-            u_new += np.multiply(e12, v, out=tmp)
-            v *= e22
-            v += np.multiply(e21, u, out=tmp)
-            u = u_new
+            u, v = e11 * u + e12 * v, e21 * u + e22 * v
     return list(zip(u, v))
 
 
