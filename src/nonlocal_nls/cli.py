@@ -134,12 +134,14 @@ def asym(ctx, queries_path):
                     line = line.strip()
                     if line:
                         doc = json.loads(line)
+                        if not isinstance(doc, dict):
+                            raise ValueError(f"query {line!r} is not a JSON object")
                         x, t = float(doc["x"]), float(doc["t"])
                         if not (math.isfinite(x) and math.isfinite(t) and t >= cfg.t_min):
                             raise ValueError(f"bad query x={x}, t={t}: need finite x, t "
                                              f"and t >= t_min = {cfg.t_min}")
                         queries.append((x, t))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise BadInput(f"bad queries file: {exc}") from exc
     else:
         queries = [(-4.0 * xi * t, t) for xi in cfg.rays for t in cfg.times]

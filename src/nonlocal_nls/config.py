@@ -59,7 +59,9 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict) or "potential" not in doc:
             raise BadInput("config must be an object with a 'potential' entry")
-        window = doc.get("window", {})
+        window, pde = doc.get("window", {}), doc.get("pde", {})
+        if not (isinstance(window, dict) and isinstance(pde, dict)):
+            raise BadInput("config 'window' and 'pde' must be JSON objects")
         try:
             return cls(
                 potential=Potential.from_json_dict(doc["potential"]),
@@ -67,7 +69,7 @@ class ExperimentConfig:
                 nz=int(window.get("n", 2049)),
                 rays=[float(v) for v in doc.get("rays", [])],
                 times=[float(v) for v in doc.get("times", [])],
-                dt=float(doc.get("pde", {}).get("dt", 5e-3)),
+                dt=float(pde.get("dt", 5e-3)),
                 t_min=float(doc.get("t_min", 10.0)),
                 tol_scale=float(doc.get("tol_scale", 1.0)),
             )

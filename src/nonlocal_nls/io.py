@@ -7,6 +7,7 @@ produce byte-identical files (the pipeline is seed-free and deterministic).
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +25,18 @@ def _f(v: float) -> str:
     return repr(float(v))
 
 
+def _write_table(header: str, rows, path):
+    """CSV with one line per row: str cells as they are, numbers through _f."""
+    lines = [header]
+    lines.extend(",".join(c if isinstance(c, str) else _f(c) for c in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_scattering_csv(data: ScatteringData, path):
-    rows = [SCATTER_COLUMNS]
-    for i, z in enumerate(data.z_grid):
-        vals = (z,
-                data.a[i].real, data.a[i].imag,
-                data.b[i].real, data.b[i].imag,
-                data.a_breve[i].real, data.a_breve[i].imag,
-                data.b_breve[i].real, data.b_breve[i].imag,
-                data.r[i].real, data.r[i].imag,
-                data.r_breve[i].real, data.r_breve[i].imag)
-        rows.append(",".join(_f(v) for v in vals))
-    Path(path).write_text("\n".join(rows) + "\n")
+    cols = [data.z_grid]
+    for c in (data.a, data.b, data.a_breve, data.b_breve, data.r, data.r_breve):
+        cols += [c.real, c.imag]
+    _write_table(SCATTER_COLUMNS, np.column_stack(cols), path)
 
 
 def write_genericity_json(report: GenericityReport, path):
@@ -57,13 +58,7 @@ def write_phase_json(phase_dicts: list, path):
 
 
 def write_snapshot_csv(snap: FieldSnapshot, path):
-    x = snap.grid
-    rows = ["x,re_q,im_q"]
-    rows.extend(
-        f"{_f(x[i])},{_f(snap.q[i].real)},{_f(snap.q[i].imag)}"
-        for i in range(snap.N)
-    )
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write_table("x,re_q,im_q", zip(snap.grid, snap.q.real, snap.q.imag), path)
 
 
 def write_snapshot_binary(snap: FieldSnapshot, path):
@@ -78,15 +73,7 @@ COMPARE_COLUMNS = "xi,t,re_qnum,im_qnum,re_qasym,im_qasym,abs_err,validity"
 
 
 def write_compare_csv(rows: list, path):
-    lines = [COMPARE_COLUMNS]
-    for row in rows:
-        lines.append(",".join([
-            _f(row["xi"]), _f(row["t"]),
-            _f(row["re_qnum"]), _f(row["im_qnum"]),
-            _f(row["re_qasym"]), _f(row["im_qasym"]),
-            _f(row["abs_err"]), str(row["validity"]),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(COMPARE_COLUMNS, map(itemgetter(*COMPARE_COLUMNS.split(",")), rows), path)
 
 
 def write_fit_json(fits: dict, path):
@@ -94,11 +81,5 @@ def write_fit_json(fits: dict, path):
 
 
 def write_asym_csv(rows: list, path):
-    lines = ["x,t,xi,re_q,im_q,abs_q,im_nu,validity"]
-    for row in rows:
-        lines.append(",".join([
-            _f(row["x"]), _f(row["t"]), _f(row["xi"]),
-            _f(row["re_q"]), _f(row["im_q"]), _f(row["abs_q"]),
-            _f(row["im_nu"]), str(row["validity"]),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "x,t,xi,re_q,im_q,abs_q,im_nu,validity"
+    _write_table(header, map(itemgetter(*header.split(",")), rows), path)

@@ -66,7 +66,7 @@ def _gate(err: float) -> float:
 
 
 class SpectralContext:
-    """Splines, quadrature node table and per-xi phase memo of one ScatteringData."""
+    """Spline, quadrature node table and per-xi phase memo of one ScatteringData."""
 
     def __init__(self, data: ScatteringData):
         z = data.z_grid
@@ -83,11 +83,9 @@ class SpectralContext:
             raise BranchViolation(
                 f"|arg(1 - r rbreve)| reaches {self.branch_max_arg:.3f}"
             )
-        self._re_r = CubicSpline(z, data.r.real)
-        self._im_r = CubicSpline(z, data.r.imag)
-        self._re_rb = CubicSpline(z, data.r_breve.real)
-        self._im_rb = CubicSpline(z, data.r_breve.imag)
-        self._arg = CubicSpline(z, arg)
+        # real columns: a complex stack would round nu differently
+        self._spline = CubicSpline(z, np.stack(
+            [data.r.real, data.r.imag, data.r_breve.real, data.r_breve.imag, arg], axis=-1))
         nu_grid = -(np.log(np.abs(w)) + 1j * arg) / (2.0 * math.pi)
         # left-edge magnitude for tail estimates; a window maximum is used so
         # an oscillation node at the very end cannot fake a small tail
@@ -109,23 +107,29 @@ class SpectralContext:
         """The context itself, or a throwaway one built from bare data."""
         return data if isinstance(data, cls) else cls(data)
 
+    def _columns(self, s):
+        """r, rbreve and the unwrapped arg of 1 - r rbreve at s, from one spline call."""
+        v = self._spline(s)
+        return v[..., 0] + 1j * v[..., 1], v[..., 2] + 1j * v[..., 3], v[..., 4]
+
     def r(self, s):
-        return self._re_r(s) + 1j * self._im_r(s)
+        return self._columns(s)[0]
 
     def r_breve(self, s):
-        return self._re_rb(s) + 1j * self._im_rb(s)
+        return self._columns(s)[1]
 
     def w(self, s):
-        """1 - r(s) rbreve(s) from the splines."""
-        return 1.0 - self.r(s) * self.r_breve(s)
+        """1 - r(s) rbreve(s) from the spline."""
+        r, rb, _ = self._columns(s)
+        return 1.0 - r * rb
 
     def nu(self, s):
         """Interpolate r, rbreve first, then take the branch-corrected log."""
-        w = self.w(s)
+        r, rb, arg_ref = self._columns(s)
+        w = 1.0 - r * rb
         aw = np.abs(w)
         if np.any(aw < EPS_GENERIC):
             raise GenericityViolation("1 - r rbreve nearly vanishes off-grid")
-        arg_ref = self._arg(s)
         arg = np.angle(w)
         k = np.round((arg_ref - arg) / (2.0 * math.pi))
         return -(np.log(aw) + 1j * (arg + 2.0 * math.pi * k)) / (2.0 * math.pi)
@@ -164,12 +168,10 @@ def nu_at(data: ScatteringData | SpectralContext, s: float) -> complex:
     return complex(itp.nu(np.asarray(s)))
 
 
-def _quad_complex(f, a, b, points=None, epsabs=1e-12, epsrel=1e-11):
+def _quad_complex(f, a, b, point=None, epsabs=1e-12, epsrel=1e-11):
     kw = dict(limit=_QUAD_LIMIT, epsabs=epsabs, epsrel=epsrel)
-    if points:
-        kw["points"] = [p for p in points if a < p < b]
-        if not kw["points"]:
-            del kw["points"]
+    if point is not None and a < point < b:
+        kw["points"] = [point]
     with warnings.catch_warnings():
         # roundoff warnings are expected near the subtracted point; the
         # explicit error-estimate gate below is the real guard
@@ -191,6 +193,21 @@ def _finite_point(z) -> complex:
     return z
 
 
+def _cauchy_nu(ctx: SpectralContext, b: float, z: complex, xi: float):
+    """int_{z_lo}^{b} nu(s)/(s - z) ds; for z near [z_lo - 1, xi + 1], nu(Re z)
+    is subtracted under the integral and added back in closed form."""
+    z_lo = ctx.z_lo
+    near = (z_lo - 1.0 <= z.real <= xi + 1.0) and abs(z.imag) < 1.0
+    s_ref = min(max(z.real, z_lo), b)
+    nu_ref = complex(ctx.nu(np.asarray(s_ref))) if near else 0j
+
+    def f(s):
+        return (complex(ctx.nu(np.asarray(s))) - nu_ref) / (s - z)
+
+    val, err = _quad_complex(f, z_lo, b, point=s_ref if near else None)
+    return (val + nu_ref * _log_ratio(z, b, z_lo) if near else val), err
+
+
 def _cauchy_exponent(data, xi: float, z: complex):
     """int_{z_lo}^{xi} i nu(s)/(s - z) ds with local subtraction near Re z."""
     itp = SpectralContext.of(data)
@@ -198,25 +215,11 @@ def _cauchy_exponent(data, xi: float, z: complex):
     if not z_lo <= xi <= itp.z_hi:
         raise WindowExceeded(f"xi = {xi} outside the spectral grid")
     z = complex(z)
-    near = (z_lo - 1.0 <= z.real <= xi + 1.0) and abs(z.imag) < 1.0
-    if near:
-        s_ref = min(max(z.real, z_lo), xi)
-        nu_ref = complex(itp.nu(np.asarray(s_ref)))
-
-        def f(s):
-            return 1j * (complex(itp.nu(np.asarray(s))) - nu_ref) / (s - z)
-
-        val, err = _quad_complex(f, z_lo, xi, points=[s_ref])
-        val += 1j * nu_ref * _log_ratio(z, xi, z_lo)
-    else:
-        def f(s):
-            return 1j * complex(itp.nu(np.asarray(s))) / (s - z)
-
-        val, err = _quad_complex(f, z_lo, xi)
+    val, err = _cauchy_nu(itp, xi, z, xi)
     # analytic tail bound beyond the window, reported not added
     dist = max(abs(z - z_lo), 1.0)
     tail = itp._abs_nu_tail * abs(z_lo) / max(abs(z_lo), 1.0) / dist
-    return val, err + tail
+    return 1j * val, err + tail
 
 
 def delta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> complex:
@@ -235,6 +238,8 @@ def delta_boundary(data: ScatteringData | SpectralContext, xi: float, z0: float,
     Evaluated at z0 +- i eps with eps = 1e-6 (1 + |xi|) and Richardson
     extrapolation in eps on the exponent.
     """
+    if side not in ("plus", "minus"):
+        raise BadInput(f"side must be 'plus' or 'minus', got {side!r}")
     _finite_point(z0)
     if z0 > xi:
         raise CutEvaluation(f"z0 = {z0} is to the right of xi = {xi}")
@@ -257,21 +262,7 @@ def beta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> compl
     nu_xi = complex(itp.nu(np.asarray(xi)))
 
     # chunk 1: (z_lo, xi - 1], integrand nu(s)/(s - z)
-    near = (itp.z_lo - 1.0 <= z.real <= xi + 1.0) and abs(z.imag) < 1.0
-    s_ref = min(max(z.real, itp.z_lo), xi - 1.0)
-    if near:
-        nu_ref = complex(itp.nu(np.asarray(s_ref)))
-
-        def f1(s):
-            return (complex(itp.nu(np.asarray(s))) - nu_ref) / (s - z)
-
-        v1, e1 = _quad_complex(f1, itp.z_lo, xi - 1.0, points=[s_ref])
-        v1 += nu_ref * _log_ratio(z, xi - 1.0, itp.z_lo)
-    else:
-        def f1(s):
-            return complex(itp.nu(np.asarray(s))) / (s - z)
-
-        v1, e1 = _quad_complex(f1, itp.z_lo, xi - 1.0)
+    v1, _ = _cauchy_nu(itp, xi - 1.0, z, xi)
 
     # chunk 2: [xi - 1, xi] with s = xi - u^2 absorbing the endpoint
     def f2(u):
@@ -279,7 +270,7 @@ def beta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> compl
         return 2.0 * u * (complex(itp.nu(np.asarray(s))) - nu_xi) / (s - z)
 
     hint = math.sqrt(abs(z - xi)) if abs(z - xi) < 1.0 else None
-    v2, e2 = _quad_complex(f2, 0.0, 1.0, points=[hint] if hint else None)
+    v2, _ = _quad_complex(f2, 0.0, 1.0, point=hint)
 
     return v1 + v2 - nu_xi * cmath.log(z - xi + 1.0)
 

@@ -50,8 +50,7 @@ class Potential:
         numbers += [float(self.params[k]) for k in _NUMERIC_PARAMS if k in self.params]
         if not all(np.isfinite(numbers)):
             raise BadInput("amplitude, L and numeric params must be finite")
-        self._spline_re = None
-        self._spline_im = None
+        self._spline = None
         if self.kind == "box":
             left = float(self.params.get("left", -1.0))
             right = float(self.params.get("right", 1.0))
@@ -70,9 +69,7 @@ class Potential:
                 raise BadInput("samples array must have length N")
             if not np.all(np.isfinite(vals.view(float))):
                 raise BadInput("samples must be finite")
-            x = self.grid()
-            self._spline_re = CubicSpline(x, vals.real, bc_type="natural")
-            self._spline_im = CubicSpline(x, vals.imag, bc_type="natural")
+            self._spline = CubicSpline(self.grid(), vals, bc_type="natural")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -95,8 +92,7 @@ class Potential:
             return self.amplitude * np.exp(-(1.0 + 1j * c) * (x - x0) ** 2 / (2.0 * w * w))
         inside = (x >= -self.L) & (x <= self.L)
         out = np.zeros(x.shape, dtype=complex)
-        xi = x[inside]
-        out[inside] = self._spline_re(xi) + 1j * self._spline_im(xi)
+        out[inside] = self._spline(x[inside])
         return out
 
     def mirror_conj(self, x) -> np.ndarray:

@@ -193,6 +193,20 @@ def test_asym_bad_query_exits_1(tmp_path, runner, query):
     assert not (out / "asym.csv").exists()
 
 
+@pytest.mark.parametrize("query", ['[1, 2]', '5', '{"x": null, "t": 20}'],
+                         ids=["list", "number", "null"])
+def test_asym_query_not_an_object_exits_1(tmp_path, runner, query):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    qf = tmp_path / "queries.jsonl"
+    qf.write_text('{"x": -40.0, "t": 25.0}\n' + query + "\n")
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "asym", "--queries", str(qf)])
+    assert res.exit_code == 1, res.output
+    assert "error: bad queries file" in res.output
+    assert not (out / "asym.csv").exists()
+
+
 def test_evolve_csv_and_binary(tmp_path, runner):
     pot = {"kind": "gaussian", "amplitude": [0.1, 0.0], "sigma": 1,
            "L": 64.0, "N": 1024, "params": {"width": 1.0}}

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PPoly
 
 from nonlocal_nls import (
     asymptotics,
@@ -284,14 +285,29 @@ class TestGaussLegendrePath:
         lambda ctx: delta(ctx, 0.5, complex(float("nan"), 1.0)),
         lambda ctx: delta_boundary(ctx, 0.5, float("nan"), "plus"),
         lambda ctx: beta(ctx, 0.5, complex(float("nan"), 1.0)),
-    ], ids=["delta", "delta_boundary", "beta"])
+        lambda ctx: delta_boundary(ctx, 0.5, 0.0, "bogus"),
+    ], ids=["delta", "delta_boundary", "beta", "delta_boundary_side"])
     def test_quad_oracle_refuses_nan_point(self, box_data, monkeypatch, call):
         def no_quad(*args, **kwargs):
-            raise AssertionError("quad ran on a non-finite spectral point")
+            raise AssertionError("quad ran on an input it must refuse")
 
         monkeypatch.setattr(phase, "quad", no_quad)
         with pytest.raises(BadInput):
             call(SpectralContext(box_data))
+
+    def test_phase_data_spline_calls(self, box_data, monkeypatch):
+        # nu(xi) twice, nu(xi - 1), the two partial intervals, the mapped
+        # chunk of delta0, r and rbreve: one spline call each
+        ctx = SpectralContext(box_data)
+        ctx._nodes  # the node table is built once per context, outside the count
+        calls = []
+        call = PPoly.__call__
+        monkeypatch.setattr(PPoly, "__call__",
+                            lambda self, *a, **kw: calls.append(1) or call(self, *a, **kw))
+        for xi in (-5.1, 0.5, 7.3):
+            calls.clear()
+            phase_data(ctx, xi)
+            assert len(calls) <= 8
 
     def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
         calls = []

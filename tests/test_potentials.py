@@ -158,6 +158,13 @@ def test_nonpositive_t_min_is_bad_input(t_min, times):
         ExperimentConfig.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [("window", 5), ("pde", [1])])
+def test_non_object_section_is_bad_input(key, value):
+    doc = dict(_config_doc("box"), **{key: value})
+    with pytest.raises(BadInput, match="must be JSON objects"):
+        ExperimentConfig.from_json_dict(doc)
+
+
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["gaussian", "box"]), data=st.data(),
        value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
