@@ -24,7 +24,7 @@ from .scattering import (
     compute_scattering,
     exact_box_scattering,
 )
-from .weber import weber_D, weber_D_deriv, weber_residual
+from .weber import weber_D, weber_residual
 
 __version__ = "0.1.0"
 
@@ -35,5 +35,5 @@ __all__ = [
     "connection_coefficients", "delta", "delta0", "delta_boundary", "errors",
     "evolve", "exact_box_scattering", "jump_matrix", "nu_at", "phase_data",
     "psi", "q_asymptotic", "spectral_interpolate", "stationary_point",
-    "weber_D", "weber_D_deriv", "weber_residual",
+    "weber_D", "weber_residual",
 ]

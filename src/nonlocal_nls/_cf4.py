@@ -48,6 +48,7 @@ _SERIES_TOL = 2.0 ** -55   # truncation of the series exponential, see below
 _TAYLOR_TOL = 2.0 ** -60   # last term of a Taylor series in w0, relative
 _MAX_ORDER = 64
 _EPS_MAX = 64.0            # largest |bc| of a step the series accepts
+RTOL = 1e-10               # step-control tolerance on the end values
 
 
 def _sinhc(m):
@@ -251,7 +252,7 @@ def _phase_diag(z, x):
     return np.exp(1j * x * z), np.exp(-1j * x * z)
 
 
-def y_matrix_batch(potential, z, n_steps=None, rtol=1e-10, x_nodes=None,
+def y_matrix_batch(potential, z, n_steps=None, rtol=RTOL, x_nodes=None,
                    max_refine=4):
     """Normalized Jost matrix Y(z, x) = exp(i x z sigma3) phi(z, x).
 
@@ -294,7 +295,7 @@ def y_matrix_batch(potential, z, n_steps=None, rtol=1e-10, x_nodes=None,
     return _refine(level, n_steps, rtol, max_refine, "matrix")
 
 
-def analytic_column_batch(potential, z, n_steps=None, rtol=1e-10, max_refine=4):
+def analytic_column_batch(potential, z, n_steps=None, rtol=RTOL, max_refine=4):
     """First modified-Jost column (Phi-minus, first column) at the right end.
 
     Propagates m' = [[0, q], [-sigma conj(q(-x)), 2 i z]] m with m(-X) = (1,0),

@@ -19,8 +19,9 @@ term would be overtaken by the O(t^{-3/4}) remainder (and the mirrored
 threshold is refused symmetrically); inside a 0.02-wide band below the
 threshold the evaluation is flagged "marginal".
 
-Pass a `SpectralContext` in place of the ScatteringData to evaluate many
-queries: `phase_data` then runs once per distinct float xi, memoized on it.
+Every query reads its phase data off a `SpectralContext` built once per
+scattering data set: `phase_data` runs once per distinct float xi, memoized
+on the context.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from scipy.special import rgamma
 from .errors import ValidityViolation, WindowExceeded
 from .model import connection_coefficients, nu_over_w
 from .phase import PhaseData, SpectralContext, phase_data, stationary_point
-from .scattering import ScatteringData
 
 IM_NU_LIMIT = 0.25
 MARGIN = 0.02
@@ -94,7 +94,7 @@ def _gate(nu: complex) -> str:
     return "valid" if abs(im) < IM_NU_LIMIT - MARGIN else "marginal"
 
 
-def q_asymptotic(x: float, t: float, data: ScatteringData | SpectralContext,
+def q_asymptotic(x: float, t: float, ctx: SpectralContext,
                  t_min: float = T_MIN_DEFAULT) -> AsymptoticEvaluation:
     """Leading-order q(x, t) with validity diagnostics.
 
@@ -105,11 +105,10 @@ def q_asymptotic(x: float, t: float, data: ScatteringData | SpectralContext,
     if t < t_min:
         raise ValueError(f"t = {t} below configured t_min = {t_min}")
     xi = stationary_point(x, t)
-    z = data.z_grid
-    span = z[-1] - z[0]
-    if not (z[0] + 0.01 * span <= xi <= z[-1] - 0.01 * span):
+    pad = 0.01 * (ctx.z_hi - ctx.z_lo)
+    if not (ctx.z_lo + pad <= xi <= ctx.z_hi - pad):
         raise WindowExceeded(f"xi = {xi} outside the spectral window interior")
-    ph = _phase_at(SpectralContext.of(data), xi)
+    ph = _phase_at(ctx, xi)
     nu = ph.nu_at_xi
     validity = _gate(nu)
 

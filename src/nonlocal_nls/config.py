@@ -32,6 +32,9 @@ class ExperimentConfig:
         for xi in self.rays:
             if not (-self.z_max + 0.01 * span < xi < self.z_max - 0.01 * span):
                 raise BadInput(f"ray xi = {xi} not strictly inside the window")
+            if xi - 1.0 < -self.z_max:
+                # beta and delta0 integrate over [xi - 1, xi]
+                raise BadInput(f"ray xi = {xi} needs xi - 1 >= -z_max = {-self.z_max}")
         if list(self.times) != sorted(self.times):
             raise BadInput("times must be sorted ascending")
         if self.t_min <= 0:

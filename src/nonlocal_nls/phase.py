@@ -16,7 +16,9 @@ holds; the beta integrand carries 1/(s - z) for the same reason.  The
 removable sqrt-type endpoint behavior at s = xi is integrated with the
 substitution s = xi - u^2.
 
-All of it is read off one `SpectralContext`.  `delta0` and the nu tail
+All of it is read off one `SpectralContext`, the only input of every
+function here; it refuses any xi whose integration range leaves its grid
+(including NaN).  `delta0` and the nu tail
 integral use composite Gauss-Legendre on the spline knots (nu is analytic
 between them), with the embedded half rule as error estimate; `delta`,
 `delta_boundary` and `beta` at general z keep `scipy.quad` as the oracle.
@@ -102,21 +104,16 @@ class SpectralContext:
         self._gdw = self._gw - w_low
         self.phase_memo: dict[float, PhaseData] = {}
 
-    @classmethod
-    def of(cls, data: ScatteringData | SpectralContext) -> SpectralContext:
-        """The context itself, or a throwaway one built from bare data."""
-        return data if isinstance(data, cls) else cls(data)
+    def _window(self, lo: float, hi: float):
+        """Refuse unless z_lo <= lo and hi <= z_hi; a NaN end is refused too."""
+        if not (self.z_lo <= lo and hi <= self.z_hi):
+            raise WindowExceeded(
+                f"[{lo}, {hi}] is not inside the spectral grid [{self.z_lo}, {self.z_hi}]")
 
     def _columns(self, s):
         """r, rbreve and the unwrapped arg of 1 - r rbreve at s, from one spline call."""
         v = self._spline(s)
         return v[..., 0] + 1j * v[..., 1], v[..., 2] + 1j * v[..., 3], v[..., 4]
-
-    def r(self, s):
-        return self._columns(s)[0]
-
-    def r_breve(self, s):
-        return self._columns(s)[1]
 
     def w(self, s):
         """1 - r(s) rbreve(s) from the spline."""
@@ -160,12 +157,10 @@ class SpectralContext:
         return s, half, nu, np.r_[0.0, np.cumsum(q)], np.r_[0.0, np.cumsum(err)]
 
 
-def nu_at(data: ScatteringData | SpectralContext, s: float) -> complex:
+def nu_at(ctx: SpectralContext, s: float) -> complex:
     """nu(s) between grid nodes (cubic in r, rbreve before the log)."""
-    itp = SpectralContext.of(data)
-    if not itp.z_lo <= s <= itp.z_hi:
-        raise WindowExceeded(f"s = {s} outside the spectral grid")
-    return complex(itp.nu(np.asarray(s)))
+    ctx._window(s, s)
+    return complex(ctx.nu(np.asarray(s)))
 
 
 def _quad_complex(f, a, b, point=None, epsabs=1e-12, epsrel=1e-11):
@@ -208,31 +203,28 @@ def _cauchy_nu(ctx: SpectralContext, b: float, z: complex, xi: float):
     return (val + nu_ref * _log_ratio(z, b, z_lo) if near else val), err
 
 
-def _cauchy_exponent(data, xi: float, z: complex):
+def _cauchy_exponent(ctx: SpectralContext, xi: float, z: complex):
     """int_{z_lo}^{xi} i nu(s)/(s - z) ds with local subtraction near Re z."""
-    itp = SpectralContext.of(data)
-    z_lo = itp.z_lo
-    if not z_lo <= xi <= itp.z_hi:
-        raise WindowExceeded(f"xi = {xi} outside the spectral grid")
+    ctx._window(xi, xi)
+    z_lo = ctx.z_lo
     z = complex(z)
-    val, err = _cauchy_nu(itp, xi, z, xi)
+    val, err = _cauchy_nu(ctx, xi, z, xi)
     # analytic tail bound beyond the window, reported not added
     dist = max(abs(z - z_lo), 1.0)
-    tail = itp._abs_nu_tail * abs(z_lo) / max(abs(z_lo), 1.0) / dist
+    tail = ctx._abs_nu_tail * abs(z_lo) / max(abs(z_lo), 1.0) / dist
     return 1j * val, err + tail
 
 
-def delta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> complex:
+def delta(ctx: SpectralContext, xi: float, z: complex) -> complex:
     """delta(z) off the cut (-inf, xi]."""
     z = _finite_point(z)
     if z.imag == 0.0 and z.real <= xi:
         raise CutEvaluation(f"z = {z} lies on the cut (-inf, {xi}]")
-    val, _ = _cauchy_exponent(data, xi, z)
+    val, _ = _cauchy_exponent(ctx, xi, z)
     return cmath.exp(val)
 
 
-def delta_boundary(data: ScatteringData | SpectralContext, xi: float, z0: float,
-                   side: str) -> complex:
+def delta_boundary(ctx: SpectralContext, xi: float, z0: float, side: str) -> complex:
     """One-sided boundary value delta_+/- at z0 on the cut.
 
     Evaluated at z0 +- i eps with eps = 1e-6 (1 + |xi|) and Richardson
@@ -243,31 +235,28 @@ def delta_boundary(data: ScatteringData | SpectralContext, xi: float, z0: float,
     _finite_point(z0)
     if z0 > xi:
         raise CutEvaluation(f"z0 = {z0} is to the right of xi = {xi}")
-    data = SpectralContext.of(data)
     sgn = 1.0 if side == "plus" else -1.0
     eps = 1e-6 * (1.0 + abs(xi))
-    e1, _ = _cauchy_exponent(data, xi, complex(z0, sgn * eps))
-    e2, _ = _cauchy_exponent(data, xi, complex(z0, sgn * eps / 2.0))
+    e1, _ = _cauchy_exponent(ctx, xi, complex(z0, sgn * eps))
+    e2, _ = _cauchy_exponent(ctx, xi, complex(z0, sgn * eps / 2.0))
     return cmath.exp(2.0 * e2 - e1)
 
 
-def beta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> complex:
+def beta(ctx: SpectralContext, xi: float, z: complex) -> complex:
     """Regularized phase beta(z, xi); finite at z = xi."""
-    itp = SpectralContext.of(data)
     z = _finite_point(z)
     if z.imag == 0.0 and z.real < xi:
         raise CutEvaluation("beta is evaluated off (-inf, xi) or at xi itself")
-    if not (itp.z_lo <= xi - 1.0 and xi <= itp.z_hi):
-        raise WindowExceeded("xi (and xi - 1) must lie inside the grid")
-    nu_xi = complex(itp.nu(np.asarray(xi)))
+    ctx._window(xi - 1.0, xi)
+    nu_xi = complex(ctx.nu(np.asarray(xi)))
 
     # chunk 1: (z_lo, xi - 1], integrand nu(s)/(s - z)
-    v1, _ = _cauchy_nu(itp, xi - 1.0, z, xi)
+    v1, _ = _cauchy_nu(ctx, xi - 1.0, z, xi)
 
     # chunk 2: [xi - 1, xi] with s = xi - u^2 absorbing the endpoint
     def f2(u):
         s = xi - u * u
-        return 2.0 * u * (complex(itp.nu(np.asarray(s))) - nu_xi) / (s - z)
+        return 2.0 * u * (complex(ctx.nu(np.asarray(s))) - nu_xi) / (s - z)
 
     hint = math.sqrt(abs(z - xi)) if abs(z - xi) < 1.0 else None
     v2, _ = _quad_complex(f2, 0.0, 1.0, point=hint)
@@ -275,13 +264,11 @@ def beta(data: ScatteringData | SpectralContext, xi: float, z: complex) -> compl
     return v1 + v2 - nu_xi * cmath.log(z - xi + 1.0)
 
 
-def delta0(data: ScatteringData | SpectralContext, xi: float) -> complex:
+def delta0(ctx: SpectralContext, xi: float) -> complex:
     """delta0(xi) = e^{i beta(xi, xi)}: the chunks of `beta` at z = xi by
     Gauss-Legendre, the second in u split at the mapped knots sqrt(xi - z_k)."""
-    ctx = SpectralContext.of(data)
-    if not (ctx.z_lo <= xi - 1.0 and xi <= ctx.z_hi):
-        raise WindowExceeded("xi (and xi - 1) must lie inside the grid")
     a = xi - 1.0
+    ctx._window(a, xi)
     nu_xi = complex(ctx.nu(np.asarray(xi)))
     nu_a = complex(ctx.nu(np.asarray(a)))
     s, half, nu, _, _ = ctx._nodes
@@ -300,11 +287,9 @@ def delta0(data: ScatteringData | SpectralContext, xi: float) -> complex:
     return cmath.exp(1j * (v1 + q2.sum()))
 
 
-def nu_tail_with_bound(data: ScatteringData | SpectralContext, xi: float):
+def nu_tail_with_bound(ctx: SpectralContext, xi: float):
     """(int_{-inf}^{xi} nu(s) ds over the grid, estimated truncation error)."""
-    ctx = SpectralContext.of(data)
-    if not ctx.z_lo <= xi <= ctx.z_hi:
-        raise WindowExceeded(f"xi = {xi} outside the spectral grid")
+    ctx._window(xi, xi)
     *_, cum, cum_err = ctx._nodes
     k, sp, hp = ctx._partial(xi)
     q, err = ctx._rule(ctx.nu(sp), hp)
@@ -337,17 +322,17 @@ class PhaseData:
         }
 
 
-def phase_data(data: ScatteringData | SpectralContext, xi: float) -> PhaseData:
+def phase_data(ctx: SpectralContext, xi: float) -> PhaseData:
     """All phase quantities the asymptotic formula consumes, at one xi."""
-    itp = SpectralContext.of(data)
-    tail, bound = nu_tail_with_bound(itp, xi)
+    tail, bound = nu_tail_with_bound(ctx, xi)
+    r, rb, _ = ctx._columns(np.asarray(xi))
     return PhaseData(
         xi=float(xi),
-        nu_at_xi=nu_at(itp, xi),
-        delta0=delta0(itp, xi),
+        nu_at_xi=nu_at(ctx, xi),
+        delta0=delta0(ctx, xi),
         nu_tail_integral=tail,
         nu_tail_bound=bound,
-        branch_max_arg=itp.branch_max_arg,
-        r_xi=complex(itp.r(np.asarray(xi))),
-        r_breve_xi=complex(itp.r_breve(np.asarray(xi))),
+        branch_max_arg=ctx.branch_max_arg,
+        r_xi=complex(r),
+        r_breve_xi=complex(rb),
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cf4 import _expm_shifted, analytic_column_batch, y_matrix_batch
+from ._cf4 import RTOL, _expm_shifted, analytic_column_batch, y_matrix_batch
 from .errors import (
     GenericityViolation,
     IntegratorDivergence,
@@ -32,7 +32,6 @@ from .potentials import Potential
 
 EPS_GENERIC = 1e-6   # floor for |1 - r rbreve|
 EPS_A = 1e-8         # floor for |a| on the real grid
-RTOL = 1e-10         # CF4 step-control tolerance on S
 N_ARC = 256          # points on the winding contour's arc
 
 
@@ -75,7 +74,7 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray) -> ScatteringDa
         raise TruncationTooSmall("potential tail outside [-L, L] too heavy")
     X = potential.scatter_halfwidth()
     traj, err = y_matrix_batch(potential, z_grid.astype(complex),
-                               rtol=RTOL, x_nodes=np.array([0.0, X]))
+                               x_nodes=np.array([0.0, X]))
     S = traj[1]                     # Y^-(z, +X) = S(z)
     a, b_breve = S[:, 0, 0], S[:, 0, 1]
     b, a_breve = S[:, 1, 0], S[:, 1, 1]

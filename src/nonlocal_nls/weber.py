@@ -43,14 +43,6 @@ def weber_D(a, eta) -> complex:
     return _D(a, eta)
 
 
-def weber_D_deriv(a, eta) -> complex:
-    """d/d eta D_a(eta) through the recurrence (eta/2) D_a - D_{a+1}."""
-    a = complex(a)
-    eta = complex(eta)
-    _check_box(a, eta)
-    return (eta / 2.0) * _D(a, eta) - _D(a + 1.0, eta)
-
-
 def weber_residual(a, eta, h=1e-3) -> float:
     """Normalized Weber-equation residual on a 5-point stencil.
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nonlocal_nls import Potential, ScatteringData, compute_scattering
+from nonlocal_nls.phase import SpectralContext
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +34,11 @@ def box_data(box_plus, zgrid_wide):
 
 
 @pytest.fixture(scope="session")
+def box_ctx(box_data):
+    return SpectralContext(box_data)
+
+
+@pytest.fixture(scope="session")
 def box_minus_data(box_minus, zgrid_wide):
     return compute_scattering(box_minus, zgrid_wide)
 
@@ -43,6 +49,16 @@ def accept_gauss_data(zgrid_wide):
     pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                     params={"width": 2.6}, L=512.0, N=2 ** 15)
     return compute_scattering(pot, zgrid_wide)
+
+
+@pytest.fixture(scope="session")
+def accept_gauss_ctx(accept_gauss_data):
+    return SpectralContext(accept_gauss_data)
+
+
+@pytest.fixture(scope="session")
+def gauss_small_ctx(gauss_small, zgrid_wide):
+    return SpectralContext(compute_scattering(gauss_small, zgrid_wide))
 
 
 def synthetic_data(z, r_fn, rb_fn):
@@ -61,6 +77,11 @@ def synthetic_data(z, r_fn, rb_fn):
     )
 
 
+def synthetic_context(z, r_fn, rb_fn):
+    """SpectralContext of `synthetic_data`."""
+    return SpectralContext(synthetic_data(z, r_fn, rb_fn))
+
+
 @pytest.fixture()
 def make_synthetic():
-    return synthetic_data
+    return synthetic_context

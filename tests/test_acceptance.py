@@ -23,7 +23,7 @@ from nonlocal_nls import (
 from nonlocal_nls.errors import ValidityViolation
 from nonlocal_nls.pde import snapshot_from_potential
 from nonlocal_nls.phase import SpectralContext, beta, nu_tail_with_bound
-from conftest import synthetic_data
+from conftest import synthetic_context
 
 
 def _report(criterion, detail):
@@ -48,14 +48,15 @@ def box_datasets():
 
 
 @pytest.fixture(scope="module")
-def accept_gaussian():
-    return Potential(kind="gaussian", amplitude=0.1, sigma=1,
-                     params={"width": 2.6}, L=512.0, N=2 ** 15)
+def box03_ctx(box_datasets):
+    """Context of the (0.3, +1) box."""
+    return SpectralContext(box_datasets[(0.3, 1)][1])
 
 
 @pytest.fixture(scope="module")
-def gauss_data(accept_gaussian):
-    return compute_scattering(accept_gaussian, np.linspace(-16.0, 16.0, 2049))
+def accept_gaussian():
+    return Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                     params={"width": 2.6}, L=512.0, N=2 ** 15)
 
 
 @pytest.fixture(scope="module")
@@ -98,49 +99,48 @@ def test_criterion_2_algebraic_identities(box_datasets):
                f"b-symmetry: {worst_b:.2e} (all <= 1e-8)")
 
 
-def test_criterion_3_delta_jump_and_large_z(box_datasets, gauss_data):
+def test_criterion_3_delta_jump_and_large_z(box03_ctx, accept_gauss_ctx):
     xi = 0.5
-    _, data = box_datasets[(0.3, 1)]
-    itp = SpectralContext(data)
+    ctx = box03_ctx
     worst = 0.0
     for z0 in np.linspace(-8.0, xi - 0.1, 20):
-        dp = delta_boundary(data, xi, float(z0), "plus")
-        dm = delta_boundary(data, xi, float(z0), "minus")
-        w = complex(itp.w(np.asarray(z0)))
+        dp = delta_boundary(ctx, xi, float(z0), "plus")
+        dm = delta_boundary(ctx, xi, float(z0), "minus")
+        w = complex(ctx.w(np.asarray(z0)))
         worst = max(worst, abs(dp / dm - w) / abs(w))
     assert worst <= 1e-6
 
-    tail = nu_tail_with_bound(gauss_data, xi)[0]
+    tail = nu_tail_with_bound(accept_gauss_ctx, xi)[0]
     zbig = complex(xi, 1e3)
-    dev = abs(zbig * (delta(gauss_data, xi, zbig) - 1.0) - (-1j * tail)) / abs(tail)
+    dev = abs(zbig * (delta(accept_gauss_ctx, xi, zbig) - 1.0) - (-1j * tail)) / abs(tail)
     assert dev <= 1e-4
     _report(3, f"delta jump at 20 cut points: worst rel {worst:.2e} <= 1e-6; "
                f"z(delta-1) vs -i*int(nu) at |z|=1e3: rel {dev:.2e} <= 1e-4")
 
 
-def test_criterion_4_factorization_and_hoelder(box_datasets):
+def test_criterion_4_factorization_and_hoelder(box03_ctx):
     xi = 0.5
-    _, data = box_datasets[(0.3, 1)]
-    nuxi = nu_at(data, xi)
+    ctx = box03_ctx
+    nuxi = nu_at(ctx, xi)
     worst = 0.0
     for z in (xi + 0.3 + 0.4j, xi - 1.2 + 0.8j, xi + 2.0 - 1.5j,
               xi + 0.05 + 0.02j, xi - 3.0 - 2.0j, xi + 0.5j):
-        lhs = delta(data, xi, z)
-        rhs = np.exp(1j * beta(data, xi, z)) * np.exp(
+        lhs = delta(ctx, xi, z)
+        rhs = np.exp(1j * beta(ctx, xi, z)) * np.exp(
             1j * nuxi * np.log(complex(z - xi)))
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst <= 1e-6
 
     hs = np.geomspace(1e-4, 1e-2, 9)
-    b0 = beta(data, xi, complex(xi))
-    vals = [abs(beta(data, xi, complex(xi, h)) - b0) for h in hs]
+    b0 = beta(ctx, xi, complex(xi))
+    vals = [abs(beta(ctx, xi, complex(xi, h)) - b0) for h in hs]
     slope = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
     assert slope >= 0.45
     _report(4, f"factorization worst rel {worst:.2e} <= 1e-6; "
                f"Hoelder exponent fit {slope:.3f} >= 0.45")
 
 
-def test_criterion_5_model_problem(gauss_data):
+def test_criterion_5_model_problem(accept_gauss_ctx):
     # Weber ODE residual over the validity box
     orders = [0.0, 1.0, 0.5 + 0.3j, -2.0 + 1.5j, 3j, -10j, 10j, 9.5, -9.5]
     mags = [0.3, 2.0, 6.0, 8.0, 12.0, 30.0, 49.9]
@@ -153,7 +153,7 @@ def test_criterion_5_model_problem(gauss_data):
 
     # Psi jump and beta product, pipeline data at xi = 0.3, t = 100
     xi, t = 0.3, 100.0
-    ph = phase_data(gauss_data, xi)
+    ph = phase_data(accept_gauss_ctx, xi)
     co = connection_coefficients(ph.r_xi, ph.r_breve_xi, ph.nu_at_xi,
                                  ph.delta0, xi, t)
     V = jump_matrix(co)
@@ -172,26 +172,25 @@ def test_criterion_5_model_problem(gauss_data):
                f"beta1*beta2 - nu: {prod_dev:.2e} <= 1e-10")
 
 
-def test_criterion_6_route_equivalence(box_datasets):
+def test_criterion_6_route_equivalence(box03_ctx):
     # ten (xi, t) pairs across pipeline and synthetic complex-nu data
-    _, data = box_datasets[(0.3, 1)]
     pairs = [(0.2, 25.0), (0.2, 80.0), (0.45, 30.0), (0.45, 120.0),
              (-0.35, 64.0), (0.0, 41.0)]
     worst = 0.0
     for xi, t in pairs:
-        ev = q_asymptotic(-4 * xi * t, t, data)   # internal 1e-10 cross-check
+        ev = q_asymptotic(-4 * xi * t, t, box03_ctx)   # internal 1e-10 cross-check
         worst = max(worst, abs(ev.im_nu))
     z = np.linspace(-8, 8, 1025)
-    sdata = synthetic_data(
+    sctx = synthetic_context(
         z,
         lambda s: 0.4 * np.exp(-2.0 * (s - 0.1) ** 2 + 0.9j * s),
         lambda s: 0.35 * np.exp(-2.0 * (s + 0.2) ** 2 - 0.4j * s),
     )
     for xi, t in ((0.3, 30.0), (0.0, 75.0), (-0.4, 200.0), (0.6, 45.0)):
-        q_asymptotic(-4 * xi * t, t, sdata)
+        q_asymptotic(-4 * xi * t, t, sctx)
 
     from nonlocal_nls import alpha
-    ph = phase_data(data, 0.45)
+    ph = phase_data(box03_ctx, 0.45)
     mags = [abs(alpha(ph, t)) for t in (20.0, 55.0, 300.0)]
     t_dev = (max(mags) - min(mags)) / max(mags)
     assert t_dev <= 1e-12
@@ -200,7 +199,7 @@ def test_criterion_6_route_equivalence(box_datasets):
                "<= 1e-12")
 
 
-def test_criterion_7_end_to_end_rate(gauss_data, pde_run):
+def test_criterion_7_end_to_end_rate(accept_gauss_ctx, pde_run):
     times, snaps = pde_run
     summary = []
     for xi in (0.3, 0.5):
@@ -208,7 +207,7 @@ def test_criterion_7_end_to_end_rate(gauss_data, pde_run):
         for snap in snaps:
             x = -4.0 * xi * snap.t
             q_num = complex(spectral_interpolate(snap, [x])[0])
-            ev = q_asymptotic(x, snap.t, gauss_data)
+            ev = q_asymptotic(x, snap.t, accept_gauss_ctx)
             errs.append(abs(q_num - ev.q_leading))
         monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         slope = float(np.polyfit(np.log(times), np.log(errs), 1)[0])
@@ -241,11 +240,11 @@ def test_criterion_8_oracle_integrity(accept_gaussian, pde_run):
 def test_criterion_9_degenerate_gates():
     # zero potential: leading term identically zero, zero comparison error
     pot = Potential(kind="zero", L=64.0, N=1024)
-    data = compute_scattering(pot, np.linspace(-8.0, 8.0, 257))
+    ctx = SpectralContext(compute_scattering(pot, np.linspace(-8.0, 8.0, 257)))
     snap = evolve(pot, 40.0, 0.01)
     xi = 0.3
     q_num = complex(spectral_interpolate(snap, [-4 * xi * 40.0])[0])
-    ev = q_asymptotic(-4 * xi * 40.0, 40.0, data)
+    ev = q_asymptotic(-4 * xi * 40.0, 40.0, ctx)
     assert ev.q_leading == 0
     assert abs(q_num - ev.q_leading) == 0.0
 
@@ -256,10 +255,10 @@ def test_criterion_9_degenerate_gates():
     def r_fn(s):
         return np.exp(-6.0 * (s - 0.3) ** 2) * target ** 0.5
 
-    sdata = synthetic_data(z, r_fn, r_fn)
-    nu = nu_at(sdata, 0.3)
+    sctx = synthetic_context(z, r_fn, r_fn)
+    nu = nu_at(sctx, 0.3)
     assert nu.imag >= 0.25
     with pytest.raises(ValidityViolation):
-        q_asymptotic(-4 * 0.3 * 50.0, 50.0, sdata)
+        q_asymptotic(-4 * 0.3 * 50.0, 50.0, sctx)
     _report(9, "zero potential: q_asym == 0 with zero comparison error; "
                f"Im nu = {nu.imag:.3f} >= 1/4 refused with ValidityViolation")

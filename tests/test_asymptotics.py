@@ -3,46 +3,47 @@ import pytest
 
 from nonlocal_nls import Potential, alpha, compute_scattering, phase_data, q_asymptotic
 from nonlocal_nls.errors import ValidityViolation, WindowExceeded
+from nonlocal_nls.phase import SpectralContext
 
 
 def test_zero_potential_leading_term_vanishes():
     pot = Potential(kind="zero", L=16.0, N=256)
-    data = compute_scattering(pot, np.linspace(-8, 8, 257))
-    ev = q_asymptotic(-20.0, 25.0, data)
+    ctx = SpectralContext(compute_scattering(pot, np.linspace(-8, 8, 257)))
+    ev = q_asymptotic(-20.0, 25.0, ctx)
     assert ev.q_leading == 0
     assert ev.alpha == 0
     assert ev.validity == "valid"
 
 
-def test_scaling_law_exact(box_data):
+def test_scaling_law_exact(box_ctx):
     xi = 0.5
-    ev1 = q_asymptotic(-4 * xi * 40.0, 40.0, box_data)
-    ev2 = q_asymptotic(-4 * xi * 80.0, 80.0, box_data)
+    ev1 = q_asymptotic(-4 * xi * 40.0, 40.0, box_ctx)
+    ev2 = q_asymptotic(-4 * xi * 80.0, 80.0, box_ctx)
     ratio = abs(ev2.q_leading) / abs(ev1.q_leading)
     assert ratio == pytest.approx(2.0 ** (ev1.im_nu - 0.5), rel=1e-12)
 
 
-def test_alpha_modulus_t_independent(box_data):
+def test_alpha_modulus_t_independent(box_ctx):
     xi = 0.3
-    ph = phase_data(box_data, xi)
+    ph = phase_data(box_ctx, xi)
     mags = {abs(alpha(ph, t)) for t in (20.0, 50.0, 400.0)}
     assert max(mags) - min(mags) < 1e-12 * max(mags)
 
 
-def test_route_equivalence_ten_pairs(box_data, make_synthetic):
+def test_route_equivalence_ten_pairs(box_ctx, make_synthetic):
     # real-nu pipeline data plus complex-nu synthetic data
     for xi in (0.2, 0.45):
         for t in (25.0, 60.0, 110.0):
-            q_asymptotic(-4 * xi * t, t, box_data)  # raises if routes split
+            q_asymptotic(-4 * xi * t, t, box_ctx)  # raises if routes split
     z = np.linspace(-8, 8, 1025)
-    data = make_synthetic(
+    ctx = make_synthetic(
         z,
         lambda s: 0.4 * np.exp(-2.0 * (s - 0.1) ** 2 + 0.9j * s),
         lambda s: 0.35 * np.exp(-2.0 * (s + 0.2) ** 2 - 0.4j * s),
     )
     im_nus = []
     for xi, t in ((0.3, 30.0), (0.0, 75.0), (-0.4, 200.0), (0.6, 45.0)):
-        ev = q_asymptotic(-4 * xi * t, t, data)
+        ev = q_asymptotic(-4 * xi * t, t, ctx)
         im_nus.append(ev.im_nu)
     assert any(v != 0 for v in im_nus)  # genuinely complex-exponent cases
 
@@ -50,14 +51,14 @@ def test_route_equivalence_ten_pairs(box_data, make_synthetic):
 def test_anomalous_exponent_sign(make_synthetic):
     # Im nu > 0 must slow the decay: |q(2t)| / |q(t)| = 2^{Im nu - 1/2}
     z = np.linspace(-8, 8, 1025)
-    data = make_synthetic(
+    ctx = make_synthetic(
         z,
         lambda s: 0.5 * np.exp(-1.5 * s ** 2 + 1.2j * s),
         lambda s: 0.5 * np.exp(-1.5 * s ** 2 + 1.2j * s),
     )
     xi = 0.25
-    ev1 = q_asymptotic(-4 * xi * 50.0, 50.0, data)
-    ev2 = q_asymptotic(-4 * xi * 100.0, 100.0, data)
+    ev1 = q_asymptotic(-4 * xi * 50.0, 50.0, ctx)
+    ev2 = q_asymptotic(-4 * xi * 100.0, 100.0, ctx)
     assert ev1.im_nu != 0
     measured = np.log2(abs(ev2.q_leading) / abs(ev1.q_leading))
     assert measured == pytest.approx(ev1.im_nu - 0.5, abs=1e-10)
@@ -77,12 +78,12 @@ def test_validity_gate_refuses(make_synthetic):
         target = 1.0 - (-0.1 - 1.0j)
         return 1.0 * bump * target ** 0.5 + 1e-4
 
-    data = make_synthetic(z, r_fn, rb_fn)
+    ctx = make_synthetic(z, r_fn, rb_fn)
     from nonlocal_nls import nu_at
-    nu = nu_at(data, 0.3)
+    nu = nu_at(ctx, 0.3)
     assert abs(nu.imag) >= 0.25
     with pytest.raises(ValidityViolation):
-        q_asymptotic(-4 * 0.3 * 50.0, 50.0, data)
+        q_asymptotic(-4 * 0.3 * 50.0, 50.0, ctx)
 
 
 def test_marginal_band_flagged(make_synthetic):
@@ -94,17 +95,17 @@ def test_marginal_band_flagged(make_synthetic):
         bump = np.exp(-6.0 * (s - 0.3) ** 2)
         return ((1.0 - target) ** 0.5) * bump
 
-    data = make_synthetic(z, r_fn, r_fn)
-    ev = q_asymptotic(-4 * 0.3 * 50.0, 50.0, data)
+    ctx = make_synthetic(z, r_fn, r_fn)
+    ev = q_asymptotic(-4 * 0.3 * 50.0, 50.0, ctx)
     assert ev.validity == "marginal"
     assert 0.23 <= abs(ev.im_nu) < 0.25
 
 
-def test_window_exceeded(box_data):
+def test_window_exceeded(box_ctx):
     with pytest.raises(WindowExceeded):
-        q_asymptotic(-4 * 15.99 * 50.0, 50.0, box_data)
+        q_asymptotic(-4 * 15.99 * 50.0, 50.0, box_ctx)
 
 
-def test_t_min_enforced(box_data):
+def test_t_min_enforced(box_ctx):
     with pytest.raises(ValueError):
-        q_asymptotic(-4 * 0.3 * 5.0, 5.0, box_data)
+        q_asymptotic(-4 * 0.3 * 5.0, 5.0, box_ctx)

@@ -148,6 +148,16 @@ def test_asym_nonpositive_t_min_exits_1(tmp_path, runner):
     assert "t_min must be positive" in res.output
 
 
+def test_phase_ray_reaching_past_window_exits_1(tmp_path, runner):
+    # delta0 integrates over [xi - 1, xi], so xi = -15.5 needs z >= -16.5
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, rays=[-15.5],
+                        window={"z_max": 16.0, "n": 257})
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                               "phase"])
+    assert res.exit_code == 1, res.output
+    assert "xi - 1 >= -z_max" in res.output
+
+
 def test_phase_and_asym_outputs(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     out = tmp_path / "out"

@@ -12,6 +12,7 @@ from nonlocal_nls import (
     psi,
 )
 from nonlocal_nls.model import psi_normalizer, row_ode_residual
+from nonlocal_nls.phase import SpectralContext
 
 
 def coeffs_from(nu, rho_hat_val, t=50.0, xi=0.4, delta0=1.0):
@@ -97,7 +98,7 @@ class TestConnectionCoefficients:
         d2 = compute_scattering(box_plus, np.linspace(-16, 16, 4097))
         cos = []
         for d in (d1, d2):
-            ph = phase_data(d, xi)
+            ph = phase_data(SpectralContext(d), xi)
             cos.append(connection_coefficients(
                 ph.r_xi, ph.r_breve_xi, ph.nu_at_xi, ph.delta0, xi, t).beta1)
         assert abs(cos[0] - cos[1]) < 1e-8 * abs(cos[1])

@@ -55,128 +55,124 @@ class TestStationaryPoint:
 class TestNu:
     def test_zero_reflection_gives_zero(self, make_synthetic):
         z = np.linspace(-8, 8, 257)
-        data = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
-        assert nu_at(data, 0.3) == 0
+        ctx = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
+        assert nu_at(ctx, 0.3) == 0
 
     def test_log_e_value(self, make_synthetic):
         # 1 - r rbreve = e everywhere  =>  nu = -1/(2 pi)
         z = np.linspace(-8, 8, 257)
         c = np.sqrt(complex(1.0 - np.e))  # r = rbreve = c makes 1 - r rbreve = e
-        data = make_synthetic(z, lambda s: c + 0 * s, lambda s: c + 0 * s)
-        assert nu_at(data, 0.0) == pytest.approx(-1.0 / (2 * np.pi), abs=1e-12)
+        ctx = make_synthetic(z, lambda s: c + 0 * s, lambda s: c + 0 * s)
+        assert nu_at(ctx, 0.0) == pytest.approx(-1.0 / (2 * np.pi), abs=1e-12)
 
-    def test_box_nu_matches_oracle_route(self, box_plus, box_data):
+    def test_box_nu_matches_oracle_route(self, box_plus, box_ctx):
         a, b, ab, bb = exact_box_scattering(box_plus, 0.0)
         w = 1 - (b / a) * (bb / ab)
         expected = -np.log(w) / (2 * np.pi)
-        assert nu_at(box_data, 0.0) == pytest.approx(expected, abs=1e-8)
+        assert nu_at(box_ctx, 0.0) == pytest.approx(expected, abs=1e-8)
 
-    def test_outside_grid(self, box_data):
+    def test_outside_grid(self, box_ctx):
         with pytest.raises(WindowExceeded):
-            nu_at(box_data, 99.0)
+            nu_at(box_ctx, 99.0)
 
     def test_branch_violation_detected(self, make_synthetic):
         # r rbreve winds around 1: the unwrapped arg must hit pi
         z = np.linspace(-8, 8, 1025)
         r_fn = lambda s: 1.3 * np.exp(-0.5 * s * s) * np.exp(2j * s)
-        data = make_synthetic(z, r_fn, r_fn)
         with pytest.raises((BranchViolation, Exception)):
-            nu_at(data, 0.0)
+            nu_at(make_synthetic(z, r_fn, r_fn), 0.0)
 
 
 class TestDelta:
     def test_zero_reflection_delta_is_one(self, make_synthetic):
         z = np.linspace(-8, 8, 257)
-        data = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
-        assert delta(data, 0.0, 1.0 + 1.0j) == pytest.approx(1.0, abs=1e-12)
+        ctx = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
+        assert delta(ctx, 0.0, 1.0 + 1.0j) == pytest.approx(1.0, abs=1e-12)
 
-    def test_cut_evaluation_refused(self, box_data):
+    def test_cut_evaluation_refused(self, box_ctx):
         with pytest.raises(CutEvaluation):
-            delta(box_data, XI, complex(XI - 1.0, 0.0))
+            delta(box_ctx, XI, complex(XI - 1.0, 0.0))
 
-    def test_plemelj_jump(self, box_data):
-        itp = SpectralContext(box_data)
+    def test_plemelj_jump(self, box_ctx):
         for z0 in np.linspace(-10.0, XI - 0.1, 20):
-            dp = delta_boundary(box_data, XI, float(z0), "plus")
-            dm = delta_boundary(box_data, XI, float(z0), "minus")
-            w = complex(itp.w(np.asarray(z0)))
+            dp = delta_boundary(box_ctx, XI, float(z0), "plus")
+            dm = delta_boundary(box_ctx, XI, float(z0), "minus")
+            w = complex(box_ctx.w(np.asarray(z0)))
             assert abs(dp / dm - w) < 1e-6 * abs(w)
 
-    def test_bounded_off_cut(self, box_data):
+    def test_bounded_off_cut(self, box_ctx):
         pts = [XI + 0.5 + 0.5j, XI - 2 + 1j, XI + 3 - 2j, XI + 0.1 - 0.3j, 5 + 5j]
-        vals = [delta(box_data, XI, z) for z in pts]
+        vals = [delta(box_ctx, XI, z) for z in pts]
         assert all(0.05 < abs(v) < 20 for v in vals)
 
-    def test_mean_value_property(self, box_data):
+    def test_mean_value_property(self, box_ctx):
         z0 = complex(XI + 1.0, 1.5)
         ring = np.mean([
-            delta(box_data, XI, z0 + 0.3 * np.exp(2j * np.pi * k / 16))
+            delta(box_ctx, XI, z0 + 0.3 * np.exp(2j * np.pi * k / 16))
             for k in range(16)
         ])
-        assert abs(ring - delta(box_data, XI, z0)) < 1e-6
+        assert abs(ring - delta(box_ctx, XI, z0)) < 1e-6
 
 
 class TestBetaFactorization:
     def test_zero_nu_gives_zero_beta(self, make_synthetic):
         z = np.linspace(-8, 8, 257)
-        data = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
-        assert abs(beta(data, 0.0, 1.0 + 0.5j)) < 1e-12
+        ctx = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
+        assert abs(beta(ctx, 0.0, 1.0 + 0.5j)) < 1e-12
 
-    def test_factorization_identity(self, box_data):
-        nuxi = nu_at(box_data, XI)
+    def test_factorization_identity(self, box_ctx):
+        nuxi = nu_at(box_ctx, XI)
         for z in (XI + 0.3 + 0.4j, XI - 1.2 + 0.8j, XI + 2.0 - 1.5j,
                   XI + 0.05 + 0.02j):
-            lhs = delta(box_data, XI, z)
-            rhs = np.exp(1j * beta(box_data, XI, z)) \
+            lhs = delta(box_ctx, XI, z)
+            rhs = np.exp(1j * beta(box_ctx, XI, z)) \
                 * np.exp(1j * nuxi * np.log(complex(z - XI)))
             assert abs(lhs - rhs) < 1e-6 * abs(lhs)
 
-    def test_hoelder_exponent(self, box_data):
+    def test_hoelder_exponent(self, box_ctx):
         hs = np.geomspace(1e-4, 1e-2, 7)
-        b0 = beta(box_data, XI, complex(XI))
-        vals = [abs(beta(box_data, XI, complex(XI, h)) - b0) for h in hs]
+        b0 = beta(box_ctx, XI, complex(XI))
+        vals = [abs(beta(box_ctx, XI, complex(XI, h)) - b0) for h in hs]
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
         assert slope >= 0.45
 
-    def test_delta0_limit_consistency(self, box_data):
-        d0 = delta0(box_data, XI)
-        nuxi = nu_at(box_data, XI)
+    def test_delta0_limit_consistency(self, box_ctx):
+        d0 = delta0(box_ctx, XI)
+        nuxi = nu_at(box_ctx, XI)
         z = complex(XI, 1e-4)
-        val = delta(box_data, XI, z) * np.exp(-1j * nuxi * np.log(complex(z - XI)))
+        val = delta(box_ctx, XI, z) * np.exp(-1j * nuxi * np.log(complex(z - XI)))
         assert abs(val - d0) < 1e-4 * abs(d0)
 
-    def test_delta0_quadrature_stability(self, box_plus, box_data, zgrid_wide):
+    def test_delta0_quadrature_stability(self, box_plus, box_ctx):
         # doubling the grid sampling changes delta0 below 1e-6
         from nonlocal_nls import compute_scattering
-        dense = compute_scattering(box_plus, np.linspace(-16, 16, 4097))
-        assert abs(delta0(dense, XI) - delta0(box_data, XI)) < 1e-6
+        dense = SpectralContext(compute_scattering(box_plus, np.linspace(-16, 16, 4097)))
+        assert abs(delta0(dense, XI) - delta0(box_ctx, XI)) < 1e-6
 
 
 class TestNuTail:
     def test_zero_reflection(self, make_synthetic):
         z = np.linspace(-8, 8, 257)
-        data = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
-        assert abs(nu_tail_with_bound(data, 0.0)[0]) < 1e-12
+        ctx = make_synthetic(z, lambda s: 0 * s, lambda s: 0 * s)
+        assert abs(nu_tail_with_bound(ctx, 0.0)[0]) < 1e-12
 
-    def test_matches_large_z_slope_of_delta(self, gauss_small):
-        from nonlocal_nls import compute_scattering
-        data = compute_scattering(gauss_small, np.linspace(-16, 16, 2049))
-        tail = nu_tail_with_bound(data, XI)[0]
+    def test_matches_large_z_slope_of_delta(self, gauss_small_ctx):
+        tail = nu_tail_with_bound(gauss_small_ctx, XI)[0]
         zbig = complex(XI, 1e3)
-        lhs = zbig * (delta(data, XI, zbig) - 1.0)
+        lhs = zbig * (delta(gauss_small_ctx, XI, zbig) - 1.0)
         assert abs(lhs - (-1j * tail)) < 1e-4 * abs(tail)
 
     def test_window_doubling_within_bound(self, box_plus):
         from nonlocal_nls import compute_scattering
-        d1 = compute_scattering(box_plus, np.linspace(-16, 16, 2049))
-        d2 = compute_scattering(box_plus, np.linspace(-32, 32, 4097))
+        d1 = SpectralContext(compute_scattering(box_plus, np.linspace(-16, 16, 2049)))
+        d2 = SpectralContext(compute_scattering(box_plus, np.linspace(-32, 32, 4097)))
         v1, b1 = nu_tail_with_bound(d1, XI)
         v2, _ = nu_tail_with_bound(d2, XI)
         assert abs(v1 - v2) < b1
 
 
-def test_phase_data_bundle(box_data):
-    ph = phase_data(box_data, XI)
+def test_phase_data_bundle(box_ctx):
+    ph = phase_data(box_ctx, XI)
     assert ph.xi == XI
     assert np.isfinite(ph.nu_at_xi.real) and np.isfinite(ph.nu_at_xi.imag)
     assert abs(ph.delta0) > 0
@@ -221,19 +217,18 @@ class TestGaussLegendrePath:
             assert abs(nu_tail_with_bound(coarse, xi)[0]
                        - nu_tail_with_bound(fine, xi)[0]) <= 1e-13
 
-    def test_phase_data_makes_no_quad_calls(self, box_data, monkeypatch):
+    def test_phase_data_makes_no_quad_calls(self, box_ctx, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("scipy quad called on the phase_data path")
 
         monkeypatch.setattr(phase, "quad", refuse)
-        ctx = SpectralContext(box_data)
         for xi in XI_FIXED:
-            phase_data(ctx, xi)
+            phase_data(box_ctx, xi)
 
-    def test_error_gate_raises(self, box_data, monkeypatch):
+    def test_error_gate_raises(self, box_ctx, monkeypatch):
         monkeypatch.setattr(phase, "ERR_GATE", 1e-30)
         with pytest.raises(QuadratureFailure):
-            phase_data(SpectralContext(box_data), XI)
+            phase_data(box_ctx, XI)
 
     def test_roundoff_noise_in_r_moves_little(self, box_data, monkeypatch):
         # r, rbreve scaled by 1 + 1e-13 U(-1, 1): the fixed rule must neither
@@ -263,21 +258,28 @@ class TestGaussLegendrePath:
             assert abs(clean.delta0 - moved.delta0) <= 1e-11
             assert abs(clean.nu_tail_integral - moved.nu_tail_integral) <= 1e-11
 
-    def test_window_refuses_nan_and_outside(self, box_data):
-        ctx = SpectralContext(box_data)
-        for xi in (float("nan"), 16.5, -15.5):
-            with pytest.raises(WindowExceeded):
-                delta0(ctx, xi)
-        for xi in (float("nan"), 16.5, -16.5):
-            with pytest.raises(WindowExceeded):
-                nu_tail_with_bound(ctx, xi)
+    def test_window_refuses_nan_and_outside(self, box_ctx):
+        # (entry point, reach): each serves exactly the xi with
+        # [xi - reach, xi] inside the grid [-16, 16]
+        entry_points = [
+            (nu_at, 0.0),
+            (lambda ctx, xi: delta(ctx, xi, 1.0 + 1.0j), 0.0),
+            (lambda ctx, xi: beta(ctx, xi, 1.0 + 1.0j), 1.0),
+            (delta0, 1.0),
+            (nu_tail_with_bound, 0.0),
+        ]
+        for call, reach in entry_points:
+            for xi in (float("nan"), 16.5, -16.5 + reach):
+                with pytest.raises(WindowExceeded):
+                    call(box_ctx, xi)
+            for xi in (-16.0 + reach, 16.0):
+                call(box_ctx, xi)
 
-    def test_quad_oracle_refuses_nan(self, box_data):
-        ctx = SpectralContext(box_data)
+    def test_quad_oracle_refuses_nan(self, box_ctx):
         nan = float("nan")
-        for call in (lambda: delta(ctx, nan, 1 + 1j),
-                     lambda: delta_boundary(ctx, nan, 0.0, "plus"),
-                     lambda: beta(ctx, nan, 1 + 1j)):
+        for call in (lambda: delta(box_ctx, nan, 1 + 1j),
+                     lambda: delta_boundary(box_ctx, nan, 0.0, "plus"),
+                     lambda: beta(box_ctx, nan, 1 + 1j)):
             with pytest.raises(WindowExceeded):
                 call()
 
@@ -287,27 +289,26 @@ class TestGaussLegendrePath:
         lambda ctx: beta(ctx, 0.5, complex(float("nan"), 1.0)),
         lambda ctx: delta_boundary(ctx, 0.5, 0.0, "bogus"),
     ], ids=["delta", "delta_boundary", "beta", "delta_boundary_side"])
-    def test_quad_oracle_refuses_nan_point(self, box_data, monkeypatch, call):
+    def test_quad_oracle_refuses_nan_point(self, box_ctx, monkeypatch, call):
         def no_quad(*args, **kwargs):
             raise AssertionError("quad ran on an input it must refuse")
 
         monkeypatch.setattr(phase, "quad", no_quad)
         with pytest.raises(BadInput):
-            call(SpectralContext(box_data))
+            call(box_ctx)
 
-    def test_phase_data_spline_calls(self, box_data, monkeypatch):
+    def test_phase_data_spline_calls(self, box_ctx, monkeypatch):
         # nu(xi) twice, nu(xi - 1), the two partial intervals, the mapped
-        # chunk of delta0, r and rbreve: one spline call each
-        ctx = SpectralContext(box_data)
-        ctx._nodes  # the node table is built once per context, outside the count
+        # chunk of delta0, r and rbreve together: one spline call each
+        box_ctx._nodes  # the node table is built once per context, outside the count
         calls = []
         call = PPoly.__call__
         monkeypatch.setattr(PPoly, "__call__",
                             lambda self, *a, **kw: calls.append(1) or call(self, *a, **kw))
         for xi in (-5.1, 0.5, 7.3):
             calls.clear()
-            phase_data(ctx, xi)
-            assert len(calls) <= 8
+            phase_data(box_ctx, xi)
+            assert len(calls) <= 7
 
     def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
         calls = []
