@@ -30,10 +30,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import rgamma
-
-from .errors import ValidityViolation, WindowExceeded
-from .model import connection_coefficients, nu_over_w
+from .errors import RouteDisagreement, ValidityViolation, WindowExceeded
+from .model import connection_coefficients, nu_over_w, rgamma
 from .phase import PhaseData, SpectralContext, phase_data, stationary_point
 
 IM_NU_LIMIT = 0.25
@@ -80,7 +78,7 @@ def alpha(phase: PhaseData, t: float) -> complex:
         * (-1j)
         * phase.r_breve_xi
         * nu_over_w(nu, w)
-        * complex(rgamma(1.0 - 1j * nu))
+        * rgamma(1.0 - 1j * nu)
     )
 
 
@@ -121,7 +119,7 @@ def q_asymptotic(x: float, t: float, ctx: SpectralContext,
 
     scale = max(abs(q_model), abs(q_closed), 1e-300)
     if abs(q_model - q_closed) > 1e-10 * scale:
-        raise ArithmeticError(
+        raise RouteDisagreement(
             "alpha-route and beta1-route disagree: "
             f"{q_model} vs {q_closed}"
         )

@@ -356,7 +356,9 @@ def verify(ctx):
         spectral = SpectralContext(data)
         ph = phase_data(spectral, xi)
         worst = 0.0
-        itp_pts = np.linspace(data.z_grid[0] * 0.6, xi - 0.2, 5)
+        # from 0.6 z_lo, or from halfway to z_lo where 0.6 z_lo is right of the ray
+        z_lo, end = float(data.z_grid[0]), xi - 0.2
+        itp_pts = np.linspace(0.6 * z_lo if 0.6 * z_lo < end else 0.5 * (z_lo + end), end, 5)
         for z0 in itp_pts:
             dp = delta_boundary(spectral, xi, float(z0), "plus")
             dm = delta_boundary(spectral, xi, float(z0), "minus")

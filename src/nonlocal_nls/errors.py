@@ -49,6 +49,10 @@ class SeriesNonConvergence(NonlocalNLSError):
     """Parabolic-cylinder evaluation (mpmath) did not converge."""
 
 
+class RouteDisagreement(NonlocalNLSError, ArithmeticError):
+    """The alpha and beta1 routes of the leading term disagree."""
+
+
 class ValidityViolation(NonlocalNLSError):
     """Asymptotic formula requested where |Im nu(xi)| >= 1/4."""
 

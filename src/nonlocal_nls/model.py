@@ -20,10 +20,10 @@ sectors around the imaginary axis.  Its large-zeta (1,2) coefficient gives
 the quantity the leading long-time term is made of, and beta2 = nu/beta1.
 Both betas are evaluated through pole-free rearrangements, so the
 reflectionless limit r -> 0 or rbreve -> 0 is exact rather than a 0/0:
-beta1 carries the entire 1/Gamma(1 - i nu) (`scipy.special.rgamma`) and
-beta2 Gamma(1 - i nu) (`scipy.special.gamma`, whose poles lie at
-Im nu <= -1, far outside the validity band |Im nu| < 1/4).  The entries
-of Psi are the D_a of `weber.weber_D`.
+beta1 carries the entire 1/Gamma(1 - i nu) (`rgamma`, a Lanczos series) and
+beta2 Gamma(1 - i nu), its reciprocal, whose poles lie at Im nu <= -1, far
+outside the validity band |Im nu| < 1/4.  The entries of Psi are the D_a of
+`weber.weber_D`.
 """
 
 from __future__ import annotations
@@ -33,12 +33,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, rgamma
 
 from .weber import weber_D
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _PIQ = 0.25j * math.pi          # i pi/4
+# Lanczos series with g = 7 and 9 terms (Lanczos, SIAM J. Numer. Anal. B 1 (1964) 86)
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+            771.32342877765313, -176.61502916214059, 12.507343278686905,
+            -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
+def rgamma(z: complex) -> complex:
+    """1/Gamma(z), entire: the Lanczos series for Re z >= 1/2, reflection below."""
+    z = complex(z)
+    if z.real < 0.5:
+        return cmath.sin(math.pi * z) / (math.pi * rgamma(1.0 - z))
+    s = _LANCZOS[0] + sum(c / (z + (k - 1)) for k, c in enumerate(_LANCZOS[1:], 1))
+    t = z + 6.5    # (z - 1) + g + 1/2
+    return cmath.exp(t - (z - 0.5) * cmath.log(t)) / (_SQRT2PI * s)
 
 
 def nu_over_w(nu: complex, w: complex) -> complex:
@@ -88,10 +101,12 @@ def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t) -> ModelCoeffic
     # beta1 = sqrt(2pi) e^{i pi/4 - pi nu/2} / (rho Gamma(-i nu)), stabilized
     # through 1/Gamma(-i nu) = -i nu / Gamma(1 - i nu) and nu/r = rbreve*(nu/w),
     # with the entire 1/Gamma(1 - i nu):
-    core = _SQRT2PI * cmath.exp(_PIQ - math.pi * nu / 2.0) * complex(rgamma(1.0 - 1j * nu))
+    rg = rgamma(1.0 - 1j * nu)
+    core = _SQRT2PI * cmath.exp(_PIQ - math.pi * nu / 2.0) * rg
     beta1 = core * (-1j) * r_breve_xi * nu_over_w(nu, w) * delta0 ** 2 / phase_t / osc
-    # beta2 = nu/beta1 in the same pole-free style:
-    beta2 = (1j * rho * complex(gamma(1.0 - 1j * nu))
+    # beta2 = nu/beta1 in the same pole-free style; Gamma(1 - i nu) = 1/rg
+    # exactly, its poles lying at Im nu <= -1
+    beta2 = (1j * rho / rg
              * cmath.exp(math.pi * nu / 2.0 - _PIQ) / _SQRT2PI)
     return ModelCoefficients(
         nu=nu, r_xi=r_xi, r_breve_xi=r_breve_xi, delta0=delta0, xi=float(xi),

@@ -21,7 +21,8 @@ function here; it refuses any xi whose integration range leaves its grid
 (including NaN).  `delta0` and the nu tail
 integral use composite Gauss-Legendre on the spline knots (nu is analytic
 between them), with the embedded half rule as error estimate; `delta`,
-`delta_boundary` and `beta` at general z keep `scipy.quad` as the oracle.
+`delta_boundary` and `beta` at general z keep scipy's adaptive `quad` as the
+oracle, imported on its first call.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre as leg
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BadInput,
@@ -46,6 +45,7 @@ from .errors import (
     QuadratureFailure,
     WindowExceeded,
 )
+from .potentials import UniformSpline
 from .scattering import EPS_GENERIC, ScatteringData
 
 _QUAD_LIMIT = 400
@@ -86,8 +86,8 @@ class SpectralContext:
                 f"|arg(1 - r rbreve)| reaches {self.branch_max_arg:.3f}"
             )
         # real columns: a complex stack would round nu differently
-        self._spline = CubicSpline(z, np.stack(
-            [data.r.real, data.r.imag, data.r_breve.real, data.r_breve.imag, arg], axis=-1))
+        self._spline = UniformSpline(z, np.stack(
+            [data.r.real, data.r.imag, data.r_breve.real, data.r_breve.imag, arg]))
         nu_grid = -(np.log(np.abs(w)) + 1j * arg) / (2.0 * math.pi)
         # left-edge magnitude for tail estimates; a window maximum is used so
         # an oscillation node at the very end cannot fake a small tail
@@ -113,7 +113,7 @@ class SpectralContext:
     def _columns(self, s):
         """r, rbreve and the unwrapped arg of 1 - r rbreve at s, from one spline call."""
         v = self._spline(s)
-        return v[..., 0] + 1j * v[..., 1], v[..., 2] + 1j * v[..., 3], v[..., 4]
+        return v[0] + 1j * v[1], v[2] + 1j * v[3], v[4]
 
     def w(self, s):
         """1 - r(s) rbreve(s) from the spline."""
@@ -163,7 +163,14 @@ def nu_at(ctx: SpectralContext, s: float) -> complex:
     return complex(ctx.nu(np.asarray(s)))
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: only the oracle paths call it."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
 def _quad_complex(f, a, b, point=None, epsabs=1e-12, epsrel=1e-11):
+    from scipy.integrate import IntegrationWarning
     kw = dict(limit=_QUAD_LIMIT, epsabs=epsabs, epsrel=epsrel)
     if point is not None and a < point < b:
         kw["points"] = [point]
@@ -269,20 +276,21 @@ def delta0(ctx: SpectralContext, xi: float) -> complex:
     Gauss-Legendre, the second in u split at the mapped knots sqrt(xi - z_k)."""
     a = xi - 1.0
     ctx._window(a, xi)
-    nu_xi = complex(ctx.nu(np.asarray(xi)))
-    nu_a = complex(ctx.nu(np.asarray(a)))
     s, half, nu, _, _ = ctx._nodes
     k, sp, hp = ctx._partial(a)
+    z = ctx.z_grid
+    u, hu = ctx._gl_nodes(np.r_[0.0, np.sqrt(xi - z[(z > a) & (z < xi)][::-1]), 1.0])
+    # nu at xi, at a, on the partial interval and on the mapped chunk: one spline call
+    v = ctx.nu(np.r_[xi, a, sp.ravel(), (xi - u * u).ravel()])
+    nu_xi, nu_a = v[0], v[1]
+    nu_p, nu_u = v[2:2 + sp.size].reshape(sp.shape), v[2 + sp.size:].reshape(u.shape)
     vals = nu[:k] - nu_a
     vals /= s[:k] - xi
     q1, e1 = ctx._rule(vals, half[:k])
-    qp, ep = ctx._rule((ctx.nu(sp) - nu_a) / (sp - xi), hp)
+    qp, ep = ctx._rule((nu_p - nu_a) / (sp - xi), hp)
     _gate(e1.sum() + ep.sum())
     v1 = q1.sum() + qp.sum() + nu_a * _log_ratio(complex(xi), a, ctx.z_lo)
-
-    z = ctx.z_grid
-    u, hu = ctx._gl_nodes(np.r_[0.0, np.sqrt(xi - z[(z > a) & (z < xi)][::-1]), 1.0])
-    q2, e2 = ctx._rule(-2.0 * (ctx.nu(xi - u * u) - nu_xi) / u, hu)
+    q2, e2 = ctx._rule(-2.0 * (nu_u - nu_xi) / u, hu)
     _gate(e2.sum())
     return cmath.exp(1j * (v1 + q2.sum()))
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BadInput
 
@@ -25,6 +24,63 @@ TAIL_LEVEL = 1e-12
 
 _KINDS = ("zero", "box", "gaussian", "samples")
 _NUMERIC_PARAMS = ("width", "center", "chirp", "left", "right")
+
+
+def _solve_141(d):
+    """Solve m_{i-1} + 4 m_i + m_{i+1} = d_i along the last axis, m = 0 past both ends.
+
+    The matrix is diagonal in the sine basis (eigenvalues 4 + 2 cos(k pi/(n+1))),
+    so two DST-I, each the real FFT of an odd extension, solve every row at once.
+    """
+    if np.iscomplexobj(d):
+        return _solve_141(d.real) + 1j * _solve_141(d.imag)
+    n = d.shape[-1]
+    pad = np.zeros(d.shape[:-1] + (1,))
+
+    def dst(v):
+        odd = np.concatenate([pad, v, pad, -v[..., ::-1]], axis=-1)
+        return -0.5 * np.fft.rfft(odd).imag[..., 1:-1]
+
+    lam = 4.0 + 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+    return dst(dst(d) / lam) * (2.0 / (n + 1))
+
+
+class UniformSpline:
+    """Cubic spline through y on a uniform grid x (de Boor, ch. IV), natural or not-a-knot.
+
+    x runs along the last axis of y, which may be complex; values come back
+    with the leading axes of y first.  The end pieces extrapolate.
+    """
+
+    def __init__(self, x, y, natural=False):
+        self._x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        self._h = (x[-1] - x[0]) / (x.size - 1)
+        if x.size < 4 or not np.allclose(np.diff(x), self._h, rtol=1e-9, atol=0.0):
+            raise BadInput("a spline needs at least 4 uniformly spaced points")
+        # m = h^2 y'' at the knots: m_{i-1} + 4 m_i + m_{i+1} = d_i at inner knots
+        d = 6.0 * (y[..., :-2] - 2.0 * y[..., 1:-1] + y[..., 2:])
+        m = np.zeros_like(d, shape=y.shape)
+        if natural:
+            m[..., 1:-1] = _solve_141(d)
+        else:
+            # m_0 = 2 m_1 - m_2 turns row 1 into 6 m_1 = d_1; the same at the right end
+            m[..., 1], m[..., -2] = d[..., 0] / 6.0, d[..., -1] / 6.0
+            d[..., 1] -= m[..., 1]
+            d[..., -2] -= m[..., -2]
+            m[..., 2:-2] = _solve_141(d[..., 1:-1])
+            m[..., 0], m[..., -1] = 2.0 * m[..., 1] - m[..., 2], 2.0 * m[..., -2] - m[..., -3]
+        y0, y1, m0, m1 = y[..., :-1], y[..., 1:], m[..., :-1], m[..., 1:]
+        # Horner coefficients in u = (x - x_i)/h, constant term first
+        self._c = np.stack([y0, y1 - y0 - (2.0 * m0 + m1) / 6.0, 0.5 * m0, (m1 - m0) / 6.0])
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        # bin i holds [x_i, x_{i+1}); the end bins reach to -inf and +inf
+        i = self._x[1:-1].searchsorted(x, "right")
+        u = (x - self._x[i]) / self._h
+        c = self._c[..., i]
+        return ((c[3] * u + c[2]) * u + c[1]) * u + c[0]
 
 
 @dataclass
@@ -69,7 +125,7 @@ class Potential:
                 raise BadInput("samples array must have length N")
             if not np.all(np.isfinite(vals.view(float))):
                 raise BadInput("samples must be finite")
-            self._spline = CubicSpline(self.grid(), vals, bc_type="natural")
+            self._spline = UniformSpline(self.grid(), vals, natural=True)
 
     # -- evaluation ---------------------------------------------------------
 

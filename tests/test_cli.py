@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nonlocal_nls import Potential, compute_scattering, scattering
+import nonlocal_nls
+from nonlocal_nls import Potential, asymptotics, compute_scattering, scattering
 from nonlocal_nls.cli import main
 from nonlocal_nls.errors import IntegratorDivergence
 
@@ -312,3 +317,60 @@ def test_compare_and_report_small(tmp_path, runner):
     assert res.exit_code in (0, 3)   # small-t fit may legitimately miss -0.65
     assert (out / "summary.json").exists()
     assert (out / "plot_long.csv").exists()
+
+
+def test_verify_ray_far_left_exits_0(tmp_path, runner):
+    # the delta-jump points must lie left of the ray, not from 0.6 z_lo = -9.6 on
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, rays=[-14.0],
+                        window={"z_max": 16.0, "n": 257})
+    res = runner.invoke(main, ["--config", str(cfg), "--out",
+                               str(tmp_path / "o"), "verify"])
+    assert res.exit_code == 0, res.output
+    assert "FAIL" not in res.output
+
+
+def test_route_disagreement_fails_rows_exits_3(tmp_path, runner, monkeypatch):
+    alpha = asymptotics.alpha
+    monkeypatch.setattr(asymptotics, "alpha", lambda ph, t: alpha(ph, t) * (1.0 + 1e-6))
+    pot = {"kind": "gaussian", "amplitude": [0.08, 0.0], "sigma": 1,
+           "L": 128.0, "N": 4096, "params": {"width": 2.0}}
+    cfg = _write_config(tmp_path / "cfg.json", pot,
+                        rays=[0.25], times=[12.0, 18.0, 27.0],
+                        window={"z_max": 8.0, "n": 513},
+                        pde={"dt": 0.004}, t_min=10.0)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "compare"])
+    assert res.exit_code == 3
+    assert "disagree" in res.output
+    rows = (out / "compare.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",failed") for row in rows)
+
+
+def test_workload_commands_import_no_scipy(tmp_path):
+    # scatter and asym in a fresh interpreter load no scipy module; verify
+    # still runs, importing the quad oracle on first use
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    script = f"""
+import sys
+from nonlocal_nls.cli import main
+
+def run(command):
+    try:
+        main(["--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}, command])
+    except SystemExit as exc:
+        assert not exc.code, (command, exc.code)
+
+run("scatter")
+run("asym")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+run("verify")
+assert "scipy.integrate" in sys.modules
+"""
+    src = str(Path(nonlocal_nls.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert "[FAIL]" not in res.stdout

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
+from scipy.special import rgamma as scipy_rgamma
 
 from nonlocal_nls import (
     connection_coefficients,
@@ -11,7 +12,7 @@ from nonlocal_nls import (
     phase_data,
     psi,
 )
-from nonlocal_nls.model import psi_normalizer, row_ode_residual
+from nonlocal_nls.model import psi_normalizer, rgamma, row_ode_residual
 from nonlocal_nls.phase import SpectralContext
 
 
@@ -153,3 +154,18 @@ class TestPsi:
         assert psi(1j, co).shape == psi(-1j, co).shape == (2, 2)
         with pytest.raises(ValueError):
             psi(0.5, co)
+
+
+def test_lanczos_rgamma_matches_scipy():
+    tol = 64 * np.finfo(float).eps
+    # the validity band: z = 1 - i nu, Re nu in [-2.5, 2.5], |Im nu| <= 0.3
+    band = [1.0 - 1j * complex(a, b) for a in np.linspace(-2.5, 2.5, 41)
+            for b in np.linspace(-0.3, 0.3, 7)]
+    # the reflection branch, Re z < 1/2
+    left = [0.3 + 0.2j, 0.49, -0.7 + 1.1j, -2.5 - 0.4j, -3.2 + 2.0j, -5.5]
+    for z in band + left:
+        want = complex(scipy_rgamma(z))
+        assert abs(rgamma(z) - want) <= tol * abs(want)
+        assert abs(1.0 / rgamma(z) - complex(scipy_gamma(z))) <= tol / abs(want)
+    # 1/Gamma vanishes at the poles of Gamma
+    assert all(abs(rgamma(-k)) <= tol for k in range(4))

@@ -4,7 +4,6 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import PPoly
 
 from nonlocal_nls import (
     asymptotics,
@@ -28,6 +27,7 @@ from nonlocal_nls.errors import (
     WindowExceeded,
 )
 from nonlocal_nls.phase import SpectralContext, nu_tail_with_bound
+from nonlocal_nls.potentials import UniformSpline
 
 XI = 0.5
 
@@ -298,17 +298,17 @@ class TestGaussLegendrePath:
             call(box_ctx)
 
     def test_phase_data_spline_calls(self, box_ctx, monkeypatch):
-        # nu(xi) twice, nu(xi - 1), the two partial intervals, the mapped
-        # chunk of delta0, r and rbreve together: one spline call each
+        # every point of delta0, the partial interval of the tail, nu(xi),
+        # r and rbreve together: one spline call each
         box_ctx._nodes  # the node table is built once per context, outside the count
         calls = []
-        call = PPoly.__call__
-        monkeypatch.setattr(PPoly, "__call__",
+        call = UniformSpline.__call__
+        monkeypatch.setattr(UniformSpline, "__call__",
                             lambda self, *a, **kw: calls.append(1) or call(self, *a, **kw))
         for xi in (-5.1, 0.5, 7.3):
             calls.clear()
             phase_data(box_ctx, xi)
-            assert len(calls) <= 7
+            assert len(calls) <= 4
 
     def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
         calls = []

@@ -11,6 +11,7 @@ from nonlocal_nls._cf4 import (
 )
 from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import BadInput
+from nonlocal_nls.potentials import UniformSpline
 
 
 def _lax_entries(pot, x, h=1e-6):
@@ -178,3 +179,35 @@ def test_non_finite_config_is_bad_input(kind, data, value):
     target[last] = value
     with pytest.raises(BadInput):
         ExperimentConfig.from_json_dict(doc)
+
+
+# the uniform-grid spline against scipy's CubicSpline, in range, at both
+# grid ends and just outside them (the end pieces extrapolate)
+@pytest.mark.parametrize("natural", [True, False], ids=["natural", "not_a_knot"])
+def test_uniform_spline_matches_cubic_spline(natural):
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(7)
+    x = np.linspace(-16.0, 16.0, 257)
+    h = x[1] - x[0]
+    if natural:   # complex samples, as the `samples` potential holds them
+        y = 0.1 * np.exp(-(1.0 + 0.3j) * x ** 2 / 8.0) * (1.0 + 0.01 * rng.normal(size=x.size))
+        ref = CubicSpline(x, y, bc_type="natural")
+    else:         # five real columns, as the spectral context holds them
+        y = np.stack([np.sin(x), np.cos(0.3 * x), np.exp(-x ** 2 / 10.0),
+                      np.tanh(x), np.arctan(x)]) + 0.01 * rng.normal(size=(5, x.size))
+        ref = CubicSpline(x, y.T)
+    spline = UniformSpline(x, y, natural=natural)
+    pts = np.r_[x[0], x[-1], x[0] - 0.25 * h, x[-1] + 0.25 * h, x[100],
+                rng.uniform(x[0], x[-1], 500)]
+    tol = 16 * np.finfo(float).eps * np.abs(y).max()
+    assert np.abs(spline(pts) - ref(pts).T).max() <= tol
+    point = spline(np.float64(0.3))
+    assert point.shape == y.shape[:-1]
+    assert np.abs(point - ref(0.3)).max() <= tol
+
+
+def test_uniform_spline_refuses_uneven_grid():
+    x = np.linspace(-1.0, 1.0, 9)
+    x[4] += 1e-3
+    with pytest.raises(BadInput):
+        UniformSpline(x, np.ones(9))
