@@ -49,9 +49,12 @@ def rgamma(z: complex) -> complex:
     z = complex(z)
     if z.real < 0.5:
         return cmath.sin(math.pi * z) / (math.pi * rgamma(1.0 - z))
-    s = _LANCZOS[0] + sum(c / (z + (k - 1)) for k, c in enumerate(_LANCZOS[1:], 1))
-    t = z + 6.5    # (z - 1) + g + 1/2
-    return cmath.exp(t - (z - 0.5) * cmath.log(t)) / (_SQRT2PI * s)
+    z -= 1.0
+    s = _LANCZOS[0]
+    for k in range(1, 9):
+        s += _LANCZOS[k] / (z + k)
+    t = z + 7.5    # z + g + 1/2
+    return cmath.exp(t - (z + 0.5) * cmath.log(t)) / (_SQRT2PI * s)
 
 
 def nu_over_w(nu: complex, w: complex) -> complex:
