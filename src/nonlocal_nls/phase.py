@@ -279,9 +279,10 @@ def delta0(ctx: SpectralContext, xi: float) -> complex:
     s, half, nu, _, _ = ctx._nodes
     k, sp, hp = ctx._partial(a)
     z = ctx.z_grid
-    u, hu = ctx._gl_nodes(np.r_[0.0, np.sqrt(xi - z[(z > a) & (z < xi)][::-1]), 1.0])
+    knots = np.sqrt(xi - z[(z > a) & (z < xi)][::-1])
+    u, hu = ctx._gl_nodes(np.concatenate(([0.0], knots, [1.0])))
     # nu at xi, at a, on the partial interval and on the mapped chunk: one spline call
-    v = ctx.nu(np.r_[xi, a, sp.ravel(), (xi - u * u).ravel()])
+    v = ctx.nu(np.concatenate(([xi, a], sp.ravel(), (xi - u * u).ravel())))
     nu_xi, nu_a = v[0], v[1]
     nu_p, nu_u = v[2:2 + sp.size].reshape(sp.shape), v[2 + sp.size:].reshape(u.shape)
     vals = nu[:k] - nu_a
