@@ -30,7 +30,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import RouteDisagreement, ValidityViolation, WindowExceeded
+from .errors import (
+    BadInput,
+    NonpositiveTime,
+    RouteDisagreement,
+    ValidityViolation,
+    WindowExceeded,
+)
 from .model import connection_coefficients, nu_over_w, rgamma
 from .phase import PhaseData, SpectralContext, phase_data, stationary_point
 
@@ -60,7 +66,7 @@ def _phase_at(ctx: SpectralContext, xi: float) -> PhaseData:
 def alpha(phase: PhaseData, t: float) -> complex:
     """Ray amplitude alpha(xi); pure phase in t, refused outside validity."""
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise NonpositiveTime(f"t must be positive, got {t}")
     nu = phase.nu_at_xi
     _gate(nu)
     w = phase.r_xi * phase.r_breve_xi
@@ -101,7 +107,7 @@ def q_asymptotic(x: float, t: float, ctx: SpectralContext,
     assembly, not the mathematics.
     """
     if t < t_min:
-        raise ValueError(f"t = {t} below configured t_min = {t_min}")
+        raise BadInput(f"t = {t} below configured t_min = {t_min}")
     xi = stationary_point(x, t)
     pad = 0.01 * (ctx.z_hi - ctx.z_lo)
     if not (ctx.z_lo + pad <= xi <= ctx.z_hi - pad):

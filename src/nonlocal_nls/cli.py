@@ -28,7 +28,7 @@ from .errors import (
 )
 from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, snapshot_from_potential, spectral_interpolate
-from .phase import SpectralContext, delta_boundary, phase_data
+from .phase import SpectralContext, delta_boundary, nu_tail_with_bound, phase_data
 from .scattering import check_genericity, compute_scattering, exact_box_scattering
 
 
@@ -56,7 +56,7 @@ def _guarded(fn):
 @click.group()
 @click.option("--config", "config_path", default=None, help="JSON experiment config")
 @click.option("--out", "out_dir", default="out", help="output directory")
-@click.option("--tol-scale", default=1.0, type=float, help="scale all tolerances")
+@click.option("--tol-scale", default=1.0, type=float, help="scale the tolerances of verify")
 @click.pass_context
 def main(ctx, config_path, out_dir, tol_scale):
     ctx.ensure_object(dict)
@@ -112,8 +112,9 @@ def phase(ctx):
     if not cfg.rays:
         raise BadInput("config has no rays")
     spectral = SpectralContext(_scatter_data(cfg))
-    docs = [phase_data(spectral, xi).to_json_dict() for xi in cfg.rays]
-    nio.write_phase_json(docs, out / "phase.json")
+    rays = [(phase_data(spectral, xi), nu_tail_with_bound(spectral, xi)[0],
+             spectral.branch_max_arg) for xi in cfg.rays]
+    nio.write_phase_json(rays, out / "phase.json")
     click.echo(f"wrote {out / 'phase.json'}")
 
 

@@ -6,6 +6,7 @@ produce byte-identical files (the pipeline is seed-free and deterministic).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from operator import itemgetter
 from pathlib import Path
@@ -40,21 +41,20 @@ def write_scattering_csv(data: ScatteringData, path):
 
 
 def write_genericity_json(report: GenericityReport, path):
-    doc = {
-        "min_abs_a": report.min_abs_a,
-        "min_abs_one_minus_rr": report.min_abs_one_minus_rr,
-        "winding": report.winding,
-        "contour_radius": report.contour_radius,
-        "a_pass": report.a_pass,
-        "rr_pass": report.rr_pass,
-        "winding_pass": report.winding_pass,
-        "passed": report.passed,
-    }
+    doc = {**dataclasses.asdict(report), "passed": report.passed}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_phase_json(phase_dicts: list, path):
-    Path(path).write_text(json.dumps({"rays": phase_dicts}, indent=2) + "\n")
+def write_phase_json(rays: list, path):
+    """One row per ray from (PhaseData, nu tail integral, branch_max_arg)."""
+    rows = [{
+        "xi": ph.xi,
+        "nu": [ph.nu_at_xi.real, ph.nu_at_xi.imag],
+        "delta0": [ph.delta0.real, ph.delta0.imag],
+        "nu_tail": [tail.real, tail.imag],
+        "branch_max_arg": branch_max_arg,
+    } for ph, tail, branch_max_arg in rays]
+    Path(path).write_text(json.dumps({"rays": rows}, indent=2) + "\n")
 
 
 def write_snapshot_csv(snap: FieldSnapshot, path):

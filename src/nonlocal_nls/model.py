@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadInput, NonpositiveTime
 from .weber import weber_D
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -90,7 +91,7 @@ def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t) -> ModelCoeffic
     stabilized products (see module docstring), never by dividing by r(xi).
     """
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise NonpositiveTime(f"t must be positive, got {t}")
     r_xi = complex(r_xi)
     r_breve_xi = complex(r_breve_xi)
     nu = complex(nu)
@@ -135,7 +136,7 @@ def psi(zeta, coeffs: ModelCoefficients) -> np.ndarray:
     """
     zeta = complex(zeta)
     if zeta.imag == 0.0:
-        raise ValueError("psi is defined off the real axis; pass Im zeta != 0")
+        raise BadInput("psi is defined off the real axis; pass Im zeta != 0")
     nu = coeffs.nu
     if zeta.imag > 0:
         c1, p1 = cmath.exp(-0.75j * math.pi), cmath.exp(-0.75 * math.pi * nu)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryContamination, StepTooLarge
+from .errors import BadInput, BoundaryContamination, NonpositiveTime, StepTooLarge
 from .potentials import Potential
 
 OUTER_BAND = 0.1              # fraction of the domain counted as boundary
@@ -209,14 +209,14 @@ def evolve(potential: Potential, t_final: float, dt: float,
     BoundaryContamination when the dispersive front reaches the outer band.
     """
     if not t_final > 0:
-        raise ValueError("t_final must be positive")
+        raise NonpositiveTime(f"t_final must be positive, got {t_final}")
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise BadInput(f"dt must be positive, got {dt}")
     times = [float(t_final)]
     if snapshot_times is not None:
         times = sorted(float(t) for t in snapshot_times)
         if not all(-1e-12 <= t <= t_final + 1e-12 for t in times):
-            raise ValueError("snapshot times must lie in [0, t_final]")
+            raise BadInput("snapshot times must lie in [0, t_final]")
         if not times or abs(times[-1] - t_final) > 1e-12:
             times.append(float(t_final))
 

@@ -67,6 +67,17 @@ def _gate(err: float) -> float:
     return err
 
 
+def _branch_nu(r, rb, arg_ref):
+    """-log(1 - r rbreve)/(2 pi) on the 2 pi branch nearest the reference arg."""
+    w = 1.0 - r * rb
+    aw = np.abs(w)
+    if np.any(aw < EPS_GENERIC):
+        raise GenericityViolation("1 - r rbreve nearly vanishes off-grid")
+    arg = np.angle(w)
+    k = np.round((arg_ref - arg) / (2.0 * math.pi))
+    return -(np.log(aw) + 1j * (arg + 2.0 * math.pi * k)) / (2.0 * math.pi)
+
+
 class SpectralContext:
     """Spline, quadrature node table and per-xi phase memo of one ScatteringData."""
 
@@ -122,14 +133,7 @@ class SpectralContext:
 
     def nu(self, s):
         """Interpolate r, rbreve first, then take the branch-corrected log."""
-        r, rb, arg_ref = self._columns(s)
-        w = 1.0 - r * rb
-        aw = np.abs(w)
-        if np.any(aw < EPS_GENERIC):
-            raise GenericityViolation("1 - r rbreve nearly vanishes off-grid")
-        arg = np.angle(w)
-        k = np.round((arg_ref - arg) / (2.0 * math.pi))
-        return -(np.log(aw) + 1j * (arg + 2.0 * math.pi * k)) / (2.0 * math.pi)
+        return _branch_nu(*self._columns(s))
 
     def _rule(self, vals, half):
         """Rule values and error estimates per interval (nodes on the last axis)."""
@@ -312,36 +316,17 @@ def nu_tail_with_bound(ctx: SpectralContext, xi: float):
 
 @dataclass
 class PhaseData:
+    """The inputs of the leading ray term at the stationary point xi."""
     xi: float
     nu_at_xi: complex
     delta0: complex
-    nu_tail_integral: complex
-    nu_tail_bound: float
-    branch_max_arg: float
     r_xi: complex
     r_breve_xi: complex
 
-    def to_json_dict(self):
-        return {
-            "xi": self.xi,
-            "nu": [self.nu_at_xi.real, self.nu_at_xi.imag],
-            "delta0": [self.delta0.real, self.delta0.imag],
-            "nu_tail": [self.nu_tail_integral.real, self.nu_tail_integral.imag],
-            "branch_max_arg": self.branch_max_arg,
-        }
-
 
 def phase_data(ctx: SpectralContext, xi: float) -> PhaseData:
-    """All phase quantities the asymptotic formula consumes, at one xi."""
-    tail, bound = nu_tail_with_bound(ctx, xi)
-    r, rb, _ = ctx._columns(np.asarray(xi))
-    return PhaseData(
-        xi=float(xi),
-        nu_at_xi=nu_at(ctx, xi),
-        delta0=delta0(ctx, xi),
-        nu_tail_integral=tail,
-        nu_tail_bound=bound,
-        branch_max_arg=ctx.branch_max_arg,
-        r_xi=complex(r),
-        r_breve_xi=complex(rb),
-    )
+    """The leading term's inputs at xi; r, rbreve and nu come from one spline call."""
+    d0 = delta0(ctx, xi)
+    r, rb, arg_ref = ctx._columns(np.asarray(xi))
+    return PhaseData(xi=float(xi), nu_at_xi=complex(_branch_nu(r, rb, arg_ref)),
+                     delta0=d0, r_xi=complex(r), r_breve_xi=complex(rb))

@@ -24,6 +24,8 @@ TAIL_LEVEL = 1e-12
 
 _KINDS = ("zero", "box", "gaussian", "samples")
 _NUMERIC_PARAMS = ("width", "center", "chirp", "left", "right")
+_DEFAULTS = {"box": {"left": -1.0, "right": 1.0},
+             "gaussian": {"width": 1.0, "center": 0.0, "chirp": 0.0}}
 
 
 def _solve_141(d):
@@ -106,16 +108,18 @@ class Potential:
         numbers += [float(self.params[k]) for k in _NUMERIC_PARAMS if k in self.params]
         if not all(np.isfinite(numbers)):
             raise BadInput("amplitude, L and numeric params must be finite")
+        defaults = _DEFAULTS.get(self.kind, {})
+        self.params = {**self.params,
+                       **{k: float(self.params.get(k, v)) for k, v in defaults.items()}}
         self._spline = None
         if self.kind == "box":
-            left = float(self.params.get("left", -1.0))
-            right = float(self.params.get("right", 1.0))
+            left, right = self.params["left"], self.params["right"]
             if not right > left:
                 raise BadInput("box needs right > left")
             if max(abs(left), abs(right)) > self.L:
                 raise BadInput("box support must lie inside [-L, L]")
         elif self.kind == "gaussian":
-            if float(self.params.get("width", 1.0)) <= 0:
+            if self.params["width"] <= 0:
                 raise BadInput("gaussian width must be positive")
             if self.tail_bound() > TAIL_LEVEL:
                 raise BadInput("gaussian tail exceeds 1e-12 at the edge of [-L, L]")
@@ -138,13 +142,10 @@ class Potential:
         if self.kind == "zero":
             return np.zeros(x.shape, dtype=complex)
         if self.kind == "box":
-            left = float(self.params.get("left", -1.0))
-            right = float(self.params.get("right", 1.0))
-            return np.where((x >= left) & (x <= right), self.amplitude, 0.0 + 0.0j)
+            inside = (x >= self.params["left"]) & (x <= self.params["right"])
+            return np.where(inside, self.amplitude, 0.0 + 0.0j)
         if self.kind == "gaussian":
-            w = float(self.params.get("width", 1.0))
-            x0 = float(self.params.get("center", 0.0))
-            c = float(self.params.get("chirp", 0.0))
+            w, x0, c = self.params["width"], self.params["center"], self.params["chirp"]
             return self.amplitude * np.exp(-(1.0 + 1j * c) * (x - x0) ** 2 / (2.0 * w * w))
         inside = (x >= -self.L) & (x <= self.L)
         out = np.zeros(x.shape, dtype=complex)
@@ -162,12 +163,9 @@ class Potential:
         if self.kind == "zero":
             return 1.0
         if self.kind == "box":
-            left = float(self.params.get("left", -1.0))
-            right = float(self.params.get("right", 1.0))
-            return max(abs(left), abs(right)) + 0.125
+            return self.breakpoints()[-1] + 0.125
         if self.kind == "gaussian":
-            w = float(self.params.get("width", 1.0))
-            x0 = float(self.params.get("center", 0.0))
+            w, x0 = self.params["width"], self.params["center"]
             amp = max(abs(self.amplitude), TAIL_LEVEL)
             reach = w * np.sqrt(2.0 * np.log(amp / (TAIL_LEVEL * 0.1)))
             return min(abs(x0) + reach, self.L)
@@ -183,8 +181,7 @@ class Potential:
         """Discontinuity locations of x -> (q(x), conj(q(-x))); None if smooth."""
         if self.kind != "box":
             return None
-        left = float(self.params.get("left", -1.0))
-        right = float(self.params.get("right", 1.0))
+        left, right = self.params["left"], self.params["right"]
         return sorted({left, right, -left, -right})
 
     def tail_bound(self) -> float:
@@ -200,8 +197,7 @@ class Potential:
             vals = np.abs(np.asarray(self.params["samples"], dtype=complex))
             edge = max(4, self.N // 64)
             return float(max(vals[:edge].max(), vals[-edge:].max()))
-        w = float(self.params.get("width", 1.0))
-        x0 = float(self.params.get("center", 0.0))
+        w, x0 = self.params["width"], self.params["center"]
         # a centre outside [-L, L] leaves the peak itself outside
         edge = max(self.L - abs(x0), 0.0)
         return abs(self.amplitude) * float(np.exp(-(edge * edge) / (2.0 * w * w)))

@@ -23,6 +23,7 @@ import numpy as np
 
 from ._cf4 import RTOL, _expm_shifted, analytic_column_batch, y_matrix_batch
 from .errors import (
+    BadInput,
     GenericityViolation,
     IntegratorDivergence,
     NotPiecewiseConstant,
@@ -49,7 +50,7 @@ class ScatteringData:
 
     def __post_init__(self):
         if np.any(np.diff(self.z_grid) <= 0):
-            raise ValueError("z_grid must be strictly increasing")
+            raise BadInput("z_grid must be strictly increasing")
 
     def unimodularity_deviation(self) -> float:
         det = self.a * self.a_breve - self.b * self.b_breve
@@ -67,9 +68,9 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray) -> ScatteringDa
     """
     z_grid = np.asarray(z_grid, dtype=float)
     if z_grid.ndim != 1 or z_grid.size < 8:
-        raise ValueError("z_grid must be a 1-d array with at least 8 points")
+        raise BadInput("z_grid must be a 1-d array with at least 8 points")
     if not np.allclose(z_grid + z_grid[::-1], 0.0, atol=1e-12):
-        raise ValueError("z_grid must be symmetric about 0")
+        raise BadInput("z_grid must be symmetric about 0")
     if potential.tail_bound() > 1e-10 * (1.0 + abs(potential.amplitude)):
         raise TruncationTooSmall("potential tail outside [-L, L] too heavy")
     X = potential.scatter_halfwidth()
@@ -121,9 +122,8 @@ def exact_box_scattering(box: Potential, z):
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    left = float(box.params.get("left", -1.0))
-    right = float(box.params.get("right", 1.0))
-    pts = sorted({left, right, -left, -right})
+    left, right = box.params["left"], box.params["right"]
+    pts = box.breakpoints()
     x_start, x_end = pts[0], pts[-1]
 
     t11 = np.ones_like(z)

@@ -8,13 +8,11 @@ box |a| <= 10, |eta| <= 50.  mpmath combines the confluent hypergeometric
 representations itself and raises its working precision internally when
 the terms cancel, so the recessive solution stays accurate along the whole
 negative axis (e.g. D_1(-12) = -12 e^{-36}), where any mix of Weber
-solutions would still satisfy the Weber equation.
+solutions would still satisfy the Weber equation.  mpmath is imported on
+the first evaluation, so only the paths that evaluate D_a load it.
 """
 
 from __future__ import annotations
-
-import mpmath as mp
-from mpmath.libmp import NoConvergence
 
 from .errors import OutOfValidityBox, SeriesNonConvergence
 
@@ -23,6 +21,8 @@ BOX_ARG = 50.0
 
 
 def _D(a, eta) -> complex:
+    import mpmath as mp
+    from mpmath.libmp import NoConvergence
     try:
         with mp.workdps(15):
             return complex(mp.pcfd(a, eta))

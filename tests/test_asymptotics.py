@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from nonlocal_nls import Potential, alpha, compute_scattering, phase_data, q_asymptotic
-from nonlocal_nls.errors import ValidityViolation, WindowExceeded
+from nonlocal_nls import (
+    Potential,
+    alpha,
+    compute_scattering,
+    connection_coefficients,
+    phase_data,
+    q_asymptotic,
+)
+from nonlocal_nls.errors import BadInput, NonpositiveTime, ValidityViolation, WindowExceeded
 from nonlocal_nls.phase import SpectralContext
 
 
@@ -107,5 +114,14 @@ def test_window_exceeded(box_ctx):
 
 
 def test_t_min_enforced(box_ctx):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadInput):
         q_asymptotic(-4 * 0.3 * 5.0, 5.0, box_ctx)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_nonpositive_time_is_typed(box_ctx, t):
+    ph = phase_data(box_ctx, 0.3)
+    with pytest.raises(NonpositiveTime):
+        alpha(ph, t)
+    with pytest.raises(NonpositiveTime):
+        connection_coefficients(ph.r_xi, ph.r_breve_xi, ph.nu_at_xi, ph.delta0, 0.3, t)

@@ -347,8 +347,9 @@ def test_route_disagreement_fails_rows_exits_3(tmp_path, runner, monkeypatch):
 
 
 def test_workload_commands_import_no_scipy(tmp_path):
-    # scatter and asym in a fresh interpreter load no scipy module; verify
-    # still runs, importing the quad oracle on first use
+    # scatter and asym in a fresh interpreter load no scipy or mpmath module;
+    # verify still runs, importing the quad oracle and, for the model jump
+    # of its ray, mpmath on first use
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     script = f"""
 import sys
@@ -362,10 +363,11 @@ def run(command):
 
 run("scatter")
 run("asym")
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
 assert not loaded, loaded[:5]
 run("verify")
 assert "scipy.integrate" in sys.modules
+assert "mpmath" in sys.modules
 """
     src = str(Path(nonlocal_nls.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

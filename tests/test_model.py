@@ -12,6 +12,7 @@ from nonlocal_nls import (
     phase_data,
     psi,
 )
+from nonlocal_nls.errors import BadInput
 from nonlocal_nls.model import psi_normalizer, rgamma, row_ode_residual
 from nonlocal_nls.phase import SpectralContext
 
@@ -152,7 +153,7 @@ class TestPsi:
     def test_axis_refusal(self):
         co = coeffs_from(*CASES[0])
         assert psi(1j, co).shape == psi(-1j, co).shape == (2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadInput):
             psi(0.5, co)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nonlocal_nls import Potential, evolve, pde
-from nonlocal_nls.errors import BoundaryContamination, StepTooLarge
+from nonlocal_nls.errors import BadInput, BoundaryContamination, StepTooLarge
 from nonlocal_nls.pde import (
     OUTER_BAND,
     _free_flow,
@@ -109,11 +109,15 @@ class TestEvolve:
         snap = evolve(pot, 4.0, 5e-3)
         assert abs(snap.nonlocal_mass - m0) < 1e-10 * abs(m0)
 
-    def test_spatial_resolution_doubling(self):
+    def test_spatial_resolution_doubling(self, monkeypatch):
+        # a margin no working grid can meet keeps N' = N, so the two runs
+        # really step on 2048 and 4096 points
+        monkeypatch.setattr(pde, "BAND_MARGIN", np.inf)
         mk = lambda N: Potential(kind="gaussian", amplitude=0.3, sigma=1,
                                  params={"width": 1.0}, L=64.0, N=N)
         a = evolve(mk(2048), 2.0, 1e-3)
         b = evolve(mk(4096), 2.0, 1e-3)
+        assert (a.working_N, b.working_N) == (2048, 4096)
         assert np.abs(b.q[::2] - a.q).max() < 1e-8
 
     def test_step_too_large(self):
@@ -143,7 +147,7 @@ class TestEvolve:
         monkeypatch.setattr(pde, "_run", no_steps)
         pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                         params={"width": 1.0}, L=64.0, N=1024)
-        with pytest.raises(ValueError, match="snapshot times"):
+        with pytest.raises(BadInput, match="snapshot times"):
             evolve(pot, 1.0, 1e-3, snapshot_times=times)
 
     def test_sigma_matters(self):

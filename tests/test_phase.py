@@ -176,9 +176,9 @@ def test_phase_data_bundle(box_ctx):
     assert ph.xi == XI
     assert np.isfinite(ph.nu_at_xi.real) and np.isfinite(ph.nu_at_xi.imag)
     assert abs(ph.delta0) > 0
-    assert ph.branch_max_arg < np.pi
-    doc = ph.to_json_dict()
-    assert set(doc) == {"xi", "nu", "delta0", "nu_tail", "branch_max_arg"}
+    assert box_ctx.branch_max_arg < np.pi
+    fields = {f.name for f in dataclasses.fields(ph)}
+    assert fields == {"xi", "nu_at_xi", "delta0", "r_xi", "r_breve_xi"}
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,8 @@ class TestGaussLegendrePath:
             ph = phase_data(ctx, xi)
             d0 = cmath.exp(1j * beta(ctx, xi, complex(xi)))
             assert abs(ph.delta0 - d0) <= 1e-9 * abs(d0)
-            assert abs(ph.nu_tail_integral - _quad_nu_tail(ctx, xi)) <= 1e-10
+            tail = nu_tail_with_bound(ctx, xi)[0]
+            assert abs(tail - _quad_nu_tail(ctx, xi)) <= 1e-10
 
     def test_doubled_rule_agrees(self, spectral, monkeypatch):
         coarse = SpectralContext(spectral)
@@ -252,11 +253,12 @@ class TestGaussLegendrePath:
         for data in (box_data, noisy):
             counts.append(0)
             ctx = SpectralContext(data)
-            runs.append([phase_data(ctx, xi) for xi in XI_FIXED])
+            runs.append([(phase_data(ctx, xi), nu_tail_with_bound(ctx, xi)[0])
+                         for xi in XI_FIXED])
         assert counts[0] == counts[1]
-        for clean, moved in zip(*runs):
+        for (clean, clean_tail), (moved, moved_tail) in zip(*runs):
             assert abs(clean.delta0 - moved.delta0) <= 1e-11
-            assert abs(clean.nu_tail_integral - moved.nu_tail_integral) <= 1e-11
+            assert abs(clean_tail - moved_tail) <= 1e-11
 
     def test_window_refuses_nan_and_outside(self, box_ctx):
         # (entry point, reach): each serves exactly the xi with
@@ -298,8 +300,8 @@ class TestGaussLegendrePath:
             call(box_ctx)
 
     def test_phase_data_spline_calls(self, box_ctx, monkeypatch):
-        # every point of delta0, the partial interval of the tail, nu(xi),
-        # r and rbreve together: one spline call each
+        # every point of delta0 in one spline call; r, rbreve and nu(xi)
+        # together in one more
         box_ctx._nodes  # the node table is built once per context, outside the count
         calls = []
         call = UniformSpline.__call__
@@ -308,7 +310,18 @@ class TestGaussLegendrePath:
         for xi in (-5.1, 0.5, 7.3):
             calls.clear()
             phase_data(box_ctx, xi)
-            assert len(calls) <= 4
+            assert len(calls) <= 2
+
+    def test_queries_compute_no_nu_tail(self, box_data, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the nu tail integral ran on the query path")
+
+        monkeypatch.setattr(phase, "nu_tail_with_bound", refuse)
+        ctx = SpectralContext(box_data)
+        t = 40.0
+        for xi in (-5.1, 0.3, 0.5, 7.3):
+            q_asymptotic(-4.0 * xi * t, t, ctx)
+        assert len(ctx.phase_memo) == 4
 
     def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
         calls = []

@@ -181,6 +181,15 @@ def test_non_finite_config_is_bad_input(kind, data, value):
         ExperimentConfig.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("kind,key", [("box", "width"), ("gaussian", "left")])
+def test_non_finite_unread_param_is_bad_input(kind, key):
+    # a numeric param the kind never reads is still checked
+    doc = _config_doc(kind)
+    doc["potential"]["params"][key] = float("nan")
+    with pytest.raises(BadInput, match="must be finite"):
+        ExperimentConfig.from_json_dict(doc)
+
+
 # the uniform-grid spline against scipy's CubicSpline, in range, at both
 # grid ends and just outside them (the end pieces extrapolate)
 @pytest.mark.parametrize("natural", [True, False], ids=["natural", "not_a_knot"])

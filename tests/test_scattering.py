@@ -11,6 +11,7 @@ from nonlocal_nls import (
 )
 from nonlocal_nls._cf4 import y_matrix_batch
 from nonlocal_nls.errors import (
+    BadInput,
     GenericityViolation,
     NotPiecewiseConstant,
     TruncationTooSmall,
@@ -210,7 +211,7 @@ class TestComputeScattering:
         assert sum(calls) <= end_only + 2 * len(calls)
 
     def test_requires_symmetric_grid(self, box_plus):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadInput):
             compute_scattering(box_plus, np.linspace(-3, 4, 29))
 
 
