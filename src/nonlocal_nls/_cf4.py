@@ -26,11 +26,11 @@ One kernel, `_propagate`, applies these exponentials to a list of columns.
 The matrix frame (`y_matrix_batch`) carries both columns of the identity in
 the phi-frame; the column frame (`analytic_column_batch`) carries the
 bounded first column in the m-frame, where each exponential gains a factor
-exp(i z h / 2).  Both frames share one step control: the step count
-doubles until the end values of two consecutive levels agree.  Each level is
-a single pass; the matrix frame integrates it leg by leg through the
-requested x nodes, so the node values of the accepted level are the result
-and nothing is integrated twice.
+exp(i z h / 2).  Both frames share one step control, `_refine`: the step
+count doubles until the finer of two consecutive levels passes a Richardson
+error estimate.  Each level is a single pass; the matrix frame integrates it
+leg by leg through the requested x nodes, so the node values of the accepted
+level are the result and nothing is integrated twice.
 """
 
 from __future__ import annotations
@@ -203,19 +203,25 @@ def _cf4_steps(potential, x_from, x_to, n_steps):
         yield h, b.ravel(), c.ravel()
 
 
-def _refine(level, n_steps, rtol, max_refine, what):
-    """Double n_steps until the end values of two consecutive levels agree.
+def _refine(level, n_steps, X, rtol, max_refine, what):
+    """Double n_steps (default max(192, 32 X)) until the finer level passes.
 
     `level(n)` integrates with n steps and returns (end, result), end being
-    a tuple of arrays.  Returns (result, err) of the first level whose end
-    is within rtol * (1 + max |end|) of the previous level's.
+    a tuple of arrays.  At fourth order the finer level's error is about
+    1/(2^4 - 1) of its gap to the coarser one (Richardson; Hairer, Norsett &
+    Wanner, Solving ODEs I, II.4), so err = max |end_2n - end_n| / 15.
+    Returns (result, err) of the first level with err <= rtol (1 + max |end|):
+    the level itself, not the extrapolation, which would give up the
+    level's unimodularity and symmetries.
     """
+    if n_steps is None:
+        n_steps = max(192, int(16 * 2 * X))
     prev, _ = level(n_steps)
     err = np.inf
     for _ in range(max_refine):
         n_steps *= 2
         cur, result = level(n_steps)
-        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
+        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev)) / 15.0
         scale = 1.0 + max(float(np.abs(c).max()) for c in cur)
         if err <= rtol * scale:
             return result, err
@@ -262,14 +268,11 @@ def y_matrix_batch(potential, z, n_steps=None, rtol=RTOL, x_nodes=None,
 
     Each level of n steps is one pass that carries the two columns of the
     identity leg by leg through the nodes in ascending order and on to +X;
-    a leg gets max(2, ceil(n |leg| / 2X)) steps.  Step control doubles n
-    until Y(+X) agrees to rtol between two consecutive levels, and the node
-    values of the accepted level are returned.
+    a leg gets max(2, ceil(n |leg| / 2X)) steps.  `_refine` accepts a level
+    on Y(+X), and the node values of that level are returned.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
-    if n_steps is None:
-        n_steps = max(192, int(16 * 2 * X))
     nodes = np.empty(0) if x_nodes is None else np.asarray(x_nodes, dtype=float)
     targets = [(idx, float(nodes[idx])) for idx in np.argsort(nodes)] + [(None, X)]
     sp, sm = _phase_diag(z, X)
@@ -292,7 +295,7 @@ def y_matrix_batch(potential, z, n_steps=None, rtol=RTOL, x_nodes=None,
                 traj[idx, :, 1, 0], traj[idx, :, 1, 1] = Y[2], Y[3]
         return Y, (Y if x_nodes is None else traj)
 
-    return _refine(level, n_steps, rtol, max_refine, "matrix")
+    return _refine(level, n_steps, X, rtol, max_refine, "matrix")
 
 
 def analytic_column_batch(potential, z, n_steps=None, rtol=RTOL, max_refine=4):
@@ -304,12 +307,10 @@ def analytic_column_batch(potential, z, n_steps=None, rtol=RTOL, max_refine=4):
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
-    if n_steps is None:
-        n_steps = max(192, int(16 * 2 * X))
 
     def level(n_total):
         [m] = _propagate(potential, z, -X, X, n_total,
                          [(np.ones_like(z), np.zeros_like(z))], shifted=True)
         return m, m
 
-    return _refine(level, n_steps, rtol, max_refine, "column")[0]
+    return _refine(level, n_steps, X, rtol, max_refine, "column")[0]

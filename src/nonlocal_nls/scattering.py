@@ -192,11 +192,10 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
     R = None
     if data.potential is not None:
         R = float(data.z_grid[-1])
-        a_real = data.a[np.abs(data.z_grid) <= R]
         theta = np.linspace(0.0, np.pi, N_ARC)
         z_arc = R * np.exp(1j * theta)
         a_arc, _ = analytic_column_batch(data.potential, z_arc)
-        path = np.concatenate([a_real, a_arc[1:]])
+        path = np.concatenate([data.a, a_arc[1:]])
         if np.abs(path).min() < EPS_A:
             raise GenericityViolation("a(z) vanishes on the winding contour")
         total = np.unwrap(np.angle(path))

@@ -59,10 +59,56 @@ def test_step_control_reports_estimate(box_plus):
     assert err < 1e-10
 
 
-def test_step_control_divergence_raises(box_plus):
+def test_step_control_divergence_raises(gauss_small):
+    # a truncation stall: on a box CF4 is exact, so its only gap is roundoff
     with pytest.raises(IntegratorDivergence):
-        y_matrix_batch(box_plus, np.array([0.3 + 0j]), n_steps=2,
+        y_matrix_batch(gauss_small, np.array([0.3 + 0j]), n_steps=2,
                        rtol=1e-16, max_refine=1)
+
+
+def _level_steps(monkeypatch):
+    """Record the total steps of each level that `_propagate` integrates.
+
+    A level starts with the leg from -X; the list fills as levels run.
+    """
+    levels = []
+    propagate = _cf4._propagate
+
+    def spy(potential, z, x_from, x_to, n_steps, cols, shifted=False):
+        if x_from == -potential.scatter_halfwidth():
+            levels.append(0)
+        levels[-1] += n_steps
+        return propagate(potential, z, x_from, x_to, n_steps, cols, shifted)
+
+    monkeypatch.setattr(_cf4, "_propagate", spy)
+    return levels
+
+
+def test_reported_error_is_honest(gauss_small, zgrid_wide, monkeypatch):
+    # the reported error of the accepted level is within a factor 2 of its
+    # true deviation from a level with 16 times the steps
+    z = zgrid_wide.astype(complex)
+    levels = _level_steps(monkeypatch)
+    S, err = y_matrix_batch(gauss_small, z)
+    n_accepted = levels[-1]
+    ref, _ = y_matrix_batch(gauss_small, z, n_steps=8 * n_accepted, max_refine=1)
+    assert levels[-1] == 16 * n_accepted
+    true = max(float(np.abs(s - r).max()) for s, r in zip(S, ref))
+    scale = 1.0 + max(float(np.abs(s).max()) for s in S)
+    assert true / 2.0 <= err <= 2.0 * true
+    assert true <= _cf4.RTOL * scale
+
+
+def test_smooth_input_stops_one_level_earlier(box_plus, zgrid_wide, monkeypatch):
+    # the acceptance gaussian passes on its second level; the box, where
+    # CF4 is exact between breakpoints, runs the same two levels as before
+    gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                      params={"width": 2.6}, L=512.0, N=2 ** 15)
+    levels = _level_steps(monkeypatch)
+    for pot, want in ((gauss, [618, 1236]), (box_plus, [192, 384])):
+        levels.clear()
+        compute_scattering(pot, zgrid_wide)
+        assert levels == want
 
 
 def test_column_stall_reports_steps_and_error(gauss_small):
