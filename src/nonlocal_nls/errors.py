@@ -66,7 +66,9 @@ class BoundaryContamination(NonlocalNLSError):
 
 
 class StepTooLarge(NonlocalNLSError):
-    """Time step does not resolve the fastest populated mode."""
+    """Time step does not resolve the flow: dt k_sig^2 > 0.5 for the fastest
+    populated mode, or a nonlinear phase bound 2 sqrt(2) dt max(|Re V|, |Im V|)
+    above 1 rad, V = q(x) conj(q(-x))."""
 
 
 class MissingInputs(NonlocalNLSError):

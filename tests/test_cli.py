@@ -251,6 +251,18 @@ def test_evolve_reports_working_grid(tmp_path, runner):
     assert "working grid N' = 2048 of N = 4096" in res.output
 
 
+def test_evolve_nonlinear_step_too_large_exits_3(tmp_path, runner):
+    pot = {"kind": "gaussian", "amplitude": [3.0, 0.0], "sigma": 1,
+           "L": 128.0, "N": 1024, "params": {"width": 10.0}}
+    cfg = _write_config(tmp_path / "cfg.json", pot, times=[], pde={"dt": 0.1})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "evolve", "--t", "1.0"])
+    assert res.exit_code == 3, res.output
+    assert "nonlinear phase bound" in res.output
+    assert not (out / "snapshot.csv").exists()
+
+
 @pytest.mark.parametrize("t_final", ["-5", "0", "nan", "inf"])
 def test_evolve_bad_final_time_exits_1(tmp_path, runner, t_final):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT, times=[])

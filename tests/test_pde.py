@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonlocal_nls import Potential, evolve, pde
 from nonlocal_nls.errors import BadInput, BoundaryContamination, StepTooLarge
@@ -59,15 +60,20 @@ class TestLinearStep:
         assert abs(nonlocal_mass(q, snap.dx) - snap.nonlocal_mass) < 1e-14
 
 
+def _flow(q, sigma, dt):
+    """The nonlinear flow of `_run` over dt, applied to a copy of q."""
+    return _pt_flow(q.copy(), sigma, dt, np.empty_like(q), np.empty_like(q))
+
+
 class TestNonlinearStep:
     def test_dt_zero_is_identity(self):
         snap = _snap(lambda x: np.exp(-x * x) * (0.2 + 0.1j))
-        assert np.allclose(_pt_flow(snap.q, snap.sigma, 0.0), snap.q)
+        assert np.allclose(_flow(snap.q, snap.sigma, 0.0), snap.q)
 
     def test_real_even_reduces_to_local_phase_rotation(self):
         snap = _snap(lambda x: 0.4 * np.exp(-x * x / 2))
         dt = 0.23
-        q = _pt_flow(snap.q, snap.sigma, dt)
+        q = _flow(snap.q, snap.sigma, dt)
         expected = snap.q * np.exp(2j * snap.sigma * np.abs(snap.q) ** 2 * dt)
         assert np.allclose(q, expected, atol=1e-14)
 
@@ -75,14 +81,34 @@ class TestNonlinearStep:
         snap = _snap(lambda x: 0.3 * np.exp(-(x - 0.8) ** 2) * (1 + 0.5j),
                      sigma=-1)
         V0 = snap.q * np.conj(mirror(snap.q))
-        q = _pt_flow(snap.q, snap.sigma, 0.42)
+        q = _flow(snap.q, snap.sigma, 0.42)
         V1 = q * np.conj(mirror(q))
         assert np.abs(V1 - V0).max() < 1e-14
 
     def test_mass_invariance(self):
         snap = _snap(lambda x: 0.3 * np.exp(-(x - 0.8) ** 2) * (1 + 0.5j))
-        q = _pt_flow(snap.q, snap.sigma, 0.42)
+        q = _flow(snap.q, snap.sigma, 0.42)
         assert abs(nonlocal_mass(q, snap.dx) - snap.nonlocal_mass) < 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(re=st.floats(-0.707, 0.707), im=st.floats(-0.707, 0.707),
+           w=st.complex_numbers(max_magnitude=1.0, allow_subnormal=False))
+    def test_series_matches_exp(self, re, im, w):
+        # On 6 points x -> -x pairs 1 with 5 and 2 with 4, so with sigma dt = 1/2
+        # (c = i) the phases are z at 1, -conj(z) at 5 and exactly 0 at 2;
+        # |Re z|, |Im z| <= 0.707 keeps the bound m = sqrt(2) max(...) <= 1.
+        z = complex(re, im)
+        q = np.array([0.0, -1j * z, w, 0.0, 0.0, 1.0])
+        out = _flow(q, 1, 0.5)
+        eps = np.finfo(float).eps
+        for got, want in ((out[1], q[1] * np.exp(z)), (out[5], np.exp(-z.conjugate()))):
+            assert abs(got - want) <= 4 * eps * abs(want)
+        assert out[2] == w
+
+    def test_phase_bound_over_one_refused(self):
+        q = np.array([0.0, 0.8, 0.0, 1.0])     # V = 0.8 at 1 and 3: m = 1.13
+        with pytest.raises(StepTooLarge, match="nonlinear phase bound"):
+            _flow(q, 1, 0.5)
 
 
 class TestEvolve:
@@ -126,6 +152,24 @@ class TestEvolve:
         with pytest.raises(StepTooLarge):
             evolve(pot, 1.0, 0.1)
 
+    def test_step_too_large_on_the_step_taken(self, monkeypatch):
+        # one step spans 1.45 dt, so dt_eff k_sig^2 = 0.65 although dt k_sig^2 = 0.45
+        def no_steps(*args, **kwargs):
+            raise AssertionError("stepped before refusing the step")
+
+        monkeypatch.setattr(pde, "_run", no_steps)
+        pot = Potential(kind="gaussian", amplitude=0.3, sigma=1,
+                        params={"width": 1.0}, L=64.0, N=2048)
+        k_sig = pde.signal_bandwidth(snapshot_from_potential(pot).q, pot.L)
+        dt = 0.45 / k_sig ** 2
+        with pytest.raises(StepTooLarge, match=r"dt k_sig\^2 = 0\.65"):
+            evolve(pot, 1.45 * dt, dt)
+
+    def test_nonlinear_phase_too_large(self):
+        # dt k_sig^2 is about 0.05, but 2 dt max|V| = 1.8 rad per step
+        with pytest.raises(StepTooLarge, match="nonlinear phase bound"):
+            evolve(_tall_gauss(), 1.0, 0.1)
+
     def test_boundary_contamination_detected(self):
         pot = Potential(kind="gaussian", amplitude=0.2, sigma=1,
                         params={"width": 1.0}, L=24.0, N=1024)
@@ -156,6 +200,24 @@ class TestEvolve:
         qp = evolve(mk(1), 1.0, 1e-3).q
         qm = evolve(mk(-1), 1.0, 1e-3).q
         assert np.abs(qp - qm).max() > 1e-4
+
+
+def _tall_gauss():
+    return Potential(kind="gaussian", amplitude=3.0, sigma=1,
+                     params={"width": 10.0}, L=128.0, N=1024)
+
+
+def _plain_strang(q, L, sigma, n_steps, dt):
+    """Independent reference for `_run`: L(dt/2) N(dt) L(dt/2) per step, with the
+    np.roll mirror, an np.exp nonlinear flow and fresh arrays throughout."""
+    n = len(q)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * L / n)
+    half = np.exp(-1j * k * k * (dt / 2.0))
+    for _ in range(n_steps):
+        q = np.fft.ifft(half * np.fft.fft(q))
+        q = q * np.exp(2j * sigma * dt * q * np.conj(np.roll(q[::-1], 1)))
+        q = np.fft.ifft(half * np.fft.fft(q))
+    return q
 
 
 def _full_grid(pot, T, dt):
@@ -225,6 +287,42 @@ class TestWorkingGrid:
         snap = evolve(pot, 0.01, 1e-4)
         assert snap.working_N == 256
         assert np.array_equal(snap.q, _full_grid(pot, 0.01, 1e-4))
+
+
+def test_matches_plain_strang_loop():
+    pot = _accept_gauss()
+    snap = evolve(pot, 5.0, 5e-3)
+    stride = pot.N // snap.working_N
+    ref = _plain_strang(snapshot_from_potential(pot).q[::stride], pot.L, pot.sigma,
+                        1000, 5e-3)
+    assert np.abs(snap.q[::stride] - ref).max() <= 1e-12 * np.abs(ref).max()
+    m_ref = nonlocal_mass(ref, stride * snap.dx)
+    assert abs(snap.nonlocal_mass - m_ref) <= 1e-11 * abs(m_ref)
+
+
+def test_work_counts(monkeypatch):
+    calls = {"fft": 0, "ifft": 0, "exp": 0}
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(np.fft, "fft")
+    counted(np.fft, "ifft")
+    counted(np, "exp")
+    snap = evolve(_accept_gauss(), 5.0, 5e-3)
+    assert (snap.step_count, snap.working_N) == (1000, 4096)
+    # fft: bandwidth probe, first half step, 1000 steps, 10 band checks, pad;
+    # ifft: first half step, 1000 steps, pad
+    assert (calls["fft"], calls["ifft"]) == (1013, 1002)
+    exp_long = calls["exp"]
+    calls["exp"] = 0
+    assert evolve(_accept_gauss(), 0.5, 5e-3).step_count == 100
+    assert calls["exp"] == exp_long
 
 
 def test_spectral_interpolation_band_limited():
