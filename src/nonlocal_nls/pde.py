@@ -108,7 +108,8 @@ def _free_flow(q: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.fft.ifft(qhat)
 
 
-def _pt_flow(q, sigma, dt, v, acc):
+def _pt_flow(q: np.ndarray, sigma: int, dt: float, v: np.ndarray,
+             acc: np.ndarray) -> np.ndarray:
     """Nonlinear flow over dt, in place: q <- q e^{c V}, c = 2 i sigma dt.
 
     V = q conj(q(-x)) is formed in the work buffer v and the series of

@@ -105,11 +105,6 @@ class TestNonlinearStep:
             assert abs(got - want) <= 4 * eps * abs(want)
         assert out[2] == w
 
-    def test_phase_bound_over_one_refused(self):
-        q = np.array([0.0, 0.8, 0.0, 1.0])     # V = 0.8 at 1 and 3: m = 1.13
-        with pytest.raises(StepTooLarge, match="nonlinear phase bound"):
-            _flow(q, 1, 0.5)
-
 
 class TestEvolve:
     def test_zero_potential_stays_zero(self):
