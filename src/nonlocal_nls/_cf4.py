@@ -29,8 +29,8 @@ bounded first column in the m-frame, where each exponential gains a factor
 exp(i z h / 2).  Both frames share one step control, `_refine`: the step
 count doubles until the finer of two consecutive levels passes a Richardson
 error estimate.  Each level is a single pass; the matrix frame integrates it
-leg by leg through the requested x nodes, so the node values of the accepted
-level are the result and nothing is integrated twice.
+in two legs, -X -> 0 -> X, so Y(0) and Y(+X) of the accepted level are the
+result and nothing is integrated twice.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ _TAYLOR_TOL = 2.0 ** -60   # last term of a Taylor series in w0, relative
 _MAX_ORDER = 64
 _EPS_MAX = 64.0            # largest |bc| of a step the series accepts
 RTOL = 1e-10               # step-control tolerance on the end values
+MAX_REFINE = 4             # step doublings before the step control gives up
 
 
 def _sinhc(m):
@@ -203,27 +204,27 @@ def _cf4_steps(potential, x_from, x_to, n_steps):
         yield h, b.ravel(), c.ravel()
 
 
-def _refine(level, n_steps, X, rtol, max_refine, what):
-    """Double n_steps (default max(192, 32 X)) until the finer level passes.
+def _refine(level, X, what):
+    """Double the step count from max(192, 32 X) until the finer level passes.
 
     `level(n)` integrates with n steps and returns (end, result), end being
     a tuple of arrays.  At fourth order the finer level's error is about
     1/(2^4 - 1) of its gap to the coarser one (Richardson; Hairer, Norsett &
     Wanner, Solving ODEs I, II.4), so err = max |end_2n - end_n| / 15.
-    Returns (result, err) of the first level with err <= rtol (1 + max |end|):
+    Returns (result, err) of the first level with err <= RTOL (1 + max |end|):
     the level itself, not the extrapolation, which would give up the
-    level's unimodularity and symmetries.
+    level's unimodularity and symmetries.  Raises IntegratorDivergence when
+    MAX_REFINE doublings do not get there.
     """
-    if n_steps is None:
-        n_steps = max(192, int(16 * 2 * X))
+    n_steps = max(192, int(16 * 2 * X))
     prev, _ = level(n_steps)
     err = np.inf
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         n_steps *= 2
         cur, result = level(n_steps)
         err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev)) / 15.0
         scale = 1.0 + max(float(np.abs(c).max()) for c in cur)
-        if err <= rtol * scale:
+        if err <= RTOL * scale:
             return result, err
         prev = cur
     raise IntegratorDivergence(
@@ -258,47 +259,34 @@ def _phase_diag(z, x):
     return np.exp(1j * x * z), np.exp(-1j * x * z)
 
 
-def y_matrix_batch(potential, z, n_steps=None, rtol=RTOL, x_nodes=None,
-                   max_refine=4):
-    """Normalized Jost matrix Y(z, x) = exp(i x z sigma3) phi(z, x).
+def y_matrix_batch(potential, z):
+    """Normalized Jost matrix Y(z, x) = exp(i x z sigma3) phi(z, x) at x = 0, +X.
 
-    Integrates from -X with Y(-X) = I.  Returns (Y_end, err_estimate) where
-    Y_end is a 4-tuple of (nz,) arrays at +X, or (trajectory, err) with
-    shape (len(x_nodes), nz, 2, 2) when x_nodes is given.
-
-    Each level of n steps is one pass that carries the two columns of the
-    identity leg by leg through the nodes in ascending order and on to +X;
-    a leg gets max(2, ceil(n |leg| / 2X)) steps.  `_refine` accepts a level
-    on Y(+X), and the node values of that level are returned.
+    Integrates from -X with Y(-X) = I and returns ((Y(0), Y(+X)), err), each
+    Y a 4-tuple (Y11, Y12, Y21, Y22) of (nz,) arrays.  A level of n steps is
+    one pass that carries the columns of the identity over the legs -X -> 0
+    -> X, max(2, ceil(n/2)) steps each; `_refine` accepts it on Y(+X).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
-    nodes = np.empty(0) if x_nodes is None else np.asarray(x_nodes, dtype=float)
-    targets = [(idx, float(nodes[idx])) for idx in np.argsort(nodes)] + [(None, X)]
     sp, sm = _phase_diag(z, X)
 
     def level(n_total):
-        traj = np.empty((len(nodes), z.size, 2, 2), dtype=complex)
+        n = max(2, int(np.ceil(n_total * X / (2 * X))))
         cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
-        x_cur = -X
-        for idx, x_tgt in targets:
-            if abs(x_tgt - x_cur) > 0:
-                n = max(2, int(np.ceil(n_total * abs(x_tgt - x_cur) / (2 * X))))
-                cols = _propagate(potential, z, x_cur, x_tgt, n, cols)
-                x_cur = x_tgt
+        Y = []
+        for x_from, x_to in ((-X, 0.0), (0.0, X)):
+            cols = _propagate(potential, z, x_from, x_to, n, cols)
             # Y(x) = e^{i x z s3} T e^{i X z s3}, T = [cols[0] | cols[1]]
             (t11, t21), (t12, t22) = cols
-            ep, em = _phase_diag(z, x_cur)
-            Y = (ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm)
-            if idx is not None:
-                traj[idx, :, 0, 0], traj[idx, :, 0, 1] = Y[0], Y[1]
-                traj[idx, :, 1, 0], traj[idx, :, 1, 1] = Y[2], Y[3]
-        return Y, (Y if x_nodes is None else traj)
+            ep, em = _phase_diag(z, x_to)
+            Y.append((ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm))
+        return Y[1], tuple(Y)
 
-    return _refine(level, n_steps, X, rtol, max_refine, "matrix")
+    return _refine(level, X, "matrix")
 
 
-def analytic_column_batch(potential, z, n_steps=None, rtol=RTOL, max_refine=4):
+def analytic_column_batch(potential, z):
     """First modified-Jost column (Phi-minus, first column) at the right end.
 
     Propagates m' = [[0, q], [-sigma conj(q(-x)), 2 i z]] m with m(-X) = (1,0),
@@ -313,4 +301,4 @@ def analytic_column_batch(potential, z, n_steps=None, rtol=RTOL, max_refine=4):
                          [(np.ones_like(z), np.zeros_like(z))], shifted=True)
         return m, m
 
-    return _refine(level, n_steps, X, rtol, max_refine, "column")[0]
+    return _refine(level, X, "column")[0]

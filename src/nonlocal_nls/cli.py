@@ -186,7 +186,7 @@ def evolve_cmd(ctx, t_final, fmt):
         t_final = cfg.times[-1]
     if not (math.isfinite(t_final) and t_final > 0):
         raise BadInput(f"final time must be finite and positive, got {t_final}")
-    snap = evolve(cfg.potential, t_final, cfg.dt)
+    snap = evolve(cfg.potential, [t_final], cfg.dt)[-1]
     if fmt == "csv":
         nio.write_snapshot_csv(snap, out / "snapshot.csv")
         click.echo(f"wrote {out / 'snapshot.csv'}")
@@ -210,7 +210,7 @@ def compare(ctx):
     if not cfg.rays or not cfg.times:
         raise BadInput("compare needs both rays and times in the config")
     spectral = SpectralContext(_scatter_data(cfg))
-    snaps = evolve(cfg.potential, cfg.times[-1], cfg.dt, snapshot_times=cfg.times)
+    snaps = evolve(cfg.potential, cfg.times, cfg.dt)
     rows = []
     fits = {}
     pending_failure = None
@@ -221,7 +221,7 @@ def compare(ctx):
             x = -4.0 * xi * t
             if abs(x) > 0.9 * snap.L:
                 continue
-            q_num = complex(spectral_interpolate(snap, [x])[0])
+            q_num = spectral_interpolate(snap, x)
             try:
                 ev = q_asymptotic(x, t, spectral, t_min=cfg.t_min)
                 q_asym, validity = ev.q_leading, ev.validity

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadInput
-from .potentials import Potential
+from .potentials import Potential, _json_int
 
 
 @dataclass
@@ -69,7 +69,7 @@ class ExperimentConfig:
             return cls(
                 potential=Potential.from_json_dict(doc["potential"]),
                 z_max=float(window.get("z_max", 16.0)),
-                nz=int(window.get("n", 2049)),
+                nz=_json_int(window.get("n", 2049)),
                 rays=[float(v) for v in doc.get("rays", [])],
                 times=[float(v) for v in doc.get("times", [])],
                 dt=float(pde.get("dt", 5e-3)),

@@ -13,7 +13,7 @@ pairs with sample (-j) mod n, and the step loop reads q(-x) through a
 reversed view of q instead of building a mirrored copy.
 
 The step loop calls no transcendental function, and a step allocates
-nothing but the two FFT outputs (the monitor, every monitor_every steps,
+nothing but the two FFT outputs (the monitor, every MONITOR_EVERY steps,
 makes its own): V and the flow factor live in two buffers made once per
 run.  e^{c V}, c = 2 i sigma dt, is summed by Horner's rule
 as the series of c^j V^j / j! up to the first order K whose next term
@@ -54,7 +54,7 @@ CONTAMINATION_LIMIT = 1e-6    # outer-band |q|^2 mass fraction that aborts
 BAND_MARGIN = 4.0             # working Nyquist wavenumber / initial signal bandwidth
 BAND_LEVEL = 1e-10            # |qhat| / max |qhat| counted as signal; above it in
                               # the top half of the working band, N' regrows
-INTERP_BLOCK = 2 ** 18        # phase-matrix entries per spectral_interpolate block
+MONITOR_EVERY = 100           # steps between boundary and band checks
 _SERIES_TOL = 2.0 ** -54      # last term of the nonlinear flow's series, see _pt_flow
 
 
@@ -191,12 +191,12 @@ def _pad(q: np.ndarray, N: int) -> np.ndarray:
     return np.fft.ifft(big)
 
 
-def _run(q, k, sigma, n_steps, dt, monitor_every, outer_mask, band_mask=None):
+def _run(q, k, sigma, n_steps, dt, outer_mask, band_mask=None):
     """Inner Strang loop; linear half-steps at the seams are merged.
 
-    At every monitor point the outer band of the domain is checked for
-    contamination and, when `band_mask` is given, the top of the spectrum
-    for content above BAND_LEVEL (raising _Underresolved).
+    Every MONITOR_EVERY steps and after the last one, the outer band of the
+    domain is checked for contamination and, when `band_mask` is given, the
+    top of the spectrum for content above BAND_LEVEL (raising _Underresolved).
     """
     lin_half = np.exp(-1j * k * k * (dt / 2.0))
     lin_full = lin_half * lin_half
@@ -205,7 +205,7 @@ def _run(q, k, sigma, n_steps, dt, monitor_every, outer_mask, band_mask=None):
     for step in range(n_steps):
         q = _pt_flow(q, sigma, dt, v, acc)
         q = _free_flow(q, lin_half if step == n_steps - 1 else lin_full)
-        if (step + 1) % monitor_every == 0 or step == n_steps - 1:
+        if (step + 1) % MONITOR_EVERY == 0 or step == n_steps - 1:
             dens = np.abs(q) ** 2
             total = dens.sum()
             if total > 0 and dens[outer_mask].sum() > CONTAMINATION_LIMIT * total:
@@ -237,7 +237,7 @@ def _schedule(times, dt: float):
     return plan
 
 
-def _evolve_on(snap: FieldSnapshot, n: int, plan, monitor_every: int):
+def _evolve_on(snap: FieldSnapshot, n: int, plan):
     """Snapshots along `plan` from steps on every (N/n)-th point of snap's grid."""
     L, dx = snap.L, 2.0 * snap.L / n
     x = -L + dx * np.arange(n)
@@ -250,7 +250,7 @@ def _evolve_on(snap: FieldSnapshot, n: int, plan, monitor_every: int):
     steps_done = 0
     for t, steps, h in plan:
         if steps:
-            q = _run(q, k, snap.sigma, steps, h, monitor_every, outer, band)
+            q = _run(q, k, snap.sigma, steps, h, outer, band)
             steps_done += steps
         q_full = _pad(q, snap.N)
         out.append(FieldSnapshot(
@@ -261,33 +261,30 @@ def _evolve_on(snap: FieldSnapshot, n: int, plan, monitor_every: int):
     return out
 
 
-def evolve(potential: Potential, t_final: float, dt: float,
-           snapshot_times=None, monitor_every: int = 100):
-    """Evolve q0 to t_final (Strang, order 2); optionally capture snapshots.
+def evolve(potential: Potential, times, dt: float) -> list[FieldSnapshot]:
+    """Snapshots of q at the sorted `times` (Strang, order 2); the last is the final time.
 
-    Returns the final FieldSnapshot, or the list of snapshots at the
-    requested times (sorted ascending; t_final is implied by the last one).
     The steps run on the working grid of N' points chosen from the initial
-    bandwidth (see the module docstring); every monitor_every steps the band
-    monitor may double N' and restart from t = 0, and at N' = N the run is
-    the full-grid one.  Snapshots hold the zero-padded field on all N points,
-    its nonlocal mass, and N' as `working_N`.
-    Raises StepTooLarge when dt k_sig^2 > 0.5 for the populated bandwidth and
-    the largest step taken, or when a step's nonlinear phase bound exceeds 1;
-    BoundaryContamination when the dispersive front reaches the outer band.
+    bandwidth (see the module docstring); every MONITOR_EVERY steps the band
+    monitor may double N' and restart from t = 0.  Snapshots hold the
+    zero-padded field on all N points, its nonlocal mass, and N' as
+    `working_N`.  Before any step, raises BadInput for no times, a negative
+    or non-finite time or a dt that is not finite and positive, and
+    NonpositiveTime for a final time <= 0.  Raises StepTooLarge when
+    dt k_sig^2 > 0.5 for the largest step taken, or when a step's nonlinear
+    phase bound exceeds 1; BoundaryContamination when the dispersive front
+    reaches the outer band.
     """
-    if not t_final > 0:
-        raise NonpositiveTime(f"t_final must be positive, got {t_final}")
-    if dt <= 0:
-        raise BadInput(f"dt must be positive, got {dt}")
-    times = [float(t_final)]
-    if snapshot_times is not None:
-        times = sorted(float(t) for t in snapshot_times)
-        if not all(-1e-12 <= t <= t_final + 1e-12 for t in times):
-            raise BadInput("snapshot times must lie in [0, t_final]")
-        if not times or abs(times[-1] - t_final) > 1e-12:
-            times.append(float(t_final))
-
+    try:
+        times = sorted(float(t) for t in times)
+    except (TypeError, ValueError) as exc:
+        raise BadInput(f"snapshot times must be a list of numbers: {exc}") from exc
+    if not (times and np.all(np.isfinite(times)) and np.isfinite(dt) and dt > 0):
+        raise BadInput(f"need finite snapshot times and dt > 0, got {times} and {dt}")
+    if not times[-1] > 0:
+        raise NonpositiveTime(f"final time must be positive, got {times[-1]}")
+    if times[0] < 0:
+        raise BadInput(f"snapshot times must not be negative, got {times[0]}")
     snap = snapshot_from_potential(potential)
     k_sig = signal_bandwidth(snap.q, snap.L)
     plan = _schedule(times, dt)
@@ -300,27 +297,18 @@ def evolve(potential: Potential, t_final: float, dt: float,
     n = _working_size(snap.N, snap.L, k_sig)
     while True:
         try:
-            out = _evolve_on(snap, n, plan, monitor_every)
-            break
+            return _evolve_on(snap, n, plan)
         except _Underresolved:
             n *= 2
-    if snapshot_times is None:
-        return out[-1]
-    return out
 
 
-def spectral_interpolate(snap: FieldSnapshot, x_points) -> np.ndarray:
-    """Band-limited evaluation of the field at arbitrary points, in blocks."""
-    x_points = np.asarray(x_points, dtype=float).ravel()
+def spectral_interpolate(snap: FieldSnapshot, x: float) -> complex:
+    """Band-limited value of the field at the point x."""
     qhat = np.fft.fft(snap.q) / snap.N
     k = snap.wavenumbers
     ny = snap.N // 2
-    rows = max(1, INTERP_BLOCK // snap.N)
-    out = np.empty(x_points.size, dtype=complex)
-    for i in range(0, x_points.size, rows):
-        x = x_points[i:i + rows] - (-snap.L)
-        phases = np.exp(1j * np.outer(x, k))
-        # resolve the Nyquist mode symmetrically (real cosine contribution)
-        phases[:, ny] = np.cos(k[ny] * x)
-        out[i:i + rows] = phases @ qhat
-    return out
+    x = x + snap.L
+    phases = np.exp(1j * (x * k))
+    # resolve the Nyquist mode symmetrically (real cosine contribution)
+    phases[ny] = np.cos(k[ny] * x)
+    return complex(phases @ qhat)

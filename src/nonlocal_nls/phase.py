@@ -173,9 +173,9 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _quad_complex(f, a, b, point=None, epsabs=1e-12, epsrel=1e-11):
+def _quad_complex(f, a, b, point=None):
     from scipy.integrate import IntegrationWarning
-    kw = dict(limit=_QUAD_LIMIT, epsabs=epsabs, epsrel=epsrel)
+    kw = dict(limit=_QUAD_LIMIT, epsabs=1e-12, epsrel=1e-11)
     if point is not None and a < point < b:
         kw["points"] = [point]
     with warnings.catch_warnings():

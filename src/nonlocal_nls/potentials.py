@@ -28,6 +28,15 @@ _DEFAULTS = {"box": {"left": -1.0, "right": 1.0},
              "gaussian": {"width": 1.0, "center": 0.0, "chirp": 0.0}}
 
 
+def _json_int(value) -> int:
+    """An integer from JSON: an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _solve_141(d):
     """Solve m_{i-1} + 4 m_i + m_{i+1} = d_i along the last axis, m = 0 past both ends.
 
@@ -219,9 +228,9 @@ class Potential:
             return cls(
                 kind=kind,
                 amplitude=amplitude,
-                sigma=int(doc.get("sigma", 1)),
+                sigma=_json_int(doc.get("sigma", 1)),
                 L=float(doc.get("L", 64.0)),
-                N=int(doc.get("N", 4096)),
+                N=_json_int(doc.get("N", 4096)),
                 params=params,
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -60,7 +60,7 @@ class ScatteringData:
 def compute_scattering(potential: Potential, z_grid: np.ndarray) -> ScatteringData:
     """Fill a(z), abreve, b, bbreve, r, rbreve over a symmetric real grid.
 
-    S = Y^-(z, X) and Y^-(z, 0) are the node values of the accepted CF4
+    S = Y^-(z, X) and Y^-(z, 0) come from the two legs of the accepted CF4
     level.  The determinant-formula value (read off S) is cross-checked
     against the product formula built from first Jost columns at x = 0;
     disagreement beyond tolerance is an integration fault, not a data
@@ -73,19 +73,13 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray) -> ScatteringDa
         raise BadInput("z_grid must be symmetric about 0")
     if potential.tail_bound() > 1e-10 * (1.0 + abs(potential.amplitude)):
         raise TruncationTooSmall("potential tail outside [-L, L] too heavy")
-    X = potential.scatter_halfwidth()
-    traj, err = y_matrix_batch(potential, z_grid.astype(complex),
-                               x_nodes=np.array([0.0, X]))
-    S = traj[1]                     # Y^-(z, +X) = S(z)
-    a, b_breve = S[:, 0, 0], S[:, 0, 1]
-    b, a_breve = S[:, 1, 0], S[:, 1, 1]
+    (Y0, S), err = y_matrix_batch(potential, z_grid.astype(complex))
+    a, b_breve, b, a_breve = S      # S = Y^-(z, +X)
 
     # product formula at x = 0: a(z) = Y11(z,0) conj(Y11(-z,0))
     #                                 - sigma Y21(z,0) conj(Y21(-z,0))
-    Y0 = traj[0]
-    flip = slice(None, None, -1)
-    a_prod = (Y0[:, 0, 0] * np.conj(Y0[flip, 0, 0])
-              - potential.sigma * Y0[:, 1, 0] * np.conj(Y0[flip, 1, 0]))
+    a_prod = (Y0[0] * np.conj(Y0[0][::-1])
+              - potential.sigma * Y0[2] * np.conj(Y0[2][::-1]))
     mismatch = float(np.abs(a_prod - a).max())
     if mismatch > 200.0 * max(err, RTOL):
         raise IntegratorDivergence(
@@ -161,18 +155,15 @@ def exact_box_scattering(box: Potential, z):
 class GenericityReport:
     min_abs_a: float
     min_abs_one_minus_rr: float
-    winding: int | None
-    contour_radius: float | None
+    winding: int
+    contour_radius: float
     a_pass: bool
     rr_pass: bool
-    winding_pass: bool | None
+    winding_pass: bool
 
     @property
     def passed(self) -> bool:
-        ok = self.a_pass and self.rr_pass
-        if self.winding_pass is not None:
-            ok = ok and self.winding_pass
-        return ok
+        return self.a_pass and self.rr_pass and self.winding_pass
 
 
 def check_genericity(data: ScatteringData) -> GenericityReport:
@@ -181,26 +172,23 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
     The winding is counted along the boundary of the half-disc of radius
     z_grid[-1] in the closed upper half-plane; a(z) on the arc is obtained by
     integrating the analytic first column at complex z.  Zero winding means
-    no zeros of a(z) are claimed inside.  Requires the data to remember its
-    potential; otherwise the winding entry is None.
+    no zeros of a(z) are claimed inside.  Data that does not remember its
+    potential is refused with BadInput.
     """
+    if data.potential is None:
+        raise BadInput("genericity check needs the potential of the scattering data")
     min_a = float(np.abs(data.a).min())
     w = 1.0 - data.r * data.r_breve
     min_w = float(np.abs(w).min())
-    winding = None
-    winding_pass = None
-    R = None
-    if data.potential is not None:
-        R = float(data.z_grid[-1])
-        theta = np.linspace(0.0, np.pi, N_ARC)
-        z_arc = R * np.exp(1j * theta)
-        a_arc, _ = analytic_column_batch(data.potential, z_arc)
-        path = np.concatenate([data.a, a_arc[1:]])
-        if np.abs(path).min() < EPS_A:
-            raise GenericityViolation("a(z) vanishes on the winding contour")
-        total = np.unwrap(np.angle(path))
-        winding = int(np.round((total[-1] - total[0]) / (2.0 * np.pi)))
-        winding_pass = winding == 0
+    R = float(data.z_grid[-1])
+    theta = np.linspace(0.0, np.pi, N_ARC)
+    z_arc = R * np.exp(1j * theta)
+    a_arc, _ = analytic_column_batch(data.potential, z_arc)
+    path = np.concatenate([data.a, a_arc[1:]])
+    if np.abs(path).min() < EPS_A:
+        raise GenericityViolation("a(z) vanishes on the winding contour")
+    total = np.unwrap(np.angle(path))
+    winding = int(np.round((total[-1] - total[0]) / (2.0 * np.pi)))
     return GenericityReport(
         min_abs_a=min_a,
         min_abs_one_minus_rr=min_w,
@@ -208,5 +196,5 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
         contour_radius=R,
         a_pass=min_a >= EPS_A,
         rr_pass=min_w >= EPS_GENERIC,
-        winding_pass=winding_pass,
+        winding_pass=winding == 0,
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonlocal_nls import Potential, ScatteringData, compute_scattering
+from nonlocal_nls import Potential, ScatteringData, _cf4, compute_scattering
 from nonlocal_nls.phase import SpectralContext
 
 
@@ -59,6 +59,29 @@ def accept_gauss_ctx(accept_gauss_data):
 @pytest.fixture(scope="session")
 def gauss_small_ctx(gauss_small, zgrid_wide):
     return SpectralContext(compute_scattering(gauss_small, zgrid_wide))
+
+
+def jost_nodes(potential, z, nodes, n_steps):
+    """Y(z, x) at ascending `nodes` in [-X, X] from `_cf4._propagate` legs.
+
+    Starts from Y(-X) = I, and a leg gets max(2, ceil(n_steps |leg| / 2X))
+    steps, as in `y_matrix_batch`.  Returns one 4-tuple (Y11, Y12, Y21, Y22)
+    of (nz,) arrays per node.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    X = potential.scatter_halfwidth()
+    sp, sm = _cf4._phase_diag(z, X)
+    cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
+    x_cur, out = -X, []
+    for x in nodes:
+        if x > x_cur:
+            n = max(2, int(np.ceil(n_steps * (x - x_cur) / (2 * X))))
+            cols = _cf4._propagate(potential, z, x_cur, x, n, cols)
+            x_cur = x
+        (t11, t21), (t12, t22) = cols
+        ep, em = _cf4._phase_diag(z, x_cur)
+        out.append((ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm))
+    return out
 
 
 def synthetic_data(z, r_fn, rb_fn):

@@ -63,7 +63,7 @@ def accept_gaussian():
 def pde_run(accept_gaussian):
     """One evolution to t = 160 with snapshots at the comparison times."""
     times = [40.0, 80.0, 160.0]
-    snaps = evolve(accept_gaussian, times[-1], 5e-3, snapshot_times=times)
+    snaps = evolve(accept_gaussian, times, 5e-3)
     return times, snaps
 
 
@@ -206,7 +206,7 @@ def test_criterion_7_end_to_end_rate(accept_gauss_ctx, pde_run):
         errs = []
         for snap in snaps:
             x = -4.0 * xi * snap.t
-            q_num = complex(spectral_interpolate(snap, [x])[0])
+            q_num = spectral_interpolate(snap, x)
             ev = q_asymptotic(x, snap.t, accept_gauss_ctx)
             errs.append(abs(q_num - ev.q_leading))
         monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
@@ -228,8 +228,8 @@ def test_criterion_8_oracle_integrity(accept_gaussian, pde_run):
     pot = Potential(kind="gaussian", amplitude=0.3, sigma=1,
                     params={"width": 1.0}, L=64.0, N=2048)
     T = 2.0
-    ref = evolve(pot, T, T / 8192).q
-    errs = [np.abs(evolve(pot, T, dt).q - ref).max()
+    ref = evolve(pot, [T], T / 8192)[-1].q
+    errs = [np.abs(evolve(pot, [T], dt)[-1].q - ref).max()
             for dt in (T / 256, T / 512, T / 1024)]
     ratios = (errs[0] / errs[1], errs[1] / errs[2])
     assert all(3.5 <= r <= 4.5 for r in ratios)
@@ -241,9 +241,9 @@ def test_criterion_9_degenerate_gates():
     # zero potential: leading term identically zero, zero comparison error
     pot = Potential(kind="zero", L=64.0, N=1024)
     ctx = SpectralContext(compute_scattering(pot, np.linspace(-8.0, 8.0, 257)))
-    snap = evolve(pot, 40.0, 0.01)
+    [snap] = evolve(pot, [40.0], 0.01)
     xi = 0.3
-    q_num = complex(spectral_interpolate(snap, [-4 * xi * 40.0])[0])
+    q_num = spectral_interpolate(snap, -4 * xi * 40.0)
     ev = q_asymptotic(-4 * xi * 40.0, 40.0, ctx)
     assert ev.q_leading == 0
     assert abs(q_num - ev.q_leading) == 0.0

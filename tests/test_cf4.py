@@ -12,7 +12,6 @@ from nonlocal_nls import (
 from nonlocal_nls._cf4 import (
     analytic_column_batch,
     _expm_shifted,
-    _phase_diag,
     _propagate,
     _series_coefficients,
     _series_expm,
@@ -20,6 +19,8 @@ from nonlocal_nls._cf4 import (
     y_matrix_batch,
 )
 from nonlocal_nls.errors import IntegratorDivergence
+
+from conftest import jost_nodes
 
 
 def _identity_cols(z):
@@ -54,16 +55,23 @@ def test_constant_coefficient_exactness():
     assert max(abs(a - b).max() for a, b in zip(coarse, fine)) < 1e-13
 
 
-def test_step_control_reports_estimate(box_plus):
-    Y, err = y_matrix_batch(box_plus, np.array([0.3 + 0j]), rtol=1e-11)
+def test_step_control_reports_estimate(box_plus, monkeypatch):
+    monkeypatch.setattr(_cf4, "RTOL", 1e-11)
+    Y, err = y_matrix_batch(box_plus, np.array([0.3 + 0j]))
     assert err < 1e-10
 
 
-def test_step_control_divergence_raises(gauss_small):
+def _stall(monkeypatch):
+    """A step control that cannot pass: one doubling against RTOL = 1e-16."""
+    monkeypatch.setattr(_cf4, "RTOL", 1e-16)
+    monkeypatch.setattr(_cf4, "MAX_REFINE", 1)
+
+
+def test_step_control_divergence_raises(gauss_small, monkeypatch):
     # a truncation stall: on a box CF4 is exact, so its only gap is roundoff
-    with pytest.raises(IntegratorDivergence):
-        y_matrix_batch(gauss_small, np.array([0.3 + 0j]), n_steps=2,
-                       rtol=1e-16, max_refine=1)
+    _stall(monkeypatch)
+    with pytest.raises(IntegratorDivergence, match=r"stalled at \d+ steps"):
+        y_matrix_batch(gauss_small, np.array([0.3 + 0j]))
 
 
 def _level_steps(monkeypatch):
@@ -89,9 +97,10 @@ def test_reported_error_is_honest(gauss_small, zgrid_wide, monkeypatch):
     # true deviation from a level with 16 times the steps
     z = zgrid_wide.astype(complex)
     levels = _level_steps(monkeypatch)
-    S, err = y_matrix_batch(gauss_small, z)
+    (_, S), err = y_matrix_batch(gauss_small, z)
     n_accepted = levels[-1]
-    ref, _ = y_matrix_batch(gauss_small, z, n_steps=8 * n_accepted, max_refine=1)
+    X = gauss_small.scatter_halfwidth()
+    ref = jost_nodes(gauss_small, z, [0.0, X], 16 * n_accepted)[1]
     assert levels[-1] == 16 * n_accepted
     true = max(float(np.abs(s - r).max()) for s, r in zip(S, ref))
     scale = 1.0 + max(float(np.abs(s).max()) for s in S)
@@ -111,10 +120,10 @@ def test_smooth_input_stops_one_level_earlier(box_plus, zgrid_wide, monkeypatch)
         assert levels == want
 
 
-def test_column_stall_reports_steps_and_error(gauss_small):
-    with pytest.raises(IntegratorDivergence, match=r"stalled at 4 steps \(err \d"):
-        analytic_column_batch(gauss_small, np.array([1.0j]), n_steps=2,
-                              rtol=1e-16, max_refine=1)
+def test_column_stall_reports_steps_and_error(gauss_small, monkeypatch):
+    _stall(monkeypatch)
+    with pytest.raises(IntegratorDivergence, match=r"stalled at \d+ steps \(err \d"):
+        analytic_column_batch(gauss_small, np.array([1.0j]))
 
 
 def test_unimodular_transfer(box_plus):
@@ -159,21 +168,14 @@ def test_sinhc_at_zero():
 
 
 def test_nodes_are_the_accepted_level_legs(box_plus):
-    # with one refinement the accepted level has 2 * 192 steps; its node
-    # values are the leg transfers -X -> 0 -> X, each with its share of steps
+    # the box passes on its second level of 2 * 192 steps (see
+    # test_smooth_input_stops_one_level_earlier); Y(0) and Y(X) are its leg
+    # transfers -X -> 0 -> X, each with its share of the steps
     z = np.array([0.3, -1.7], dtype=complex)
     X = box_plus.scatter_halfwidth()
-    traj, _ = y_matrix_batch(box_plus, z, n_steps=192, max_refine=1,
-                             x_nodes=np.array([0.0, X]))
-    sp, sm = _phase_diag(z, X)
-    cols = _identity_cols(z)
-    for k, (x0, x1) in enumerate([(-X, 0.0), (0.0, X)]):
-        n = max(2, int(np.ceil(384 * abs(x1 - x0) / (2 * X))))
-        cols = _propagate(box_plus, z, x0, x1, n, cols)
-        (t11, t21), (t12, t22) = cols
-        ep, em = _phase_diag(z, x1)
-        want = [ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm]
-        assert np.array_equal(traj[k].reshape(-1, 4).T, want)
+    nodes, _ = y_matrix_batch(box_plus, z)
+    for got, want in zip(nodes, jost_nodes(box_plus, z, [0.0, X], 384)):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_shifted_column_is_the_m_frame(box_plus):

@@ -75,6 +75,23 @@ def test_missing_config_exits_1(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("potential", "sigma", 1.5), ("potential", "sigma", True),
+    ("potential", "N", 256.9), ("window", "n", 257.5),
+])
+def test_scatter_non_integral_integer_exits_1(tmp_path, runner, section, key, value):
+    # an integer field is never truncated or read off a bool
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    doc = json.loads(cfg.read_text())
+    doc[section][key] = value
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "scatter"])
+    assert res.exit_code == 1, res.output
+    assert "expected an integer" in res.output
+    assert not (out / "scattering.csv").exists()
+
+
 def test_genericity_violation_exits_2(tmp_path, runner):
     pot = dict(BOX_POT, amplitude=[4.5, 0.0], sigma=-1)
     cfg = _write_config(tmp_path / "cfg.json", pot)
@@ -89,9 +106,8 @@ def test_formula_mismatch_is_integrator_fault_exits_3(tmp_path, runner, monkeypa
     propagate = scattering.y_matrix_batch
 
     def perturbed(*args, **kwargs):
-        traj, err = propagate(*args, **kwargs)
-        traj[0] *= 1.0 + 1e-6
-        return traj, err
+        (Y0, S), err = propagate(*args, **kwargs)
+        return (tuple(y * (1.0 + 1e-6) for y in Y0), S), err
 
     monkeypatch.setattr(scattering, "y_matrix_batch", perturbed)
     with pytest.raises(IntegratorDivergence):

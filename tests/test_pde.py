@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlocal_nls import Potential, evolve, pde
-from nonlocal_nls.errors import BadInput, BoundaryContamination, StepTooLarge
+from nonlocal_nls.errors import (
+    BadInput,
+    BoundaryContamination,
+    NonpositiveTime,
+    StepTooLarge,
+)
 from nonlocal_nls.pde import (
     OUTER_BAND,
     _free_flow,
@@ -109,15 +114,15 @@ class TestNonlinearStep:
 class TestEvolve:
     def test_zero_potential_stays_zero(self):
         pot = Potential(kind="zero", L=16.0, N=256)
-        snap = evolve(pot, 3.0, 0.01)
+        [snap] = evolve(pot, [3.0], 0.01)
         assert np.abs(snap.q).max() == 0
 
     def test_strang_order_two(self):
         pot = Potential(kind="gaussian", amplitude=0.3, sigma=1,
                         params={"width": 1.0}, L=64.0, N=2048)
         T = 2.0
-        ref = evolve(pot, T, T / 8192).q
-        errs = [np.abs(evolve(pot, T, dt).q - ref).max()
+        ref = evolve(pot, [T], T / 8192)[-1].q
+        errs = [np.abs(evolve(pot, [T], dt)[-1].q - ref).max()
                 for dt in (T / 256, T / 512, T / 1024)]
         r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
         assert 3.5 <= r1 <= 4.5
@@ -127,7 +132,7 @@ class TestEvolve:
         pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                         params={"width": 1.0}, L=64.0, N=2048)
         m0 = snapshot_from_potential(pot).nonlocal_mass
-        snap = evolve(pot, 4.0, 5e-3)
+        [snap] = evolve(pot, [4.0], 5e-3)
         assert abs(snap.nonlocal_mass - m0) < 1e-10 * abs(m0)
 
     def test_spatial_resolution_doubling(self, monkeypatch):
@@ -136,8 +141,8 @@ class TestEvolve:
         monkeypatch.setattr(pde, "BAND_MARGIN", np.inf)
         mk = lambda N: Potential(kind="gaussian", amplitude=0.3, sigma=1,
                                  params={"width": 1.0}, L=64.0, N=N)
-        a = evolve(mk(2048), 2.0, 1e-3)
-        b = evolve(mk(4096), 2.0, 1e-3)
+        [a] = evolve(mk(2048), [2.0], 1e-3)
+        [b] = evolve(mk(4096), [2.0], 1e-3)
         assert (a.working_N, b.working_N) == (2048, 4096)
         assert np.abs(b.q[::2] - a.q).max() < 1e-8
 
@@ -145,7 +150,7 @@ class TestEvolve:
         pot = Potential(kind="gaussian", amplitude=0.3, sigma=1,
                         params={"width": 1.0}, L=64.0, N=2048)
         with pytest.raises(StepTooLarge):
-            evolve(pot, 1.0, 0.1)
+            evolve(pot, [1.0], 0.1)
 
     def test_step_too_large_on_the_step_taken(self, monkeypatch):
         # one step spans 1.45 dt, so dt_eff k_sig^2 = 0.65 although dt k_sig^2 = 0.45
@@ -158,28 +163,28 @@ class TestEvolve:
         k_sig = pde.signal_bandwidth(snapshot_from_potential(pot).q, pot.L)
         dt = 0.45 / k_sig ** 2
         with pytest.raises(StepTooLarge, match=r"dt k_sig\^2 = 0\.65"):
-            evolve(pot, 1.45 * dt, dt)
+            evolve(pot, [1.45 * dt], dt)
 
     def test_nonlinear_phase_too_large(self):
         # dt k_sig^2 is about 0.05, but 2 dt max|V| = 1.8 rad per step
         with pytest.raises(StepTooLarge, match="nonlinear phase bound"):
-            evolve(_tall_gauss(), 1.0, 0.1)
+            evolve(_tall_gauss(), [1.0], 0.1)
 
-    def test_boundary_contamination_detected(self):
+    def test_boundary_contamination_detected(self, monkeypatch):
+        monkeypatch.setattr(pde, "MONITOR_EVERY", 20)
         pot = Potential(kind="gaussian", amplitude=0.2, sigma=1,
                         params={"width": 1.0}, L=24.0, N=1024)
         with pytest.raises(BoundaryContamination):
-            evolve(pot, 40.0, 5e-3, monitor_every=20)
+            evolve(pot, [40.0], 5e-3)
 
     def test_snapshot_times(self):
         pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                         params={"width": 1.0}, L=64.0, N=1024)
-        snaps = evolve(pot, 2.0, 1e-2, snapshot_times=[1.0, 2.0])
+        snaps = evolve(pot, [1.0, 2.0], 1e-2)
         assert [s.t for s in snaps] == [1.0, 2.0]
         assert snaps[0].step_count < snaps[1].step_count
 
-    @pytest.mark.parametrize("times", [[3.0], [-0.5, 1.0]])
-    def test_snapshot_times_outside_run_refused_before_stepping(self, monkeypatch, times):
+    def test_snapshot_times_outside_run_refused_before_stepping(self, monkeypatch):
         def no_steps(*args, **kwargs):
             raise AssertionError("stepped before refusing the snapshot times")
 
@@ -187,13 +192,35 @@ class TestEvolve:
         pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                         params={"width": 1.0}, L=64.0, N=1024)
         with pytest.raises(BadInput, match="snapshot times"):
-            evolve(pot, 1.0, 1e-3, snapshot_times=times)
+            evolve(pot, [-0.5, 1.0], 1e-3)
+
+    @pytest.mark.parametrize("times, dt, error", [
+        ([], 0.01, BadInput),
+        ([float("inf")], 0.01, BadInput),
+        ([float("nan")], 0.01, BadInput),
+        ([-0.5, float("inf")], 0.01, BadInput),
+        (1.0, 0.01, BadInput),
+        ([1.0], float("nan"), BadInput),
+        ([1.0], float("inf"), BadInput),
+        ([1.0], 0.0, BadInput),
+        ([0.0], 0.01, NonpositiveTime),
+        ([-1.0], 0.01, NonpositiveTime),
+    ])
+    def test_bad_times_or_dt_refused_before_stepping(self, monkeypatch, times, dt, error):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("stepped before refusing the times or dt")
+
+        monkeypatch.setattr(pde, "_run", no_steps)
+        pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                        params={"width": 1.0}, L=64.0, N=1024)
+        with pytest.raises(error):
+            evolve(pot, times, dt)
 
     def test_sigma_matters(self):
         mk = lambda s: Potential(kind="gaussian", amplitude=0.3, sigma=s,
                                  params={"width": 1.0}, L=64.0, N=1024)
-        qp = evolve(mk(1), 1.0, 1e-3).q
-        qm = evolve(mk(-1), 1.0, 1e-3).q
+        qp = evolve(mk(1), [1.0], 1e-3)[-1].q
+        qm = evolve(mk(-1), [1.0], 1e-3)[-1].q
         assert np.abs(qp - qm).max() > 1e-4
 
 
@@ -220,7 +247,7 @@ def _full_grid(pot, T, dt):
     snap = snapshot_from_potential(pot)
     n = max(1, int(round(T / dt)))
     outer = np.abs(snap.grid) > (1.0 - OUTER_BAND) * snap.L
-    return _run(snap.q, snap.wavenumbers, snap.sigma, n, T / n, 100, outer)
+    return _run(snap.q, snap.wavenumbers, snap.sigma, n, T / n, outer)
 
 
 def _accept_gauss():
@@ -245,7 +272,7 @@ class TestWorkingGrid:
         (_compact_gauss(2048), 2.0, 1e-3, 2048),
     ], ids=["acceptance", "compact-strided", "compact-full"])
     def test_matches_full_grid(self, pot, T, dt, n_work, request):
-        snap = evolve(pot, T, dt)
+        [snap] = evolve(pot, [T], dt)
         assert snap.working_N == n_work
         assert snap.q.shape == (pot.N,)
         assert np.array_equal(snap.grid, pot.grid())
@@ -269,7 +296,7 @@ class TestWorkingGrid:
 
         monkeypatch.setattr(pde, "_run", spy)
         monkeypatch.setattr(pde, "BAND_MARGIN", 1.0)
-        snap = evolve(_accept_gauss(), 5.0, 5e-3)
+        [snap] = evolve(_accept_gauss(), [5.0], 5e-3)
         # 1024 and 2048 points resolve k_sig but not the top half of their band
         assert sizes == [1024, 2048, 4096]
         assert snap.working_N == 4096
@@ -279,14 +306,14 @@ class TestWorkingGrid:
     def test_full_band_runs_on_full_grid(self):
         pot = Potential(kind="box", amplitude=0.3, sigma=1,
                         params={"left": -1.0, "right": 1.0}, L=8.0, N=256)
-        snap = evolve(pot, 0.01, 1e-4)
+        [snap] = evolve(pot, [0.01], 1e-4)
         assert snap.working_N == 256
         assert np.array_equal(snap.q, _full_grid(pot, 0.01, 1e-4))
 
 
 def test_matches_plain_strang_loop():
     pot = _accept_gauss()
-    snap = evolve(pot, 5.0, 5e-3)
+    [snap] = evolve(pot, [5.0], 5e-3)
     stride = pot.N // snap.working_N
     ref = _plain_strang(snapshot_from_potential(pot).q[::stride], pot.L, pot.sigma,
                         1000, 5e-3)
@@ -309,14 +336,14 @@ def test_work_counts(monkeypatch):
     counted(np.fft, "fft")
     counted(np.fft, "ifft")
     counted(np, "exp")
-    snap = evolve(_accept_gauss(), 5.0, 5e-3)
+    [snap] = evolve(_accept_gauss(), [5.0], 5e-3)
     assert (snap.step_count, snap.working_N) == (1000, 4096)
     # fft: bandwidth probe, first half step, 1000 steps, 10 band checks, pad;
     # ifft: first half step, 1000 steps, pad
     assert (calls["fft"], calls["ifft"]) == (1013, 1002)
     exp_long = calls["exp"]
     calls["exp"] = 0
-    assert evolve(_accept_gauss(), 0.5, 5e-3).step_count == 100
+    assert evolve(_accept_gauss(), [0.5], 5e-3)[-1].step_count == 100
     assert calls["exp"] == exp_long
 
 
@@ -325,20 +352,9 @@ def test_spectral_interpolation_band_limited():
                     params={"width": 1.5}, L=32.0, N=1024)
     snap = snapshot_from_potential(pot)
     x_pts = np.array([-3.21, 0.077, 4.9])
-    vals = spectral_interpolate(snap, x_pts)
+    vals = [spectral_interpolate(snap, x) for x in x_pts]
     assert np.allclose(vals, pot(x_pts), atol=1e-10)
     # on-grid points must reproduce samples exactly
     xg = snap.grid[[10, 500]]
-    assert np.allclose(spectral_interpolate(snap, xg), snap.q[[10, 500]],
+    assert np.allclose([spectral_interpolate(snap, x) for x in xg], snap.q[[10, 500]],
                        atol=1e-12)
-
-
-def test_spectral_interpolation_blocks_match_pointwise():
-    pot = Potential(kind="gaussian", amplitude=0.2, sigma=1,
-                    params={"width": 1.5}, L=32.0, N=1024)
-    snap = snapshot_from_potential(pot)
-    x_pts = np.random.default_rng(5).uniform(-30.0, 30.0, 3000)
-    vals = spectral_interpolate(snap, x_pts)
-    single = np.array([spectral_interpolate(snap, [x])[0] for x in x_pts])
-    assert vals.shape == (3000,)
-    assert np.abs(vals - single).max() <= 1e-14 * np.abs(single).max()

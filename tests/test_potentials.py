@@ -166,6 +166,14 @@ def test_non_object_section_is_bad_input(key, value):
         ExperimentConfig.from_json_dict(doc)
 
 
+def test_integral_float_config_integers_accepted():
+    doc = _config_doc("box")
+    doc["potential"].update(sigma=-1.0, N=256.0)
+    doc["window"]["n"] = 257.0
+    cfg = ExperimentConfig.from_json_dict(doc)
+    assert (cfg.potential.sigma, cfg.potential.N, cfg.nz) == (-1, 256, 257)
+
+
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["gaussian", "box"]), data=st.data(),
        value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))

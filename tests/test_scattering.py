@@ -17,6 +17,8 @@ from nonlocal_nls.errors import (
     TruncationTooSmall,
 )
 
+from conftest import jost_nodes, synthetic_data
+
 # frozen via scipy.linalg.expm over the interval partition (independent route)
 FROZEN_BOX = {
     (0.3, 1, -1.0, 1.0, 0.7): (
@@ -78,11 +80,13 @@ class TestExactBoxOracle:
 
 
 def _trajectory(potential, z, n_nodes=129):
-    """Y(z, x) from `y_matrix_batch` on n_nodes points over [-X, X]."""
+    """Y(z, x) as (n_nodes, 2, 2) on n_nodes points over [-X, X].
+
+    The legs share 384 steps, the level the box accepts.
+    """
     X = potential.scatter_halfwidth()
-    traj, _ = y_matrix_batch(potential, np.array([z], dtype=complex),
-                             x_nodes=np.linspace(-X, X, n_nodes))
-    return traj[:, 0]
+    Y = jost_nodes(potential, z, np.linspace(-X, X, n_nodes), 384)
+    return np.array([[[y11, y12], [y21, y22]] for y11, y12, y21, y22 in Y])[..., 0]
 
 
 class TestJost:
@@ -170,25 +174,21 @@ class TestComputeScattering:
         z = 0.9
         a_ref = exact_box_scattering(box_plus, z)[0]
         for x in (-0.7, 0.0, 0.45, 1.2):
-            traj, _ = y_matrix_batch(box_plus, np.array([z, -z]),
-                                     x_nodes=np.array([x, -x]))
-            Y_zx = traj[0, 0]
-            Y_mzmx = traj[1, 1]
-            val = (Y_zx[0, 0] * np.conj(Y_mzmx[0, 0])
-                   - box_plus.sigma * Y_zx[1, 0] * np.conj(Y_mzmx[1, 0]))
+            nodes = sorted({x, -x})
+            Y = dict(zip(nodes, jost_nodes(box_plus, [z, -z], nodes, 384)))
+            y11, _, y21, _ = Y[x]       # entries at (z, x): index 0
+            m11, _, m21, _ = Y[-x]      # entries at (-z, -x): index 1
+            val = y11[0] * np.conj(m11[1]) - box_plus.sigma * y21[0] * np.conj(m21[1])
             assert abs(val - a_ref) < 1e-8
 
     def test_s_is_the_node_matrix_at_x(self, box_plus):
         z = np.linspace(-4.0, 4.0, 33)
         data = compute_scattering(box_plus, z)
-        X = box_plus.scatter_halfwidth()
-        traj, err = y_matrix_batch(box_plus, z.astype(complex),
-                                   x_nodes=np.array([0.0, X]))
-        S = traj[1]
-        assert np.array_equal(data.a, S[:, 0, 0])
-        assert np.array_equal(data.b_breve, S[:, 0, 1])
-        assert np.array_equal(data.b, S[:, 1, 0])
-        assert np.array_equal(data.a_breve, S[:, 1, 1])
+        (_, S), err = y_matrix_batch(box_plus, z.astype(complex))
+        assert np.array_equal(data.a, S[0])
+        assert np.array_equal(data.b_breve, S[1])
+        assert np.array_equal(data.b, S[2])
+        assert np.array_equal(data.a_breve, S[3])
         assert data.truncation_error == err
 
     def test_single_pass_potential_samples(self, box_plus, monkeypatch):
@@ -204,7 +204,9 @@ class TestComputeScattering:
 
         monkeypatch.setattr(Potential, "__call__", counted)
         z = np.linspace(-4.0, 4.0, 33)
-        y_matrix_batch(box_plus, z.astype(complex))
+        X = box_plus.scatter_halfwidth()
+        for n in (192, 384):    # the box's two levels, each as one leg -X -> X
+            jost_nodes(box_plus, z, [X], n)
         end_only = sum(calls)
         calls.clear()
         compute_scattering(box_plus, z)
@@ -247,6 +249,12 @@ class TestGenericity:
         rep = check_genericity(data)
         assert rep.winding == 0
         assert rep.passed
+
+    def test_refuses_data_without_potential(self):
+        data = synthetic_data(np.linspace(-4, 4, 65), lambda z: 0.1 / (1 + z * z),
+                              lambda z: 0.1 / (1 + z * z))
+        with pytest.raises(BadInput, match="potential"):
+            check_genericity(data)
 
     def test_adversarial_amplitude_sweep_trips(self):
         # sigma = -1 boxes approach a spectral singularity as A grows:
