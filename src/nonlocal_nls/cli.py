@@ -197,7 +197,7 @@ def evolve_cmd(ctx, t_final, fmt):
     drift = abs(snap.nonlocal_mass - m0)
     scale = max(abs(snap.nonlocal_mass), 1e-300)
     click.echo(f"nonlocal mass drift: {drift / scale:.3e} relative")
-    click.echo(f"working grid N' = {snap.working_N} of N = {snap.N}")
+    click.echo(f"lens box |y| < {snap.Y:.4g} on n = {len(snap.v)} points, {snap.step_count} steps")
 
 
 @main.command()

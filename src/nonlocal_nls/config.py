@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadInput
-from .potentials import Potential, _json_int
+from .potentials import Potential, _json_float, _json_int
 
 
 @dataclass
@@ -68,13 +68,13 @@ class ExperimentConfig:
         try:
             return cls(
                 potential=Potential.from_json_dict(doc["potential"]),
-                z_max=float(window.get("z_max", 16.0)),
+                z_max=_json_float(window.get("z_max", 16.0)),
                 nz=_json_int(window.get("n", 2049)),
-                rays=[float(v) for v in doc.get("rays", [])],
-                times=[float(v) for v in doc.get("times", [])],
-                dt=float(pde.get("dt", 5e-3)),
-                t_min=float(doc.get("t_min", 10.0)),
-                tol_scale=float(doc.get("tol_scale", 1.0)),
+                rays=[_json_float(v) for v in doc.get("rays", [])],
+                times=[_json_float(v) for v in doc.get("times", [])],
+                dt=_json_float(pde.get("dt", 5e-3)),
+                t_min=_json_float(doc.get("t_min", 10.0)),
+                tol_scale=_json_float(doc.get("tol_scale", 1.0)),
             )
         except (TypeError, ValueError) as exc:
             raise BadInput(f"bad config value: {exc}") from exc

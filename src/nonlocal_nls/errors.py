@@ -62,13 +62,12 @@ class WindowExceeded(NonlocalNLSError):
 
 
 class BoundaryContamination(NonlocalNLSError):
-    """Dispersive front reached the outer band of the spatial domain."""
+    """The PDE field reached the outer band of its box or the top half of its spectrum."""
 
 
 class StepTooLarge(NonlocalNLSError):
     """Time step does not resolve the flow: dt k_sig^2 > 0.5 for the fastest
-    populated mode, or a nonlinear phase bound 2 sqrt(2) dt max(|Re V|, |Im V|)
-    above 1 rad, V = q(x) conj(q(-x))."""
+    populated mode, or a nonlinear phase above 1 rad in one step."""
 
 
 class MissingInputs(NonlocalNLSError):

@@ -22,14 +22,10 @@ SCATTER_COLUMNS = (
 )
 
 
-def _f(v: float) -> str:
-    return repr(float(v))
-
-
 def _write_table(header: str, rows, path):
-    """CSV with one line per row: str cells as they are, numbers through _f."""
+    """CSV with one line per row of str cells and Python floats (str of a float is its repr)."""
     lines = [header]
-    lines.extend(",".join(c if isinstance(c, str) else _f(c) for c in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -37,7 +33,7 @@ def write_scattering_csv(data: ScatteringData, path):
     cols = [data.z_grid]
     for c in (data.a, data.b, data.a_breve, data.b_breve, data.r, data.r_breve):
         cols += [c.real, c.imag]
-    _write_table(SCATTER_COLUMNS, np.column_stack(cols), path)
+    _write_table(SCATTER_COLUMNS, np.column_stack(cols).tolist(), path)
 
 
 def write_genericity_json(report: GenericityReport, path):
@@ -58,7 +54,8 @@ def write_phase_json(rays: list, path):
 
 
 def write_snapshot_csv(snap: FieldSnapshot, path):
-    _write_table("x,re_q,im_q", zip(snap.grid, snap.q.real, snap.q.imag), path)
+    _write_table("x,re_q,im_q", np.column_stack([snap.grid, snap.q.real, snap.q.imag]).tolist(),
+                 path)
 
 
 def write_snapshot_binary(snap: FieldSnapshot, path):

@@ -37,6 +37,13 @@ def _json_int(value) -> int:
     return int(value)
 
 
+def _json_float(value) -> float:
+    """A real number from JSON: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _solve_141(d):
     """Solve m_{i-1} + 4 m_i + m_{i+1} = d_i along the last axis, m = 0 past both ends.
 
@@ -220,8 +227,9 @@ class Potential:
         try:
             kind = doc["kind"]
             amp = doc.get("amplitude", [0.0, 0.0])
-            amplitude = complex(float(amp[0]), float(amp[1]))
+            amplitude = complex(_json_float(amp[0]), _json_float(amp[1]))
             params = dict(doc.get("params", {}))
+            params.update((k, _json_float(params[k])) for k in _NUMERIC_PARAMS if k in params)
             if "samples" in params:
                 arr = np.asarray(params["samples"], dtype=float)
                 params["samples"] = arr[:, 0] + 1j * arr[:, 1]
@@ -229,7 +237,7 @@ class Potential:
                 kind=kind,
                 amplitude=amplitude,
                 sigma=_json_int(doc.get("sigma", 1)),
-                L=float(doc.get("L", 64.0)),
+                L=_json_float(doc.get("L", 64.0)),
                 N=_json_int(doc.get("N", 4096)),
                 params=params,
             )

@@ -218,6 +218,36 @@ def test_criterion_7_end_to_end_rate(accept_gauss_ctx, pde_run):
                + "; ".join(summary) + " (target <= -0.65)")
 
 
+def test_decay_law_with_nonzero_im_nu():
+    # an off-centre gaussian breaks x -> -x symmetry, so Im nu(xi) != 0 and
+    # |q| decays like t^{Im nu - 1/2} along the ray, not like t^{-1/2}
+    pot = Potential(kind="gaussian", amplitude=0.3, sigma=-1,
+                    params={"width": 1.5, "center": 2.0}, L=32.0, N=1024)
+    ctx = SpectralContext(compute_scattering(pot, np.linspace(-8.0, 8.0, 1025)))
+    times = [40.0 * 2 ** k for k in range(7)]
+    snaps = evolve(pot, times, 5e-3)
+    summary = []
+    for xi in (0.24, -0.24):
+        q_num, q_asym = [], []
+        for snap in snaps:
+            x = -4.0 * xi * snap.t
+            ev = q_asymptotic(x, snap.t, ctx)
+            assert ev.validity == "valid"
+            q_num.append(spectral_interpolate(snap, x))
+            q_asym.append(ev.q_leading)
+        im_nu = ev.im_nu
+        slope = float(np.polyfit(np.log(times), np.log(np.abs(q_num)), 1)[0])
+        rest = float(np.polyfit(np.log(times),
+                                np.log(np.abs(np.subtract(q_num, q_asym))), 1)[0])
+        assert abs(im_nu) >= 0.1
+        assert abs(slope - (im_nu - 0.5)) <= 0.02, f"xi={xi}: |q| exponent {slope}"
+        assert rest <= -0.65, f"xi={xi}: remainder exponent {rest}"
+        summary.append(f"xi={xi}: Im nu {im_nu:+.3f}, |q| exponent {slope:.3f} "
+                       f"vs {im_nu - 0.5:.3f}, remainder {rest:.3f}")
+    _report("7 (Im nu != 0)", "gaussian A=0.3 sigma=-1 centre 2, t = 40..2560: "
+            + "; ".join(summary) + " (within 0.02; remainder <= -0.65)")
+
+
 def test_criterion_8_oracle_integrity(accept_gaussian, pde_run):
     times, snaps = pde_run
     m0 = snapshot_from_potential(accept_gaussian).nonlocal_mass

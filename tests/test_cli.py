@@ -264,7 +264,7 @@ def test_evolve_reports_working_grid(tmp_path, runner):
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
                                "evolve", "--t", "0.5"])
     assert res.exit_code == 0, res.output
-    assert "working grid N' = 2048 of N = 4096" in res.output
+    assert "lens box |y| < 37.64 on n = 512 points, 42 steps" in res.output
 
 
 def test_evolve_nonlinear_step_too_large_exits_3(tmp_path, runner):

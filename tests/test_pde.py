@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from nonlocal_nls import Potential, evolve, pde
+from nonlocal_nls import Potential, check_genericity, compute_scattering, evolve, pde
 from nonlocal_nls.errors import (
     BadInput,
     BoundaryContamination,
@@ -10,10 +9,8 @@ from nonlocal_nls.errors import (
     StepTooLarge,
 )
 from nonlocal_nls.pde import (
-    OUTER_BAND,
     _free_flow,
     _pt_flow,
-    _run,
     mirror,
     nonlocal_mass,
     snapshot_from_potential,
@@ -21,94 +18,76 @@ from nonlocal_nls.pde import (
 )
 
 
-def _snap(q_fn, L=32.0, N=512, sigma=1):
-    pot = Potential(kind="zero", L=L, N=N, sigma=sigma)
-    snap = snapshot_from_potential(pot)
-    snap.q = np.asarray(q_fn(snap.grid), dtype=complex)
-    snap.nonlocal_mass = nonlocal_mass(snap.q, snap.dx)
-    return snap
+def _grid(L=32.0, N=512):
+    """x, dx and the FFT wavenumbers of the symmetric N-point grid on [-L, L)."""
+    dx = 2.0 * L / N
+    return -L + dx * np.arange(N), dx, 2.0 * np.pi * np.fft.fftfreq(N, d=dx)
 
 
 def test_mirror_is_exact_involution():
     N = 64
     q = np.arange(N, dtype=complex)
     assert np.all(mirror(mirror(q)) == q)
-    pot = Potential(kind="zero", L=8.0, N=N)
-    x = pot.grid()
+    x, _, _ = _grid(8.0, N)
     f = np.exp(-((x - 1.3) ** 2))
     # mirror must sample f at -x exactly (periodic identification of +-L)
     assert np.allclose(mirror(f)[1:], np.exp(-((-x - 1.3) ** 2))[1:])
 
 
-def _free(snap, dt):
+def _free(q, k, dt):
     """The free flow of `_run` over dt: multiplier e^{-i k^2 dt}."""
-    k = snap.wavenumbers
-    return _free_flow(snap.q, np.exp(-1j * k * k * dt))
+    return _free_flow(q, np.exp(-1j * k * k * dt))
 
 
 class TestLinearStep:
     def test_dt_zero_is_identity(self):
-        snap = _snap(lambda x: np.exp(-x * x) * (1 + 2j))
-        assert np.allclose(_free(snap, 0.0), snap.q)
+        x, _, k = _grid()
+        q = np.exp(-x * x) * (1 + 2j)
+        assert np.allclose(_free(q, k, 0.0), q)
 
     def test_plane_wave_phase(self):
-        L, N = 16.0, 256
-        k0 = 2 * np.pi / (2 * L) * 12
-        snap = _snap(lambda x: np.exp(1j * k0 * x), L=L, N=N)
+        x, _, k = _grid(16.0, 256)
+        k0 = 2 * np.pi / 32.0 * 12
+        q = np.exp(1j * k0 * x)
         dt = 0.37
-        q = _free(snap, dt)
-        assert np.allclose(q, np.exp(-1j * k0 * k0 * dt) * snap.q, atol=1e-12)
+        assert np.allclose(_free(q, k, dt), np.exp(-1j * k0 * k0 * dt) * q, atol=1e-12)
 
     def test_mass_invariance_to_roundoff(self):
-        snap = _snap(lambda x: 0.3 * np.exp(-x * x / 4) * np.exp(0.2j * x))
-        q = _free(snap, 0.81)
-        assert abs(nonlocal_mass(q, snap.dx) - snap.nonlocal_mass) < 1e-14
+        x, dx, k = _grid()
+        q = 0.3 * np.exp(-x * x / 4) * np.exp(0.2j * x)
+        assert abs(nonlocal_mass(_free(q, k, 0.81), dx) - nonlocal_mass(q, dx)) < 1e-14
 
 
 def _flow(q, sigma, dt):
-    """The nonlinear flow of `_run` over dt, applied to a copy of q."""
-    return _pt_flow(q.copy(), sigma, dt, np.empty_like(q), np.empty_like(q))
+    """The nonlinear flow of `_run` over dt at s = 1: coefficient c = 2 i sigma dt."""
+    return _pt_flow(q, 2j * sigma * dt)
 
 
 class TestNonlinearStep:
     def test_dt_zero_is_identity(self):
-        snap = _snap(lambda x: np.exp(-x * x) * (0.2 + 0.1j))
-        assert np.allclose(_flow(snap.q, snap.sigma, 0.0), snap.q)
+        x, _, _ = _grid()
+        q = np.exp(-x * x) * (0.2 + 0.1j)
+        assert np.allclose(_flow(q, 1, 0.0), q)
 
     def test_real_even_reduces_to_local_phase_rotation(self):
-        snap = _snap(lambda x: 0.4 * np.exp(-x * x / 2))
+        x, _, _ = _grid()
+        q = 0.4 * np.exp(-x * x / 2) + 0j
         dt = 0.23
-        q = _flow(snap.q, snap.sigma, dt)
-        expected = snap.q * np.exp(2j * snap.sigma * np.abs(snap.q) ** 2 * dt)
-        assert np.allclose(q, expected, atol=1e-14)
+        expected = q * np.exp(2j * np.abs(q) ** 2 * dt)
+        assert np.allclose(_flow(q, 1, dt), expected, atol=1e-14)
 
     def test_pt_product_invariant(self):
-        snap = _snap(lambda x: 0.3 * np.exp(-(x - 0.8) ** 2) * (1 + 0.5j),
-                     sigma=-1)
-        V0 = snap.q * np.conj(mirror(snap.q))
-        q = _flow(snap.q, snap.sigma, 0.42)
-        V1 = q * np.conj(mirror(q))
+        x, _, _ = _grid()
+        q = 0.3 * np.exp(-(x - 0.8) ** 2) * (1 + 0.5j)
+        V0 = q * np.conj(mirror(q))
+        q1 = _flow(q, -1, 0.42)
+        V1 = q1 * np.conj(mirror(q1))
         assert np.abs(V1 - V0).max() < 1e-14
 
     def test_mass_invariance(self):
-        snap = _snap(lambda x: 0.3 * np.exp(-(x - 0.8) ** 2) * (1 + 0.5j))
-        q = _flow(snap.q, snap.sigma, 0.42)
-        assert abs(nonlocal_mass(q, snap.dx) - snap.nonlocal_mass) < 1e-13
-
-    @settings(max_examples=200, deadline=None)
-    @given(re=st.floats(-0.707, 0.707), im=st.floats(-0.707, 0.707),
-           w=st.complex_numbers(max_magnitude=1.0, allow_subnormal=False))
-    def test_series_matches_exp(self, re, im, w):
-        # On 6 points x -> -x pairs 1 with 5 and 2 with 4, so with sigma dt = 1/2
-        # (c = i) the phases are z at 1, -conj(z) at 5 and exactly 0 at 2;
-        # |Re z|, |Im z| <= 0.707 keeps the bound m = sqrt(2) max(...) <= 1.
-        z = complex(re, im)
-        q = np.array([0.0, -1j * z, w, 0.0, 0.0, 1.0])
-        out = _flow(q, 1, 0.5)
-        eps = np.finfo(float).eps
-        for got, want in ((out[1], q[1] * np.exp(z)), (out[5], np.exp(-z.conjugate()))):
-            assert abs(got - want) <= 4 * eps * abs(want)
-        assert out[2] == w
+        x, dx, _ = _grid()
+        q = 0.3 * np.exp(-(x - 0.8) ** 2) * (1 + 0.5j)
+        assert abs(nonlocal_mass(_flow(q, 1, 0.42), dx) - nonlocal_mass(q, dx)) < 1e-13
 
 
 class TestEvolve:
@@ -136,15 +115,13 @@ class TestEvolve:
         assert abs(snap.nonlocal_mass - m0) < 1e-10 * abs(m0)
 
     def test_spatial_resolution_doubling(self, monkeypatch):
-        # a margin no working grid can meet keeps N' = N, so the two runs
-        # really step on 2048 and 4096 points
-        monkeypatch.setattr(pde, "BAND_MARGIN", np.inf)
-        mk = lambda N: Potential(kind="gaussian", amplitude=0.3, sigma=1,
-                                 params={"width": 1.0}, L=64.0, N=N)
-        [a] = evolve(mk(2048), [2.0], 1e-3)
-        [b] = evolve(mk(4096), [2.0], 1e-3)
-        assert (a.working_N, b.working_N) == (2048, 4096)
-        assert np.abs(b.q[::2] - a.q).max() < 1e-8
+        lens_box = pde._lens_box
+        [a] = evolve(_compact_gauss(2048), [2.0], 1e-3)
+        monkeypatch.setattr(pde, "_lens_box",
+                            lambda *args: (lens_box(*args)[0], 2 * lens_box(*args)[1]))
+        [b] = evolve(_compact_gauss(2048), [2.0], 1e-3)
+        assert (len(a.v), len(b.v)) == (512, 1024)
+        assert np.abs(b.q - a.q).max() < 1e-12
 
     def test_step_too_large(self):
         pot = Potential(kind="gaussian", amplitude=0.3, sigma=1,
@@ -153,17 +130,17 @@ class TestEvolve:
             evolve(pot, [1.0], 0.1)
 
     def test_step_too_large_on_the_step_taken(self, monkeypatch):
-        # one step spans 1.45 dt, so dt_eff k_sig^2 = 0.65 although dt k_sig^2 = 0.45
+        # the one tau step spans 1.45 dt, so it reads 0.65 although dt k_sig^2 = 0.45
         def no_steps(*args, **kwargs):
             raise AssertionError("stepped before refusing the step")
 
         monkeypatch.setattr(pde, "_run", no_steps)
-        pot = Potential(kind="gaussian", amplitude=0.3, sigma=1,
-                        params={"width": 1.0}, L=64.0, N=2048)
-        k_sig = pde.signal_bandwidth(snapshot_from_potential(pot).q, pot.L)
+        pot = _compact_gauss(2048)
+        k_sig = pde.signal_bandwidth(pot(pot.grid()), pot.L)
         dt = 0.45 / k_sig ** 2
+        tau = 1.45 * dt
         with pytest.raises(StepTooLarge, match=r"dt k_sig\^2 = 0\.65"):
-            evolve(pot, [1.45 * dt], dt)
+            evolve(pot, [tau / (1.0 - tau / pde.T)], dt)
 
     def test_nonlinear_phase_too_large(self):
         # dt k_sig^2 is about 0.05, but 2 dt max|V| = 1.8 rad per step
@@ -171,11 +148,30 @@ class TestEvolve:
             evolve(_tall_gauss(), [1.0], 0.1)
 
     def test_boundary_contamination_detected(self, monkeypatch):
-        monkeypatch.setattr(pde, "MONITOR_EVERY", 20)
+        # a third of the sized box: the front reaches its edge between t = 5 and 40
+        monkeypatch.setattr(pde, "_lens_box", lambda *args: (12.0, 256))
         pot = Potential(kind="gaussian", amplitude=0.2, sigma=1,
                         params={"width": 1.0}, L=24.0, N=1024)
-        with pytest.raises(BoundaryContamination):
+        assert evolve(pot, [5.0], 5e-3)[-1].step_count == 372
+        with pytest.raises(BoundaryContamination, match="outer 10% of the y box"):
             evolve(pot, [40.0], 5e-3)
+
+    def test_discrete_spectrum_refused(self):
+        # a(z) has a zero in the upper half-plane: the bound state does not
+        # disperse, contracts like 1/s in y and fills the top of the y spectrum
+        pot = Potential(kind="gaussian", amplitude=0.8, sigma=1,
+                        params={"width": 1.0}, L=32.0, N=1024)
+        assert check_genericity(compute_scattering(pot, np.linspace(-8.0, 8.0, 513))).winding >= 1
+        assert evolve(pot, [2.0], 5e-3)[-1].step_count == 234
+        with pytest.raises(BoundaryContamination, match="top half of the y spectrum"):
+            evolve(pot, [40.0], 5e-3)
+
+    def test_full_band_data_refused(self):
+        # a box fills every wavenumber of any grid it is sampled on
+        pot = Potential(kind="box", amplitude=0.3, sigma=1,
+                        params={"left": -1.0, "right": 1.0}, L=8.0, N=256)
+        with pytest.raises(BoundaryContamination, match="does not resolve the field"):
+            evolve(pot, [0.01], 1e-4)
 
     def test_snapshot_times(self):
         pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
@@ -242,109 +238,42 @@ def _plain_strang(q, L, sigma, n_steps, dt):
     return q
 
 
-def _full_grid(pot, T, dt):
-    """The step loop of `evolve` run on all N points of the configured grid."""
-    snap = snapshot_from_potential(pot)
-    n = max(1, int(round(T / dt)))
-    outer = np.abs(snap.grid) > (1.0 - OUTER_BAND) * snap.L
-    return _run(snap.q, snap.wavenumbers, snap.sigma, n, T / n, outer)
-
-
-def _accept_gauss():
-    return Potential(kind="gaussian", amplitude=0.1, sigma=1,
-                     params={"width": 2.6}, L=512.0, N=2 ** 15)
-
-
 def _compact_gauss(N):
     return Potential(kind="gaussian", amplitude=0.3, sigma=1,
                      params={"width": 1.0}, L=64.0, N=N)
 
 
-@pytest.fixture(scope="module")
-def accept_full():
-    return _full_grid(_accept_gauss(), 5.0, 5e-3)
-
-
-class TestWorkingGrid:
-    @pytest.mark.parametrize("pot, T, dt, n_work", [
-        (_accept_gauss(), 5.0, 5e-3, 4096),
-        (_compact_gauss(4096), 2.0, 1e-3, 2048),
-        (_compact_gauss(2048), 2.0, 1e-3, 2048),
-    ], ids=["acceptance", "compact-strided", "compact-full"])
-    def test_matches_full_grid(self, pot, T, dt, n_work, request):
-        [snap] = evolve(pot, [T], dt)
-        assert snap.working_N == n_work
-        assert snap.q.shape == (pot.N,)
-        assert np.array_equal(snap.grid, pot.grid())
-        assert snap.step_count == round(T / dt)
-        if pot.N == 2 ** 15:
-            ref = request.getfixturevalue("accept_full")
-        else:
-            ref = _full_grid(pot, T, dt)
-        if n_work == pot.N:
-            assert np.array_equal(snap.q, ref)
-        assert np.abs(snap.q - ref).max() <= 1e-11 * np.abs(ref).max()
-        m_ref = nonlocal_mass(ref, snap.dx)
-        assert abs(snap.nonlocal_mass - m_ref) <= 1e-11 * abs(m_ref)
-
-    def test_band_monitor_regrows_grid(self, monkeypatch, accept_full):
-        sizes = []
-
-        def spy(q, *args):
-            sizes.append(len(q))
-            return _run(q, *args)
-
-        monkeypatch.setattr(pde, "_run", spy)
-        monkeypatch.setattr(pde, "BAND_MARGIN", 1.0)
-        [snap] = evolve(_accept_gauss(), [5.0], 5e-3)
-        # 1024 and 2048 points resolve k_sig but not the top half of their band
-        assert sizes == [1024, 2048, 4096]
-        assert snap.working_N == 4096
-        assert snap.step_count == 1000
-        assert np.abs(snap.q - accept_full).max() <= 1e-11 * np.abs(accept_full).max()
-
-    def test_full_band_runs_on_full_grid(self):
-        pot = Potential(kind="box", amplitude=0.3, sigma=1,
-                        params={"left": -1.0, "right": 1.0}, L=8.0, N=256)
-        [snap] = evolve(pot, [0.01], 1e-4)
-        assert snap.working_N == 256
-        assert np.array_equal(snap.q, _full_grid(pot, 0.01, 1e-4))
-
-
 def test_matches_plain_strang_loop():
-    pot = _accept_gauss()
-    [snap] = evolve(pot, [5.0], 5e-3)
-    stride = pot.N // snap.working_N
-    ref = _plain_strang(snapshot_from_potential(pot).q[::stride], pot.L, pot.sigma,
-                        1000, 5e-3)
-    assert np.abs(snap.q[::stride] - ref).max() <= 1e-12 * np.abs(ref).max()
-    m_ref = nonlocal_mass(ref, stride * snap.dx)
+    # both runs make O(dt^2) errors of their own; they agree within 6.2e-9
+    pot = _compact_gauss(2048)
+    [snap] = evolve(pot, [2.0], 1e-3)
+    ref = _plain_strang(pot(pot.grid()), pot.L, pot.sigma, 2000, 1e-3)
+    assert np.abs(snap.q - ref).max() <= 2e-8 * np.abs(ref).max()
+    m_ref = nonlocal_mass(ref, 2.0 * pot.L / pot.N)
     assert abs(snap.nonlocal_mass - m_ref) <= 1e-11 * abs(m_ref)
 
 
 def test_work_counts(monkeypatch):
-    calls = {"fft": 0, "ifft": 0, "exp": 0}
+    calls = {"fft": 0, "ifft": 0}
 
-    def counted(mod, name):
-        fn = getattr(mod, name)
+    def counted(name):
+        fn = getattr(np.fft, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(np.fft, name, wrapper)
 
-    counted(np.fft, "fft")
-    counted(np.fft, "ifft")
-    counted(np, "exp")
-    [snap] = evolve(_accept_gauss(), [5.0], 5e-3)
-    assert (snap.step_count, snap.working_N) == (1000, 4096)
-    # fft: bandwidth probe, first half step, 1000 steps, 10 band checks, pad;
-    # ifft: first half step, 1000 steps, pad
-    assert (calls["fft"], calls["ifft"]) == (1013, 1002)
-    exp_long = calls["exp"]
-    calls["exp"] = 0
-    assert evolve(_accept_gauss(), [0.5], 5e-3)[-1].step_count == 100
-    assert calls["exp"] == exp_long
+    counted("fft")
+    counted("ifft")
+    pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                    params={"width": 2.6}, L=512.0, N=2 ** 15)
+    [snap] = evolve(pot, [5.0], 5e-3)
+    assert (snap.step_count, len(snap.v)) == (372, 512)
+    # fft: bandwidth probe, 373 free flows, 4 edge checks; ifft: 373 free flows
+    assert (calls["fft"], calls["ifft"]) == (378, 373)
+    # steps uniform in s^{-1/2} number below 1 / (1 - sqrt(1 - dt/T)) = 799.5 for any t
+    assert [evolve(pot, [t], 5e-3)[-1].step_count for t in (2560.0, 1e6)] == [777, 798]
 
 
 def test_spectral_interpolation_band_limited():
@@ -354,7 +283,11 @@ def test_spectral_interpolation_band_limited():
     x_pts = np.array([-3.21, 0.077, 4.9])
     vals = [spectral_interpolate(snap, x) for x in x_pts]
     assert np.allclose(vals, pot(x_pts), atol=1e-10)
-    # on-grid points must reproduce samples exactly
-    xg = snap.grid[[10, 500]]
-    assert np.allclose([spectral_interpolate(snap, x) for x in xg], snap.q[[10, 500]],
-                       atol=1e-12)
+    # points of the y grid must reproduce the samples exactly
+    yg = -snap.Y + (2.0 * snap.Y / len(snap.v)) * np.array([10, 100])
+    assert np.allclose([spectral_interpolate(snap, y) for y in yg], pot(yg), atol=1e-12)
+    # the field on the configured grid is the same interpolant, 0 off the box
+    idx = [100, 500, 1000]
+    assert np.allclose(snap.q[idx], [spectral_interpolate(snap, x) for x in snap.grid[idx]],
+                       atol=1e-15)
+    assert np.all(snap.q[np.abs(snap.grid) >= snap.Y] == 0)

@@ -174,6 +174,23 @@ def test_integral_float_config_integers_accepted():
     assert (cfg.potential.sigma, cfg.potential.N, cfg.nz) == (-1, 256, 257)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("pde", "dt"), True), (("t_min",), True), (("window", "z_max"), True),
+    (("times",), ["20"]), (("potential", "L"), "64"),
+    (("potential", "amplitude"), [True, "0.1"]), (("potential", "params", "left"), "-1"),
+])
+def test_bool_or_string_config_number_is_bad_input(path, value):
+    # a float field is never read off a bool or a numeric string
+    doc = _config_doc("box")
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(BadInput, match="expected a number"):
+        ExperimentConfig.from_json_dict(doc)
+
+
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["gaussian", "box"]), data=st.data(),
        value=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
