@@ -219,7 +219,7 @@ def compare(ctx):
         for snap in snaps:
             t = snap.t
             x = -4.0 * xi * t
-            if abs(x) > 0.9 * snap.L:
+            if abs(x) > snap.x_reach:
                 continue
             q_num = spectral_interpolate(snap, x)
             try:

@@ -88,6 +88,11 @@ class FieldSnapshot:
     def grid(self) -> np.ndarray:
         return -self.L + (2.0 * self.L / self.N) * np.arange(self.N)
 
+    @property
+    def x_reach(self) -> float:
+        """Half-width in x of the monitored inner part of the box, (1 - OUTER_BAND) s Y."""
+        return (1.0 - OUTER_BAND) * (1.0 + self.t / T) * self.Y
+
     @cached_property
     def q(self) -> np.ndarray:
         """The field on the N-point configured grid, built on first read."""

@@ -11,8 +11,9 @@ coefficients are r = b/a and rbreve = bbreve/abreve; for the nonlocal
 equation the two are independent functions.
 
 An exact matrix-exponential route for piecewise-constant (box) potentials
-serves as the oracle, and a winding-number count of a(z) over a half-disc in
-the upper half-plane backs the no-discrete-spectrum (genericity) assumption.
+serves as the oracle.  The no-discrete-spectrum (genericity) assumption is
+backed by a small-norm bound where it applies and otherwise by a
+winding-number count of a(z) over a half-disc in the upper half-plane.
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ class GenericityReport:
     a_pass: bool
     rr_pass: bool
     winding_pass: bool
+    route: str
+    bound: float
 
     @property
     def passed(self) -> bool:
@@ -169,11 +172,20 @@ class GenericityReport:
 def check_genericity(data: ScatteringData) -> GenericityReport:
     """Report min |a|, min |1 - r rbreve| and the winding number of a(z).
 
-    The winding is counted along the boundary of the half-disc of radius
-    z_grid[-1] in the closed upper half-plane; a(z) on the arc is obtained by
-    integrating the analytic first column at complex z.  Zero winding means
-    no zeros of a(z) are claimed inside.  Data that does not remember its
-    potential is refused with BadInput.
+    `bound` is I0(2 N) - 1 with N = potential.l1_bound() >= ||q||_1.  As
+    ||r||_1 = ||q||_1 for r(x) = -sigma conj(q(-x)), the Neumann series of the
+    Jost columns gives |a(z) - 1| <= bound for Im z >= 0 and
+    |abreve(z) - 1| <= bound for Im z <= 0 (Ablowitz, Kaup, Newell & Segur,
+    1974).  Where bound < 1 (N < 0.90), neither a in the closed upper
+    half-plane nor abreve in the closed lower one can vanish: the winding is
+    0 with no integration (route "small_norm").  The computed a and abreve
+    on the real grid must then lie within bound + 200 max(err, RTOL) of 1,
+    or IntegratorDivergence is raised.  Otherwise (route "arc") the winding
+    of a is counted along the boundary of the half-disc of radius z_grid[-1]
+    in the closed upper half-plane, a(z) on the arc coming from the analytic
+    first column integrated at complex z; zero winding means no zeros of a
+    are claimed inside, and abreve is not checked.  Data that does not
+    remember its potential is refused with BadInput.
     """
     if data.potential is None:
         raise BadInput("genericity check needs the potential of the scattering data")
@@ -181,14 +193,26 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
     w = 1.0 - data.r * data.r_breve
     min_w = float(np.abs(w).min())
     R = float(data.z_grid[-1])
-    theta = np.linspace(0.0, np.pi, N_ARC)
-    z_arc = R * np.exp(1j * theta)
-    a_arc, _ = analytic_column_batch(data.potential, z_arc)
-    path = np.concatenate([data.a, a_arc[1:]])
-    if np.abs(path).min() < EPS_A:
-        raise GenericityViolation("a(z) vanishes on the winding contour")
-    total = np.unwrap(np.angle(path))
-    winding = int(np.round((total[-1] - total[0]) / (2.0 * np.pi)))
+    # capped where I0 stays finite (1e302); every bound >= 1 takes the arc
+    bound = float(np.i0(min(2.0 * data.potential.l1_bound(), 700.0))) - 1.0
+    if bound < 1.0:
+        route, winding = "small_norm", 0
+        dev = max(float(np.abs(data.a - 1.0).max()), float(np.abs(data.a_breve - 1.0).max()))
+        if dev > bound + 200.0 * max(data.truncation_error, RTOL):
+            raise IntegratorDivergence(
+                f"|a - 1| or |abreve - 1| reaches {dev:.3e} on the real grid, "
+                f"above the small-norm bound {bound:.3e}"
+            )
+    else:
+        route = "arc"
+        theta = np.linspace(0.0, np.pi, N_ARC)
+        z_arc = R * np.exp(1j * theta)
+        a_arc, _ = analytic_column_batch(data.potential, z_arc)
+        path = np.concatenate([data.a, a_arc[1:]])
+        if np.abs(path).min() < EPS_A:
+            raise GenericityViolation("a(z) vanishes on the winding contour")
+        total = np.unwrap(np.angle(path))
+        winding = int(np.round((total[-1] - total[0]) / (2.0 * np.pi)))
     return GenericityReport(
         min_abs_a=min_a,
         min_abs_one_minus_rr=min_w,
@@ -197,4 +221,6 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
         a_pass=min_a >= EPS_A,
         rr_pass=min_w >= EPS_GENERIC,
         winding_pass=winding == 0,
+        route=route,
+        bound=bound,
     )

@@ -347,6 +347,24 @@ def test_compare_and_report_small(tmp_path, runner):
     assert (out / "plot_long.csv").exists()
 
 
+def test_compare_keeps_ray_points_past_the_x_domain(tmp_path, runner):
+    # the data of test_decay_law_with_nonzero_im_nu: at t = 2560 the rays
+    # reach |x| = 2458, far past L = 32 but inside the lens field's reach
+    pot = {"kind": "gaussian", "amplitude": [0.3, 0.0], "sigma": -1,
+           "L": 32.0, "N": 1024, "params": {"width": 1.5, "center": 2.0}}
+    cfg = _write_config(tmp_path / "cfg.json", pot, rays=[0.24, -0.24],
+                        times=[40.0 * 2 ** k for k in range(7)],
+                        window={"z_max": 8.0, "n": 1025}, pde={"dt": 0.005})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "compare"])
+    assert res.exit_code == 0, res.output
+    rows = (out / "compare.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 14 and all(row.endswith(",valid") for row in rows)
+    fits = json.loads((out / "fits.json").read_text())
+    assert sorted(fits) == ["-0.24", "0.24"]
+    assert all(fit["n_points"] == 7 for fit in fits.values())
+
+
 def test_verify_ray_far_left_exits_0(tmp_path, runner):
     # the delta-jump points must lie left of the ray, not from 0.6 z_lo = -9.6 on
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT, rays=[-14.0],

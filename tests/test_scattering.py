@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,13 @@ from nonlocal_nls import (
     check_genericity,
     compute_scattering,
     exact_box_scattering,
+    scattering,
 )
 from nonlocal_nls._cf4 import y_matrix_batch
 from nonlocal_nls.errors import (
     BadInput,
     GenericityViolation,
+    IntegratorDivergence,
     NotPiecewiseConstant,
     TruncationTooSmall,
 )
@@ -269,3 +273,99 @@ class TestGenericity:
                 break
         assert tripped
 
+    def test_small_norm_route_never_integrates_the_arc(self, monkeypatch, accept_gauss_data,
+                                                       box_minus_data, zgrid_wide):
+        # the three benchmark scatter inputs: ||q||_1 = 0.652, 0.6 and <= 0.63
+        def no_arc(*args, **kwargs):
+            raise AssertionError("the arc was integrated on small-norm data")
+
+        monkeypatch.setattr(scattering, "analytic_column_batch", no_arc)
+        x = np.linspace(-32.0, 32.0, 4096, endpoint=False)
+        q = 0.12 * np.exp(-(1.0 + 0.3j) * (x - 0.25) ** 2 / (2.0 * 2.1 ** 2))
+        chirped = Potential(kind="samples", amplitude=0.12, sigma=-1, L=32.0, N=4096,
+                            params={"samples": q})
+        for data in (accept_gauss_data, box_minus_data, compute_scattering(chirped, zgrid_wide)):
+            rep = check_genericity(data)
+            assert rep.route == "small_norm" and rep.bound < 1.0
+            assert rep.winding == 0 and rep.passed
+
+    @pytest.mark.parametrize("amplitude, winding", [(0.8, 1), (0.4, 0)])
+    def test_arc_route_above_the_bound(self, amplitude, winding):
+        # ||q||_1 = 2.0 (a bound state, see test_pde) and 1.0: both past 0.90
+        pot = Potential(kind="gaussian", amplitude=amplitude, sigma=1,
+                        params={"width": 1.0}, L=32.0, N=1024)
+        rep = check_genericity(compute_scattering(pot, np.linspace(-8.0, 8.0, 513)))
+        assert rep.route == "arc" and rep.bound >= 1.0
+        assert rep.winding == winding
+
+    def test_small_norm_witness_catches_a_bad_abreve(self, box_minus_data):
+        # a real-axis abreve outside the bound is an integration fault
+        bad = dataclasses.replace(box_minus_data, a_breve=3.0 * box_minus_data.a_breve)
+        with pytest.raises(IntegratorDivergence, match="small-norm bound"):
+            check_genericity(bad)
+
+
+def _abs_sum(pot, n):
+    """dx sum |q| on n points of [-L, L): the integral of |q| for data decayed at the ends."""
+    x = np.linspace(-pot.L, pot.L, n, endpoint=False)
+    return np.abs(pot(x)).sum() * (2.0 * pot.L / n)
+
+
+def _assert_within_small_norm_bound(pot):
+    bound = float(np.i0(2.0 * pot.l1_bound())) - 1.0
+    data = compute_scattering(pot, np.linspace(-6.0, 6.0, 97))
+    assert np.abs(data.a - 1.0).max() <= bound
+    assert np.abs(data.a_breve - 1.0).max() <= bound
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    norm=st.floats(0.05, 0.89),
+    phase=st.floats(-np.pi, np.pi),
+    sigma=st.sampled_from([1, -1]),
+    width=st.floats(0.5, 2.0),
+    center=st.floats(-2.0, 2.0),
+    chirp=st.floats(-0.5, 0.5),
+)
+def test_property_small_norm_bound_gaussian(norm, phase, sigma, width, center, chirp):
+    amp = norm / (width * np.sqrt(2.0 * np.pi)) * np.exp(1j * phase)
+    pot = Potential(kind="gaussian", amplitude=amp, sigma=sigma, L=32.0, N=1024,
+                    params={"width": width, "center": center, "chirp": chirp})
+    closed = abs(amp) * width * np.sqrt(2.0 * np.pi)
+    assert pot.l1_bound() >= closed * (1.0 - 1e-15)
+    assert pot.l1_bound() >= _abs_sum(pot, 2 ** 16) * (1.0 - 1e-12)
+    _assert_within_small_norm_bound(pot)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    norm=st.floats(0.05, 0.89),
+    phase=st.floats(-np.pi, np.pi),
+    sigma=st.sampled_from([1, -1]),
+    left=st.floats(-2.0, 1.0),
+    length=st.floats(0.2, 3.0),
+)
+def test_property_small_norm_bound_box(norm, phase, sigma, left, length):
+    amp = norm / length * np.exp(1j * phase)
+    pot = Potential(kind="box", amplitude=amp, sigma=sigma, L=8.0, N=64,
+                    params={"left": left, "right": left + length})
+    assert pot.l1_bound() >= abs(amp) * (pot.params["right"] - left) * (1.0 - 1e-15)
+    _assert_within_small_norm_bound(pot)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    amp=st.complex_numbers(min_magnitude=0.01, max_magnitude=0.3,
+                           allow_infinity=False, allow_nan=False),
+    width=st.floats(0.5, 2.0),
+    center=st.floats(-2.0, 2.0),
+    chirp=st.floats(-0.5, 0.5),
+)
+def test_property_samples_l1_bound_tracks_fine_quadrature(amp, width, center, chirp):
+    # the Bernstein bound of the spline against |q| summed 16 times finer
+    L, N = 32.0, 1024
+    x = np.linspace(-L, L, N, endpoint=False)
+    q = amp * np.exp(-(1.0 + 1j * chirp) * (x - center) ** 2 / (2.0 * width * width))
+    pot = Potential(kind="samples", amplitude=amp, L=L, N=N, params={"samples": q})
+    ref = _abs_sum(pot, 16 * N)
+    assert ref * (1.0 - 1e-6) <= pot.l1_bound() <= 1.01 * ref
