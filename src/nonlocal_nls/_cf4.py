@@ -184,15 +184,16 @@ def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[fl
 def _cf4_steps(potential, x_from, x_to, n_steps):
     """Yield (h, b, c) for each smooth segment of [x_from, x_to].
 
-    The segment gets n = max(2, ceil(n_steps |segment| / |x_to - x_from|))
-    steps of size h.  b and c hold the off-diagonal entries of its 2n
-    exponentials in the order they act: per step, those of
-    h (a2 A1 + a1 A2) and then of h (a1 A1 + a2 A2).
+    The segment gets n = max(2, ceil(n_steps (|segment| / |x_to - x_from|)))
+    steps of size h; the ratio comes first, so a lone segment gets n_steps.
+    b and c hold the off-diagonal entries of its 2n exponentials in the
+    order they act: per step, those of h (a2 A1 + a1 A2) and then of
+    h (a1 A1 + a2 A2).
     """
     sig = potential.sigma
     total = abs(x_to - x_from)
     for seg_from, seg_to in _segments(potential, x_from, x_to):
-        n = max(2, int(np.ceil(n_steps * abs(seg_to - seg_from) / total)))
+        n = max(2, int(np.ceil(n_steps * (abs(seg_to - seg_from) / total))))
         h = (seg_to - seg_from) / n
         xs = seg_from + h * np.arange(n)
         # Gauss samples of q and conj(q(-x)) for the whole segment at once
@@ -272,7 +273,7 @@ def y_matrix_batch(potential, z):
     sp, sm = _phase_diag(z, X)
 
     def level(n_total):
-        n = max(2, int(np.ceil(n_total * X / (2 * X))))
+        n = max(2, (n_total + 1) // 2)
         cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
         Y = []
         for x_from, x_to in ((-X, 0.0), (0.0, X)):

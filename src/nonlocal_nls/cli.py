@@ -7,7 +7,7 @@ byte-identical outputs; there is no randomness anywhere in the pipeline.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import sys
 from pathlib import Path
@@ -37,22 +37,6 @@ def _fail(exc: BaseException, code: int):
     sys.exit(code)
 
 
-def _guarded(fn):
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except BadInput as exc:
-            _fail(exc, 1)
-        except GenericityViolation as exc:
-            _fail(exc, 2)
-        except MissingInputs as exc:
-            _fail(exc, 4)
-        except (NonlocalNLSError, ArithmeticError, ValueError) as exc:
-            _fail(exc, 3)
-    wrapper.__name__ = fn.__name__
-    return wrapper
-
-
 @click.group()
 @click.option("--config", "config_path", default=None, help="JSON experiment config")
 @click.option("--out", "out_dir", default="out", help="output directory")
@@ -65,20 +49,41 @@ def main(ctx, config_path, out_dir, tol_scale):
     ctx.obj["tol_scale"] = tol_scale
 
 
+def _command(name=None):
+    """Register fn(ctx, **options) as a subcommand whose errors exit with their code."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except BadInput as exc:
+                _fail(exc, 1)
+            except GenericityViolation as exc:
+                _fail(exc, 2)
+            except MissingInputs as exc:
+                _fail(exc, 4)
+            except (NonlocalNLSError, ArithmeticError, ValueError) as exc:
+                _fail(exc, 3)
+        return main.command(name=name)(click.pass_context(run))
+    return register
+
+
 def _load_config(ctx) -> ExperimentConfig:
     path = ctx.obj.get("config_path")
     if not path:
         raise BadInput("--config is required for this subcommand")
     cfg = ExperimentConfig.from_json_file(path)
-    cfg.tol_scale *= ctx.obj.get("tol_scale", 1.0)
-    if not 0 < cfg.tol_scale < math.inf:
+    if not 0 < ctx.obj["tol_scale"] < math.inf:
         raise BadInput("--tol-scale must be finite and positive")
     return cfg
 
 
 def _outdir(ctx) -> Path:
     out = ctx.obj["out"]
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BadInput(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -86,9 +91,16 @@ def _scatter_data(cfg: ExperimentConfig):
     return compute_scattering(cfg.potential, cfg.z_grid())
 
 
-@main.command()
-@click.pass_context
-@_guarded
+def _leading(x, t, spectral, cfg: ExperimentConfig):
+    """(q, validity, Im nu) of the leading term; NaN and "invalid" where it is refused."""
+    try:
+        ev = q_asymptotic(x, t, spectral, t_min=cfg.t_min)
+    except (ValidityViolation, WindowExceeded):
+        return complex(math.nan, math.nan), "invalid", math.nan
+    return ev.q_leading, ev.validity, ev.im_nu
+
+
+@_command()
 def scatter(ctx):
     """Compute scattering data; write CSV and a genericity report."""
     cfg = _load_config(ctx)
@@ -102,9 +114,7 @@ def scatter(ctx):
         raise GenericityViolation("genericity report failed; see genericity.json")
 
 
-@main.command()
-@click.pass_context
-@_guarded
+@_command()
 def phase(ctx):
     """Phase data (nu, delta0, tail integral) for every configured ray."""
     cfg = _load_config(ctx)
@@ -118,32 +128,15 @@ def phase(ctx):
     click.echo(f"wrote {out / 'phase.json'}")
 
 
-@main.command()
+@_command()
 @click.option("--queries", "queries_path", required=False,
               help="JSON-lines file of {\"x\":..,\"t\":..} queries")
-@click.pass_context
-@_guarded
 def asym(ctx, queries_path):
     """Evaluate the leading-order formula for a batch of (x, t) queries."""
     cfg = _load_config(ctx)
     out = _outdir(ctx)
-    queries = []
     if queries_path:
-        try:
-            with open(queries_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        doc = json.loads(line)
-                        if not isinstance(doc, dict):
-                            raise ValueError(f"query {line!r} is not a JSON object")
-                        x, t = float(doc["x"]), float(doc["t"])
-                        if not (math.isfinite(x) and math.isfinite(t) and t >= cfg.t_min):
-                            raise ValueError(f"bad query x={x}, t={t}: need finite x, t "
-                                             f"and t >= t_min = {cfg.t_min}")
-                        queries.append((x, t))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise BadInput(f"bad queries file: {exc}") from exc
+        queries = nio.read_queries(queries_path, cfg.t_min)
     else:
         queries = [(-4.0 * xi * t, t) for xi in cfg.rays for t in cfg.times]
     if not queries:
@@ -151,31 +144,17 @@ def asym(ctx, queries_path):
     spectral = SpectralContext(_scatter_data(cfg))
     rows = []
     for x, t in queries:
-        try:
-            ev = q_asymptotic(x, t, spectral, t_min=cfg.t_min)
-            rows.append({
-                "x": x, "t": t, "xi": ev.xi,
-                "re_q": ev.q_leading.real, "im_q": ev.q_leading.imag,
-                "abs_q": abs(ev.q_leading), "im_nu": ev.im_nu,
-                "validity": ev.validity,
-            })
-        except (ValidityViolation, WindowExceeded):
-            rows.append({
-                "x": x, "t": t, "xi": -x / (4.0 * t),
-                "re_q": float("nan"), "im_q": float("nan"),
-                "abs_q": float("nan"), "im_nu": float("nan"),
-                "validity": "invalid",
-            })
+        q, validity, im_nu = _leading(x, t, spectral, cfg)
+        rows.append({"x": x, "t": t, "xi": -x / (4.0 * t), "re_q": q.real, "im_q": q.imag,
+                     "abs_q": abs(q), "im_nu": im_nu, "validity": validity})
     nio.write_asym_csv(rows, out / "asym.csv")
     click.echo(f"wrote {out / 'asym.csv'}")
 
 
-@main.command(name="evolve")
+@_command("evolve")
 @click.option("--t", "t_final", type=float, default=None,
               help="final time (default: last configured time)")
 @click.option("--format", "fmt", type=click.Choice(["csv", "bin"]), default="csv")
-@click.pass_context
-@_guarded
 def evolve_cmd(ctx, t_final, fmt):
     """Run the split-step oracle and export the final snapshot."""
     cfg = _load_config(ctx)
@@ -200,9 +179,7 @@ def evolve_cmd(ctx, t_final, fmt):
     click.echo(f"lens box |y| < {snap.Y:.4g} on n = {len(snap.v)} points, {snap.step_count} steps")
 
 
-@main.command()
-@click.pass_context
-@_guarded
+@_command()
 def compare(ctx):
     """PDE versus asymptotics along each configured ray; fit decay exponents."""
     cfg = _load_config(ctx)
@@ -223,13 +200,10 @@ def compare(ctx):
                 continue
             q_num = spectral_interpolate(snap, x)
             try:
-                ev = q_asymptotic(x, t, spectral, t_min=cfg.t_min)
-                q_asym, validity = ev.q_leading, ev.validity
-            except (ValidityViolation, WindowExceeded):
-                q_asym, validity = complex("nan"), "invalid"
+                q_asym, validity, _ = _leading(x, t, spectral, cfg)
             except NonlocalNLSError as exc:
                 # flush what we have with a failure marker, then propagate
-                q_asym, validity = complex("nan"), "failed"
+                q_asym, validity = complex(math.nan, math.nan), "failed"
                 pending_failure = exc
             err = abs(q_num - q_asym)
             rows.append({
@@ -257,54 +231,14 @@ def compare(ctx):
         raise pending_failure
 
 
-def _read_fits(path: Path) -> dict:
-    """fits.json as written by `compare`: ray -> {exponent, monotone_decreasing, ...}."""
-    try:
-        fits = json.loads(path.read_text())
-    except ValueError as exc:
-        raise BadInput(f"{path}: not JSON: {exc}") from exc
-    if not isinstance(fits, dict):
-        raise BadInput(f"{path}: expected an object keyed by ray, "
-                       f"got {type(fits).__name__}")
-    for xi, fit in fits.items():
-        if not (isinstance(fit, dict)
-                and type(fit.get("exponent")) in (int, float)
-                and type(fit.get("monotone_decreasing")) is bool):
-            raise BadInput(f"{path}: ray {xi} needs a numeric exponent and a "
-                           "boolean monotone_decreasing")
-    return fits
-
-
-@main.command()
-@click.pass_context
-@_guarded
+@_command()
 def report(ctx):
-    """Summarize compare/scatter outputs into plot data and a text verdict."""
+    """Summarize compare outputs into plot data and a text verdict."""
     out = _outdir(ctx)
-    compare_path = out / "compare.csv"
-    fits_path = out / "fits.json"
-    if not compare_path.exists() or not fits_path.exists():
+    if not (out / "compare.csv").exists() or not (out / "fits.json").exists():
         raise MissingInputs("run `compare` first: compare.csv / fits.json missing")
-    fits = _read_fits(fits_path)
-    lines = compare_path.read_text().strip().splitlines()
-    n_cells = len(nio.COMPARE_COLUMNS.split(","))
-    long_rows = ["xi,t,series,value"]
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        try:
-            if len(parts) != n_cells:
-                raise ValueError(f"{len(parts)} cells, expected {n_cells}")
-            nums = [float(cell) for cell in parts[:-1]]
-        except ValueError as exc:
-            raise BadInput(f"{compare_path} line {lineno}: {exc}") from exc
-        xi, t = parts[0], parts[1]
-        qnum = abs(complex(nums[2], nums[3]))
-        qasym = abs(complex(nums[4], nums[5]))
-        long_rows.append(f"{xi},{t},abs_qnum,{qnum!r}")
-        long_rows.append(f"{xi},{t},abs_qasym,{qasym!r}")
-        long_rows.append(f"{xi},{t},abs_err,{parts[6]}")
-    (out / "plot_long.csv").write_text("\n".join(long_rows) + "\n")
-
+    fits = nio.read_fit_json(out / "fits.json")
+    nio.write_plot_long_csv(nio.read_compare_csv(out / "compare.csv"), out / "plot_long.csv")
     verdict = []
     ok = bool(fits)
     if not fits:
@@ -317,33 +251,30 @@ def report(ctx):
             f"{fit['exponent']:.4f} (target <= -0.65), "
             f"monotone={fit['monotone_decreasing']}"
         )
-    summary = {"rays": fits, "all_pass": bool(ok)}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    (out / "summary.txt").write_text("\n".join(verdict) + "\n")
+    nio.write_summary_json({"rays": fits, "all_pass": bool(ok)}, out / "summary.json")
+    nio.write_summary_txt(verdict, out / "summary.txt")
     click.echo("\n".join(verdict))
     if not ok:
         sys.exit(3)
 
 
-@main.command()
-@click.pass_context
-@_guarded
+@_command()
 def verify(ctx):
     """Spot-check the pipeline invariants on the configured potential."""
     cfg = _load_config(ctx)
     checks = []
 
     def record(name, value, tol):
+        tol *= ctx.obj["tol_scale"]
         checks.append((name, value, tol, value <= tol))
 
     pot = cfg.potential
     data = _scatter_data(cfg)
-    record("unimodularity |a abreve - b bbreve - 1|",
-           data.unimodularity_deviation(), 1e-8 * cfg.tol_scale)
+    record("unimodularity |a abreve - b bbreve - 1|", data.unimodularity_deviation(), 1e-8)
     sym_a = float(np.abs(data.a - np.conj(data.a[::-1])).max())
-    record("symmetry |a(z) - conj(a(-z))|", sym_a, 1e-8 * cfg.tol_scale)
+    record("symmetry |a(z) - conj(a(-z))|", sym_a, 1e-8)
     sym_b = float(np.abs(data.b + pot.sigma * np.conj(data.b_breve[::-1])).max())
-    record("symmetry |b(z) + sigma conj(bbreve(-z))|", sym_b, 1e-8 * cfg.tol_scale)
+    record("symmetry |b(z) + sigma conj(bbreve(-z))|", sym_b, 1e-8)
     if pot.kind == "box":
         a, b, ab, bb = exact_box_scattering(pot, data.z_grid)
         dev = max(
@@ -351,7 +282,7 @@ def verify(ctx):
             float(np.abs(ab - data.a_breve).max()),
             float(np.abs(bb - data.b_breve).max()),
         )
-        record("box oracle max deviation", dev, 1e-6 * cfg.tol_scale)
+        record("box oracle max deviation", dev, 1e-6)
     if cfg.rays:
         xi = cfg.rays[0]
         spectral = SpectralContext(data)
@@ -365,20 +296,18 @@ def verify(ctx):
             dm = delta_boundary(spectral, xi, float(z0), "minus")
             w = complex(spectral.w(np.asarray(z0)))
             worst = max(worst, abs(dp / dm - w) / abs(w))
-        record("delta jump |delta+/delta- - (1 - r rbreve)|", worst,
-               1e-6 * cfg.tol_scale)
+        record("delta jump |delta+/delta- - (1 - r rbreve)|", worst, 1e-6)
         t_ref = cfg.times[0] if cfg.times else 40.0
         co = connection_coefficients(ph.r_xi, ph.r_breve_xi, ph.nu_at_xi,
                                      ph.delta0, xi, t_ref)
-        record("beta1 beta2 - nu", abs(co.beta1 * co.beta2 - co.nu),
-               1e-10 * cfg.tol_scale)
+        record("beta1 beta2 - nu", abs(co.beta1 * co.beta2 - co.nu), 1e-10)
         V = jump_matrix(co)
         jr = 0.0
         for zr in (0.7, -1.3, 2.6):
             up = psi(complex(zr, 1e-9), co)
             dn = psi(complex(zr, -1e-9), co)
             jr = max(jr, float(np.abs(up - dn @ V).max()))
-        record("model jump |Psi+ - Psi- V|", jr, 1e-6 * cfg.tol_scale)
+        record("model jump |Psi+ - Psi- V|", jr, 1e-6)
     width = max(len(c[0]) for c in checks)
     all_ok = True
     for name, value, tol, ok in checks:

@@ -20,12 +20,11 @@ class ExperimentConfig:
     times: list = field(default_factory=list)
     dt: float = 5e-3
     t_min: float = 10.0
-    tol_scale: float = 1.0
 
     def __post_init__(self):
-        numbers = [self.z_max, self.dt, self.t_min, self.tol_scale, *self.rays, *self.times]
+        numbers = [self.z_max, self.dt, self.t_min, *self.rays, *self.times]
         if not all(np.isfinite(numbers)):
-            raise BadInput("window, rays, times, dt, t_min and tol_scale must be finite")
+            raise BadInput("window, rays, times, dt and t_min must be finite")
         if self.z_max <= 0 or self.nz < 9 or self.nz % 2 == 0:
             raise BadInput("window needs z_max > 0 and odd nz >= 9")
         span = 2.0 * self.z_max
@@ -43,8 +42,6 @@ class ExperimentConfig:
             raise BadInput(f"times must all be >= t_min = {self.t_min}")
         if self.dt <= 0:
             raise BadInput("dt must be positive")
-        if self.tol_scale <= 0:
-            raise BadInput("tol_scale must be positive")
 
     def z_grid(self) -> np.ndarray:
         return np.linspace(-self.z_max, self.z_max, self.nz)
@@ -74,7 +71,6 @@ class ExperimentConfig:
                 times=[_json_float(v) for v in doc.get("times", [])],
                 dt=_json_float(pde.get("dt", 5e-3)),
                 t_min=_json_float(doc.get("t_min", 10.0)),
-                tol_scale=_json_float(doc.get("tol_scale", 1.0)),
             )
         except (TypeError, ValueError) as exc:
             raise BadInput(f"bad config value: {exc}") from exc

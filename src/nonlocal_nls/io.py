@@ -1,19 +1,24 @@
-"""File formats: scattering CSV, phase JSON, comparison tables, snapshots.
+"""File formats: scattering CSV, phase JSON, comparison tables, snapshots,
+the queries file and the report stage's inputs and outputs.
 
 All floats are written with shortest round-trip repr, so identical inputs
 produce byte-identical files (the pipeline is seed-free and deterministic).
+Readers refuse malformed files with `BadInput`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from .errors import BadInput
 from .pde import FieldSnapshot
+from .potentials import _json_float
 from .scattering import GenericityReport, ScatteringData
 
 SCATTER_COLUMNS = (
@@ -73,8 +78,82 @@ def write_compare_csv(rows: list, path):
     _write_table(COMPARE_COLUMNS, map(itemgetter(*COMPARE_COLUMNS.split(",")), rows), path)
 
 
+def read_compare_csv(path) -> list:
+    """Rows of compare.csv as dicts: the numeric columns as floats, validity as text."""
+    names = COMPARE_COLUMNS.split(",")
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().strip().splitlines()[1:], start=2):
+        cells = line.split(",")
+        try:
+            if len(cells) != len(names):
+                raise ValueError(f"{len(cells)} cells, expected {len(names)}")
+            rows.append(dict(zip(names, [*map(float, cells[:-1]), cells[-1]])))
+        except ValueError as exc:
+            raise BadInput(f"{path} line {lineno}: {exc}") from exc
+    return rows
+
+
 def write_fit_json(fits: dict, path):
     Path(path).write_text(json.dumps(fits, indent=2, sort_keys=True) + "\n")
+
+
+def read_fit_json(path) -> dict:
+    """fits.json as `write_fit_json` writes it: ray -> {exponent, monotone_decreasing, ...}."""
+    try:
+        fits = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise BadInput(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(fits, dict):
+        raise BadInput(f"{path}: expected an object keyed by ray, "
+                       f"got {type(fits).__name__}")
+    for xi, fit in fits.items():
+        if not (isinstance(fit, dict)
+                and type(fit.get("exponent")) in (int, float)
+                and type(fit.get("monotone_decreasing")) is bool):
+            raise BadInput(f"{path}: ray {xi} needs a numeric exponent and a "
+                           "boolean monotone_decreasing")
+    return fits
+
+
+def write_plot_long_csv(compare_rows: list, path):
+    """|q_num|, |q_asym| and abs_err of each compare.csv row, one value per line."""
+    rows = []
+    for row in compare_rows:
+        key = row["xi"], row["t"]
+        rows += [(*key, "abs_qnum", abs(complex(row["re_qnum"], row["im_qnum"]))),
+                 (*key, "abs_qasym", abs(complex(row["re_qasym"], row["im_qasym"]))),
+                 (*key, "abs_err", row["abs_err"])]
+    _write_table("xi,t,series,value", rows, path)
+
+
+def write_summary_json(summary: dict, path):
+    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
+def write_summary_txt(lines: list, path):
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_queries(path, t_min: float) -> list:
+    """(x, t) per non-blank line {"x": .., "t": ..} of a JSON-lines file: JSON numbers
+    (never a bool or a numeric string), finite, with t >= t_min."""
+    queries = []
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    doc = json.loads(line)
+                    if not isinstance(doc, dict):
+                        raise ValueError(f"query {line!r} is not a JSON object")
+                    x, t = _json_float(doc["x"]), _json_float(doc["t"])
+                    if not (math.isfinite(x) and math.isfinite(t) and t >= t_min):
+                        raise ValueError(f"bad query x={x}, t={t}: need finite x, t "
+                                         f"and t >= t_min = {t_min}")
+                    queries.append((x, t))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise BadInput(f"bad queries file: {exc}") from exc
+    return queries
 
 
 def write_asym_csv(rows: list, path):

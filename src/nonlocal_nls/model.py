@@ -161,13 +161,14 @@ def psi_normalizer(zeta, nu) -> np.ndarray:
     return np.array([[d1, 0.0], [0.0, 1.0 / d1]], dtype=complex)
 
 
-def row_ode_residual(coeffs: ModelCoefficients, zeta, h=1e-3) -> float:
+def row_ode_residual(coeffs: ModelCoefficients, zeta) -> float:
     """Weber-type second-order residual of both rows of Psi at zeta.
 
     Row 1 entries solve w'' = (-i/2 + nu - z^2/4) w, row 2 entries the
     conjugate-sign variant; returns the worst normalized residual.
     """
     zeta = complex(zeta)
+    h = 1e-3  # step of the fourth-order central difference
     stack = [psi(zeta + k * h, coeffs) for k in (-2, -1, 0, 1, 2)]
     worst = 0.0
     for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):

@@ -184,7 +184,8 @@ def _quad_complex(f, a, b, point=None):
         warnings.simplefilter("ignore", IntegrationWarning)
         re, re_err = quad(lambda s: f(s).real, a, b, **kw)
         im, im_err = quad(lambda s: f(s).imag, a, b, **kw)
-    return complex(re, im), _gate(re_err + im_err)
+    _gate(re_err + im_err)
+    return complex(re, im)
 
 
 def _log_ratio(z, hi, lo):
@@ -199,7 +200,7 @@ def _finite_point(z) -> complex:
     return z
 
 
-def _cauchy_nu(ctx: SpectralContext, b: float, z: complex, xi: float):
+def _cauchy_nu(ctx: SpectralContext, b: float, z: complex, xi: float) -> complex:
     """int_{z_lo}^{b} nu(s)/(s - z) ds; for z near [z_lo - 1, xi + 1], nu(Re z)
     is subtracted under the integral and added back in closed form."""
     z_lo = ctx.z_lo
@@ -210,20 +211,8 @@ def _cauchy_nu(ctx: SpectralContext, b: float, z: complex, xi: float):
     def f(s):
         return (complex(ctx.nu(np.asarray(s))) - nu_ref) / (s - z)
 
-    val, err = _quad_complex(f, z_lo, b, point=s_ref if near else None)
-    return (val + nu_ref * _log_ratio(z, b, z_lo) if near else val), err
-
-
-def _cauchy_exponent(ctx: SpectralContext, xi: float, z: complex):
-    """int_{z_lo}^{xi} i nu(s)/(s - z) ds with local subtraction near Re z."""
-    ctx._window(xi, xi)
-    z_lo = ctx.z_lo
-    z = complex(z)
-    val, err = _cauchy_nu(ctx, xi, z, xi)
-    # analytic tail bound beyond the window, reported not added
-    dist = max(abs(z - z_lo), 1.0)
-    tail = ctx._abs_nu_tail * abs(z_lo) / max(abs(z_lo), 1.0) / dist
-    return 1j * val, err + tail
+    val = _quad_complex(f, z_lo, b, point=s_ref if near else None)
+    return val + nu_ref * _log_ratio(z, b, z_lo) if near else val
 
 
 def delta(ctx: SpectralContext, xi: float, z: complex) -> complex:
@@ -231,15 +220,15 @@ def delta(ctx: SpectralContext, xi: float, z: complex) -> complex:
     z = _finite_point(z)
     if z.imag == 0.0 and z.real <= xi:
         raise CutEvaluation(f"z = {z} lies on the cut (-inf, {xi}]")
-    val, _ = _cauchy_exponent(ctx, xi, z)
-    return cmath.exp(val)
+    ctx._window(xi, xi)
+    return cmath.exp(1j * _cauchy_nu(ctx, xi, z, xi))
 
 
 def delta_boundary(ctx: SpectralContext, xi: float, z0: float, side: str) -> complex:
     """One-sided boundary value delta_+/- at z0 on the cut.
 
     Evaluated at z0 +- i eps with eps = 1e-6 (1 + |xi|) and Richardson
-    extrapolation in eps on the exponent.
+    extrapolation in eps on the exponent int_{z_lo}^{xi} i nu(s)/(s - z) ds.
     """
     if side not in ("plus", "minus"):
         raise BadInput(f"side must be 'plus' or 'minus', got {side!r}")
@@ -248,9 +237,10 @@ def delta_boundary(ctx: SpectralContext, xi: float, z0: float, side: str) -> com
         raise CutEvaluation(f"z0 = {z0} is to the right of xi = {xi}")
     sgn = 1.0 if side == "plus" else -1.0
     eps = 1e-6 * (1.0 + abs(xi))
-    e1, _ = _cauchy_exponent(ctx, xi, complex(z0, sgn * eps))
-    e2, _ = _cauchy_exponent(ctx, xi, complex(z0, sgn * eps / 2.0))
-    return cmath.exp(2.0 * e2 - e1)
+    ctx._window(xi, xi)
+    e1 = _cauchy_nu(ctx, xi, complex(z0, sgn * eps), xi)
+    e2 = _cauchy_nu(ctx, xi, complex(z0, sgn * eps / 2.0), xi)
+    return cmath.exp(1j * (2.0 * e2 - e1))
 
 
 def beta(ctx: SpectralContext, xi: float, z: complex) -> complex:
@@ -262,7 +252,7 @@ def beta(ctx: SpectralContext, xi: float, z: complex) -> complex:
     nu_xi = complex(ctx.nu(np.asarray(xi)))
 
     # chunk 1: (z_lo, xi - 1], integrand nu(s)/(s - z)
-    v1, _ = _cauchy_nu(ctx, xi - 1.0, z, xi)
+    v1 = _cauchy_nu(ctx, xi - 1.0, z, xi)
 
     # chunk 2: [xi - 1, xi] with s = xi - u^2 absorbing the endpoint
     def f2(u):
@@ -270,7 +260,7 @@ def beta(ctx: SpectralContext, xi: float, z: complex) -> complex:
         return 2.0 * u * (complex(ctx.nu(np.asarray(s))) - nu_xi) / (s - z)
 
     hint = math.sqrt(abs(z - xi)) if abs(z - xi) < 1.0 else None
-    v2, _ = _quad_complex(f2, 0.0, 1.0, point=hint)
+    v2 = _quad_complex(f2, 0.0, 1.0, point=hint)
 
     return v1 + v2 - nu_xi * cmath.log(z - xi + 1.0)
 

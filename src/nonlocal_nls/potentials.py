@@ -255,7 +255,8 @@ class Potential:
             params = dict(doc.get("params", {}))
             params.update((k, _json_float(params[k])) for k in _NUMERIC_PARAMS if k in params)
             if "samples" in params:
-                arr = np.asarray(params["samples"], dtype=float)
+                arr = np.array([(_json_float(re), _json_float(im))
+                                for re, im in params["samples"]])
                 params["samples"] = arr[:, 0] + 1j * arr[:, 1]
             return cls(
                 kind=kind,

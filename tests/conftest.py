@@ -64,9 +64,9 @@ def gauss_small_ctx(gauss_small, zgrid_wide):
 def jost_nodes(potential, z, nodes, n_steps):
     """Y(z, x) at ascending `nodes` in [-X, X] from `_cf4._propagate` legs.
 
-    Starts from Y(-X) = I, and a leg gets max(2, ceil(n_steps |leg| / 2X))
-    steps, as in `y_matrix_batch`.  Returns one 4-tuple (Y11, Y12, Y21, Y22)
-    of (nz,) arrays per node.
+    Starts from Y(-X) = I, and a leg gets max(2, ceil(n_steps (|leg| / 2X)))
+    steps: ceil(n_steps/2) on a half leg, as in `y_matrix_batch`.  Returns
+    one 4-tuple (Y11, Y12, Y21, Y22) of (nz,) arrays per node.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
@@ -75,7 +75,7 @@ def jost_nodes(potential, z, nodes, n_steps):
     x_cur, out = -X, []
     for x in nodes:
         if x > x_cur:
-            n = max(2, int(np.ceil(n_steps * (x - x_cur) / (2 * X))))
+            n = max(2, int(np.ceil(n_steps * ((x - x_cur) / (2 * X)))))
             cols = _cf4._propagate(potential, z, x_cur, x, n, cols)
             x_cur = x
         (t11, t21), (t12, t22) = cols

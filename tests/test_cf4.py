@@ -120,6 +120,20 @@ def test_smooth_input_stops_one_level_earlier(box_plus, zgrid_wide, monkeypatch)
         assert levels == want
 
 
+def test_step_splits_round_exactly(monkeypatch):
+    # a lone segment gets n_steps and a leg ceil(n/2) steps; on these data
+    # n |seg| / total and n X / 2X round to 96.00000000000001, one step more
+    gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1, params={"width": 2.6},
+                      L=512.0, N=2 ** 15)
+    [(_, b, _)] = _cf4._cf4_steps(gauss, -0.674625, 0.0, 96)
+    assert b.size == 2 * 96
+    box = Potential(kind="box", amplitude=0.3, sigma=-1,
+                    params={"left": -0.8, "right": 0.8}, L=8.0, N=256)
+    levels = _level_steps(monkeypatch)
+    y_matrix_batch(box, np.array([0.5], dtype=complex))
+    assert levels[0] == 192
+
+
 def test_column_stall_reports_steps_and_error(gauss_small, monkeypatch):
     _stall(monkeypatch)
     with pytest.raises(IntegratorDivergence, match=r"stalled at \d+ steps \(err \d"):

@@ -224,8 +224,9 @@ def test_asym_bad_query_exits_1(tmp_path, runner, query):
     assert not (out / "asym.csv").exists()
 
 
-@pytest.mark.parametrize("query", ['[1, 2]', '5', '{"x": null, "t": 20}'],
-                         ids=["list", "number", "null"])
+@pytest.mark.parametrize("query", ['[1, 2]', '5', '{"x": null, "t": 20}',
+                                   '{"x": true, "t": 20}', '{"x": "-4", "t": 20}'],
+                         ids=["list", "number", "null", "bool", "string"])
 def test_asym_query_not_an_object_exits_1(tmp_path, runner, query):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     qf = tmp_path / "queries.jsonl"
@@ -299,13 +300,12 @@ def test_bad_tol_scale_option_exits_1(tmp_path, runner, tol_scale):
     assert "--tol-scale must be finite and positive" in res.output
 
 
-@pytest.mark.parametrize("tol_scale", [-1.0, 0.0])
-def test_bad_tol_scale_config_exits_1(tmp_path, runner, tol_scale):
-    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, tol_scale=tol_scale)
-    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
-                               "verify"])
+@pytest.mark.parametrize("command", ["scatter", "report"])
+def test_out_naming_a_file_exits_1(tmp_path, runner, command):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(cfg), command])
     assert res.exit_code == 1, res.output
-    assert "tol_scale must be positive" in res.output
+    assert "error: cannot create output directory" in res.output
 
 
 def test_determinism_byte_identical(tmp_path, runner):

@@ -122,6 +122,14 @@ def test_samples_roundtrip_json():
     assert np.allclose(pot(x), vals, atol=1e-15)
 
 
+@pytest.mark.parametrize("pair", [[True, 0.0], ["0", 0.0]], ids=["bool", "string"])
+def test_bool_or_string_sample_is_bad_input(pair):
+    # a sample is a JSON number, as every other number field of a config
+    doc = {"kind": "samples", "L": 4.0, "N": 4, "params": {"samples": [[0.0, 0.0]] * 3 + [pair]}}
+    with pytest.raises(BadInput, match="expected a number"):
+        Potential.from_json_dict(doc)
+
+
 def test_scatter_halfwidth_contains_support(gauss_small):
     X = gauss_small.scatter_halfwidth()
     x = np.linspace(X, gauss_small.L, 50)
@@ -135,7 +143,7 @@ def _config_doc(kind):
         "potential": {"kind": kind, "amplitude": [0.1, 0.05], "sigma": 1,
                       "L": 16.0, "N": 256, "params": params},
         "window": {"z_max": 6.0, "n": 257}, "rays": [0.4], "times": [20.0, 40.0],
-        "pde": {"dt": 0.01}, "t_min": 10.0, "tol_scale": 1.0,
+        "pde": {"dt": 0.01}, "t_min": 10.0,
     }
 
 
@@ -143,7 +151,6 @@ def _config_doc(kind):
 _NUMBER_PATHS = [
     ("potential", "amplitude", 0), ("potential", "amplitude", 1), ("potential", "L"),
     ("window", "z_max"), ("rays", 0), ("times", 1), ("pde", "dt"), ("t_min",),
-    ("tol_scale",),
 ]
 
 
