@@ -26,10 +26,14 @@ One kernel, `_propagate`, applies these exponentials to a list of columns.
 The matrix frame (`y_matrix_batch`) carries both columns of the identity in
 the phi-frame; the column frame (`analytic_column_batch`) carries the
 bounded first column in the m-frame, where each exponential gains a factor
-exp(i z h / 2).  Both frames share one step control, `_refine`: the step
-count doubles until the finer of two consecutive levels passes a Richardson
-error estimate.  Each level is a single pass; the matrix frame integrates it
-in two legs, -X -> 0 -> X, so Y(0) and Y(+X) of the accepted level are the
+exp(i z h / 2).  Both frames share one step control, `_refine`: candidate
+levels of 2 int(32 X) steps, then doubling, each accepted or not on a
+Richardson estimate against a coarser level.  The first candidate's
+companion has a quarter of its steps, so the check costs a quarter of a
+level rather than the half a doubling pair costs.  A smooth q starts at 384
+steps or more; the box, on which CF4 is exact between breakpoints, has no
+such floor.  Each level is a single pass; the matrix frame integrates it in
+two legs, -X -> 0 -> X, so Y(0) and Y(+X) of the accepted level are the
 result and nothing is integrated twice.
 """
 
@@ -181,19 +185,26 @@ def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[fl
     return list(zip(pts[:-1], pts[1:]))
 
 
+def _split(potential, x_from, x_to, n_steps):
+    """(seg_from, seg_to, n) for each smooth segment of [x_from, x_to].
+
+    The segment gets n = max(2, ceil(n_steps (|segment| / |x_to - x_from|)))
+    steps; the ratio comes first, so a lone segment gets n_steps.
+    """
+    total = abs(x_to - x_from)
+    return [(a, b, max(2, int(np.ceil(n_steps * (abs(b - a) / total)))))
+            for a, b in _segments(potential, x_from, x_to)]
+
+
 def _cf4_steps(potential, x_from, x_to, n_steps):
     """Yield (h, b, c) for each smooth segment of [x_from, x_to].
 
-    The segment gets n = max(2, ceil(n_steps (|segment| / |x_to - x_from|)))
-    steps of size h; the ratio comes first, so a lone segment gets n_steps.
-    b and c hold the off-diagonal entries of its 2n exponentials in the
-    order they act: per step, those of h (a2 A1 + a1 A2) and then of
-    h (a1 A1 + a2 A2).
+    The segment takes the n steps of `_split`, of size h.  b and c hold the
+    off-diagonal entries of its 2n exponentials in the order they act: per
+    step, those of h (a2 A1 + a1 A2) and then of h (a1 A1 + a2 A2).
     """
     sig = potential.sigma
-    total = abs(x_to - x_from)
-    for seg_from, seg_to in _segments(potential, x_from, x_to):
-        n = max(2, int(np.ceil(n_steps * (abs(seg_to - seg_from) / total))))
+    for seg_from, seg_to, n in _split(potential, x_from, x_to, n_steps):
         h = (seg_to - seg_from) / n
         xs = seg_from + h * np.arange(n)
         # Gauss samples of q and conj(q(-x)) for the whole segment at once
@@ -205,29 +216,41 @@ def _cf4_steps(potential, x_from, x_to, n_steps):
         yield h, b.ravel(), c.ravel()
 
 
-def _refine(level, X, what):
-    """Double the step count from max(192, 32 X) until the finer level passes.
+def _refine(level, potential, what):
+    """Accept the first candidate level whose Richardson estimate passes.
 
-    `level(n)` integrates with n steps and returns (end, result), end being
-    a tuple of arrays.  At fourth order the finer level's error is about
-    1/(2^4 - 1) of its gap to the coarser one (Richardson; Hairer, Norsett &
-    Wanner, Solving ODEs I, II.4), so err = max |end_2n - end_n| / 15.
-    Returns (result, err) of the first level with err <= RTOL (1 + max |end|):
-    the level itself, not the extrapolation, which would give up the
-    level's unimodularity and symmetries.  Raises IntegratorDivergence when
-    MAX_REFINE doublings do not get there.
+    `level(n)` integrates with n steps and returns (end, result, steps),
+    steps the step count of each smooth segment.  The MAX_REFINE candidates
+    have 2 int(32 X) steps, then doubling; for a smooth q the first has at
+    least 384, as a short support may hold narrow features (a gaussian of
+    width 0.1 stalls without them), while CF4 is exact on a box.  The first
+    is checked against a companion with a quarter of its steps, each later
+    one against the one before.  With rho times the steps of the coarser
+    level, the error is about their gap / (rho^4 - 1) at fourth order
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  rho is the smallest
+    per-segment ratio of steps taken, so ceil and max(2, .) rounding only
+    enlarge err; a segment with 2 steps in both levels is left out, the gap
+    saying nothing of it.  Not a ratio of 8: at z_max h = 4 a companion of
+    an eighth is pre-asymptotic and overstates err by up to 2e4.
+    Returns (result, err) of the first candidate with
+    err <= RTOL (1 + max |end|): the level itself, not the extrapolation,
+    which would give up the level's unimodularity and symmetries.  Raises
+    IntegratorDivergence when no candidate gets there.
     """
-    n_steps = max(192, int(16 * 2 * X))
-    prev, _ = level(n_steps)
+    n_first = 2 * int(32 * potential.scatter_halfwidth())
+    if potential.kind != "box":
+        n_first = max(384, n_first)
+    prev, _, prev_steps = level((n_first + 3) // 4)
     err = np.inf
-    for _ in range(MAX_REFINE):
-        n_steps *= 2
-        cur, result = level(n_steps)
-        err = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev)) / 15.0
+    for n_steps in (n_first << k for k in range(MAX_REFINE)):
+        cur, result, steps = level(n_steps)
+        rho = min((k / j for k, j in zip(steps, prev_steps) if k > j), default=1.0)
+        gap = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
+        err = gap / (rho ** 4 - 1.0) if rho > 1.0 else np.inf
         scale = 1.0 + max(float(np.abs(c).max()) for c in cur)
         if err <= RTOL * scale:
             return result, err
-        prev = cur
+        prev, prev_steps = cur, steps
     raise IntegratorDivergence(
         f"CF4 {what} step control stalled at {n_steps} steps (err {err:.3e})"
     )
@@ -275,16 +298,17 @@ def y_matrix_batch(potential, z):
     def level(n_total):
         n = max(2, (n_total + 1) // 2)
         cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
-        Y = []
+        Y, steps = [], []
         for x_from, x_to in ((-X, 0.0), (0.0, X)):
             cols = _propagate(potential, z, x_from, x_to, n, cols)
+            steps += [k for *_, k in _split(potential, x_from, x_to, n)]
             # Y(x) = e^{i x z s3} T e^{i X z s3}, T = [cols[0] | cols[1]]
             (t11, t21), (t12, t22) = cols
             ep, em = _phase_diag(z, x_to)
             Y.append((ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm))
-        return Y[1], tuple(Y)
+        return Y[1], tuple(Y), steps
 
-    return _refine(level, X, "matrix")
+    return _refine(level, potential, "matrix")
 
 
 def analytic_column_batch(potential, z):
@@ -300,6 +324,6 @@ def analytic_column_batch(potential, z):
     def level(n_total):
         [m] = _propagate(potential, z, -X, X, n_total,
                          [(np.ones_like(z), np.zeros_like(z))], shifted=True)
-        return m, m
+        return m, m, [k for *_, k in _split(potential, -X, X, n_total)]
 
-    return _refine(level, X, "column")[0]
+    return _refine(level, potential, "column")[0]

@@ -234,7 +234,9 @@ def compare(ctx):
 @_command()
 def report(ctx):
     """Summarize compare outputs into plot data and a text verdict."""
-    out = _outdir(ctx)
+    out = ctx.obj["out"]
+    if out.exists():
+        _outdir(ctx)   # refuses an --out that is not a directory
     if not (out / "compare.csv").exists() or not (out / "fits.json").exists():
         raise MissingInputs("run `compare` first: compare.csv / fits.json missing")
     fits = nio.read_fit_json(out / "fits.json")

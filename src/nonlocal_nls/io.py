@@ -79,10 +79,15 @@ def write_compare_csv(rows: list, path):
 
 
 def read_compare_csv(path) -> list:
-    """Rows of compare.csv as dicts: the numeric columns as floats, validity as text."""
+    """Rows of compare.csv as dicts: the numeric columns as floats, validity as text.
+
+    The header must be COMPARE_COLUMNS: cells are read by position."""
     names = COMPARE_COLUMNS.split(",")
+    header, *lines = Path(path).read_text().strip().splitlines() or [""]
+    if header != COMPARE_COLUMNS:
+        raise BadInput(f"{path}: header {header!r}, expected {COMPARE_COLUMNS!r}")
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().strip().splitlines()[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         cells = line.split(",")
         try:
             if len(cells) != len(names):

@@ -108,30 +108,96 @@ def test_reported_error_is_honest(gauss_small, zgrid_wide, monkeypatch):
     assert true <= _cf4.RTOL * scale
 
 
+def _chirped_samples():
+    """A chirped gaussian sampled on [-32, 32), like the benchmark's `samples` input."""
+    L, N = 32.0, 4096
+    x = -L + (2.0 * L / N) * np.arange(N)
+    amp = 0.1 * np.exp(0.7j)
+    q = amp * np.exp(-(1.0 + 0.25j) * (x - 0.1) ** 2 / (2.0 * 2.05 ** 2))
+    return Potential(kind="samples", amplitude=amp, sigma=-1, L=L, N=N,
+                     params={"samples": q})
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "samples"])
+def test_first_candidate_estimate_is_honest(kind, monkeypatch):
+    # the first candidate passes on its quarter-step companion, and the
+    # estimate is within a factor 2 of its true deviation from a level with
+    # 16 times the steps (about 1.43 times it on both inputs)
+    if kind == "gaussian":
+        pot = Potential(kind="gaussian", amplitude=0.1, sigma=1,
+                        params={"width": 2.6}, L=512.0, N=2 ** 15)
+    else:
+        pot = _chirped_samples()
+    z = np.linspace(-16.0, 16.0, 65).astype(complex)
+    levels = _level_steps(monkeypatch)
+    (_, S), err = y_matrix_batch(pot, z)
+    assert len(levels) == 2
+    X = pot.scatter_halfwidth()
+    ref = jost_nodes(pot, z, [0.0, X], 16 * levels[-1])[1]
+    true = max(float(np.abs(s - r).max()) for s, r in zip(S, ref))
+    assert true / 2.0 <= err <= 2.0 * true
+
+
+def test_refine_takes_the_step_ratio_of_clipped_segments(box_plus, monkeypatch):
+    # box_plus's outer segments |x| in [1, 1.125] are 1/9 of a leg: the
+    # first candidate gives them ceil(36/9) steps, its companion
+    # max(2, ceil(9/9)) = 2, a ratio of 2 or 2.5 where the quarter is 4.  A
+    # fourth-order error that sits in those segments alone is estimated
+    # within a factor 2 only if the gap is divided by that ratio^4 - 1
+    X = box_plus.scatter_halfwidth()
+    assert [n for *_, n in _cf4._split(box_plus, -X, 0.0, 9)] == [2, 8]
+
+    def level(n_total):
+        n = max(2, (n_total + 1) // 2)
+        segs = [seg for leg in ((-X, 0.0), (0.0, X))
+                for seg in _cf4._split(box_plus, *leg, n)]
+        err = sum(((b - a) / k) ** 4 for a, b, k in segs if abs(b - a) < 0.5)
+        return (np.array([err]),), err, [k for *_, k in segs]
+
+    monkeypatch.setattr(_cf4, "RTOL", 1.0)
+    true, est = _cf4._refine(level, box_plus, "test")
+    assert true / 2.0 <= est <= 2.0 * true
+
+
 def test_smooth_input_stops_one_level_earlier(box_plus, zgrid_wide, monkeypatch):
-    # the acceptance gaussian passes on its second level; the box, where
-    # CF4 is exact between breakpoints, runs the same two levels as before
+    # each input passes on its first candidate, 2 int(32 X) steps, checked
+    # against a companion with a quarter of them: the acceptance gaussian
+    # (X = 19.3) and the box, which has no step floor as CF4 is exact
+    # between its breakpoints
     gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                       params={"width": 2.6}, L=512.0, N=2 ** 15)
     levels = _level_steps(monkeypatch)
-    for pot, want in ((gauss, [618, 1236]), (box_plus, [192, 384])):
+    for pot, want in ((gauss, [310, 1236]), (box_plus, [18, 72])):
         levels.clear()
         compute_scattering(pot, zgrid_wide)
         assert levels == want
 
 
+def test_narrow_smooth_input_keeps_the_step_floor(monkeypatch):
+    # X = 0.77 gives 2 int(32 X) = 48 steps, too coarse for a width of 0.1:
+    # from there MAX_REFINE candidates end at 384 steps and stall, so a
+    # smooth q starts at 384 and passes on the doubling after it
+    narrow = Potential(kind="gaussian", amplitude=0.5, sigma=1,
+                       params={"width": 0.1}, L=16.0, N=4096)
+    levels = _level_steps(monkeypatch)
+    y_matrix_batch(narrow, np.linspace(-16.0, 16.0, 65).astype(complex))
+    assert levels == [96, 384, 768]
+
+
 def test_step_splits_round_exactly(monkeypatch):
-    # a lone segment gets n_steps and a leg ceil(n/2) steps; on these data
-    # n |seg| / total and n X / 2X round to 96.00000000000001, one step more
+    # a lone segment gets n_steps and a leg ceil(n/2) steps; on the gaussian
+    # n |seg| / total rounds to 96.00000000000001, and on the box (X = 0.76)
+    # n X / 2X rounds up past n/2 at both of its levels, 12 and 48: in floats
+    # each would take one step more a leg
     gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1, params={"width": 2.6},
                       L=512.0, N=2 ** 15)
     [(_, b, _)] = _cf4._cf4_steps(gauss, -0.674625, 0.0, 96)
     assert b.size == 2 * 96
     box = Potential(kind="box", amplitude=0.3, sigma=-1,
-                    params={"left": -0.8, "right": 0.8}, L=8.0, N=256)
+                    params={"left": -0.635, "right": 0.635}, L=8.0, N=256)
     levels = _level_steps(monkeypatch)
     y_matrix_batch(box, np.array([0.5], dtype=complex))
-    assert levels[0] == 192
+    assert levels == [12, 48]
 
 
 def test_column_stall_reports_steps_and_error(gauss_small, monkeypatch):
@@ -182,13 +248,13 @@ def test_sinhc_at_zero():
 
 
 def test_nodes_are_the_accepted_level_legs(box_plus):
-    # the box passes on its second level of 2 * 192 steps (see
+    # the box passes on its first candidate of 72 steps (see
     # test_smooth_input_stops_one_level_earlier); Y(0) and Y(X) are its leg
     # transfers -X -> 0 -> X, each with its share of the steps
     z = np.array([0.3, -1.7], dtype=complex)
     X = box_plus.scatter_halfwidth()
     nodes, _ = y_matrix_batch(box_plus, z)
-    for got, want in zip(nodes, jost_nodes(box_plus, z, [0.0, X], 384)):
+    for got, want in zip(nodes, jost_nodes(box_plus, z, [0.0, X], 72)):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 

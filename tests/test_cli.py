@@ -161,6 +161,27 @@ def test_report_malformed_inputs_exit_1(tmp_path, runner, fits, row):
     assert not (out / "summary.json").exists()
 
 
+def test_report_permuted_compare_header_exits_1(tmp_path, runner):
+    # cells are read by position, so a file with its columns permuted is refused
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "compare.csv").write_text(
+        "xi,t,abs_err,re_qnum,im_qnum,re_qasym,im_qasym,validity\n"
+        "0.3,10.0,0.001,0.1,0.0,0.1,0.0,valid\n")
+    (out / "fits.json").write_text(FIT)
+    res = runner.invoke(main, ["--out", str(out), "report"])
+    assert res.exit_code == 1, res.output
+    assert "error:" in res.output and "header" in res.output
+    assert not (out / "plot_long.csv").exists()
+
+
+def test_report_missing_out_exits_4_and_creates_nothing(tmp_path, runner):
+    out = tmp_path / "missing"
+    res = runner.invoke(main, ["--out", str(out), "report"])
+    assert res.exit_code == 4, res.output
+    assert not out.exists()
+
+
 def test_asym_nonpositive_t_min_exits_1(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT, t_min=-5.0, times=[-1.0, 0.5])
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),

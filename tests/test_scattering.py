@@ -209,7 +209,7 @@ class TestComputeScattering:
         monkeypatch.setattr(Potential, "__call__", counted)
         z = np.linspace(-4.0, 4.0, 33)
         X = box_plus.scatter_halfwidth()
-        for n in (192, 384):    # the box's two levels, each as one leg -X -> X
+        for n in (18, 72):    # the box's two levels, each as one leg -X -> X
             jost_nodes(box_plus, z, [X], n)
         end_only = sum(calls)
         calls.clear()
