@@ -26,15 +26,16 @@ One kernel, `_propagate`, applies these exponentials to a list of columns.
 The matrix frame (`y_matrix_batch`) carries both columns of the identity in
 the phi-frame; the column frame (`analytic_column_batch`) carries the
 bounded first column in the m-frame, where each exponential gains a factor
-exp(i z h / 2).  Both frames share one step control, `_refine`: candidate
-levels of 2 int(32 X) steps, then doubling, each accepted or not on a
-Richardson estimate against a coarser level.  The first candidate's
-companion has a quarter of its steps, so the check costs a quarter of a
-level rather than the half a doubling pair costs.  A smooth q starts at 384
+exp(i z h / 2).  Both frames share one step control, `_refine`: [-X, X]
+is cut once into a plan of pieces with a quarter of 2 int(32 X) steps, and
+the candidate levels take each piece's count times 4, 8, 16 and 32, each
+accepted or not on a Richardson estimate against the level before, the
+plan itself for the first.  The step ratio is exact in every piece, and
+the first check costs a quarter of a level.  A smooth q starts at 384
 steps or more; the box, on which CF4 is exact between breakpoints, has no
-such floor.  Each level is a single pass; the matrix frame integrates it in
-two legs, -X -> 0 -> X, so Y(0) and Y(+X) of the accepted level are the
-result and nothing is integrated twice.
+such floor.  Each level is a single pass; the matrix frame's plan is cut
+at 0, so Y(0) and Y(+X) of the accepted level are the result and nothing
+is integrated twice.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegratorDivergence
-from .potentials import Potential
 
 _C1 = 0.5 - np.sqrt(3.0) / 6.0
 _C2 = 0.5 + np.sqrt(3.0) / 6.0
@@ -174,40 +174,31 @@ def _series_expm(coef, b, c):
     return e[:nz], s * b, s * c, e[nz:2 * nz]
 
 
-def _segments(potential: Potential, x_from: float, x_to: float) -> list[tuple[float, float]]:
-    """Split [x_from, x_to] at potential discontinuities (ordered along travel)."""
-    pts = [x_from, x_to]
-    brk = potential.breakpoints()
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    if brk:
-        pts.extend(p for p in brk if lo < p < hi)
-    pts = sorted(set(pts), reverse=bool(x_from > x_to))
-    return list(zip(pts[:-1], pts[1:]))
+def _split(potential, x_from, x_to, n_steps, nodes=()):
+    """(seg_from, seg_to, n) for each piece of [x_from, x_to], left to right.
 
-
-def _split(potential, x_from, x_to, n_steps):
-    """(seg_from, seg_to, n) for each smooth segment of [x_from, x_to].
-
-    The segment gets n = max(2, ceil(n_steps (|segment| / |x_to - x_from|)))
-    steps; the ratio comes first, so a lone segment gets n_steps.
+    The span is cut at the potential's breakpoints and at `nodes`.  A piece
+    gets n = ceil(n_steps ((seg_to - seg_from) / (x_to - x_from))) steps;
+    the ratio comes first, so a lone piece gets n_steps.
     """
-    total = abs(x_to - x_from)
-    return [(a, b, max(2, int(np.ceil(n_steps * (abs(b - a) / total)))))
-            for a, b in _segments(potential, x_from, x_to)]
+    cuts = [p for p in (*(potential.breakpoints() or ()), *nodes) if x_from < p < x_to]
+    pts = sorted({x_from, x_to, *cuts})
+    return [(a, b, int(np.ceil(n_steps * ((b - a) / (x_to - x_from)))))
+            for a, b in zip(pts[:-1], pts[1:])]
 
 
-def _cf4_steps(potential, x_from, x_to, n_steps):
-    """Yield (h, b, c) for each smooth segment of [x_from, x_to].
+def _cf4_steps(potential, segments):
+    """Yield (h, b, c) for each piece (seg_from, seg_to, n) of `segments`.
 
-    The segment takes the n steps of `_split`, of size h.  b and c hold the
-    off-diagonal entries of its 2n exponentials in the order they act: per
-    step, those of h (a2 A1 + a1 A2) and then of h (a1 A1 + a2 A2).
+    The piece takes n steps of size h.  b and c hold the off-diagonal
+    entries of its 2n exponentials in the order they act: per step, those
+    of h (a2 A1 + a1 A2) and then of h (a1 A1 + a2 A2).
     """
     sig = potential.sigma
-    for seg_from, seg_to, n in _split(potential, x_from, x_to, n_steps):
+    for seg_from, seg_to, n in segments:
         h = (seg_to - seg_from) / n
         xs = seg_from + h * np.arange(n)
-        # Gauss samples of q and conj(q(-x)) for the whole segment at once
+        # Gauss samples of q and conj(q(-x)) for the whole piece at once
         xg1, xg2 = xs + _C1 * h, xs + _C2 * h
         q1, q2 = potential(xg1), potential(xg2)
         m1, m2 = potential.mirror_conj(xg1), potential.mirror_conj(xg2)
@@ -216,58 +207,56 @@ def _cf4_steps(potential, x_from, x_to, n_steps):
         yield h, b.ravel(), c.ravel()
 
 
-def _refine(level, potential, what):
+def _refine(level, potential, what, nodes=()):
     """Accept the first candidate level whose Richardson estimate passes.
 
-    `level(n)` integrates with n steps and returns (end, result, steps),
-    steps the step count of each smooth segment.  The MAX_REFINE candidates
-    have 2 int(32 X) steps, then doubling; for a smooth q the first has at
-    least 384, as a short support may hold narrow features (a gaussian of
-    width 0.1 stalls without them), while CF4 is exact on a box.  The first
-    is checked against a companion with a quarter of its steps, each later
-    one against the one before.  With rho times the steps of the coarser
-    level, the error is about their gap / (rho^4 - 1) at fourth order
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  rho is the smallest
-    per-segment ratio of steps taken, so ceil and max(2, .) rounding only
-    enlarge err; a segment with 2 steps in both levels is left out, the gap
-    saying nothing of it.  Not a ratio of 8: at z_max h = 4 a companion of
-    an eighth is pre-asymptotic and overstates err by up to 2e4.
+    The plan is the `_split` of [-X, X] at `nodes` with a quarter of the
+    first candidate's 2 int(32 X) steps, at least 384 for a smooth q, as a
+    short support may hold narrow features (a gaussian of width 0.1 stalls
+    without them), while CF4 is exact on a box.  `level(segments)`
+    integrates a list of pieces and returns (end, result).  The MAX_REFINE
+    candidates take each plan count times 4, 8, 16, ...; the first is
+    checked against the plan, each later one against the one before.  At
+    step ratio rho = 4, then 2, in every piece, the error is about their
+    gap / (rho^4 - 1) at fourth order (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4).  Not a ratio of 8: at z_max h = 4 a companion of an
+    eighth is pre-asymptotic and overstates err by up to 2e4.
     Returns (result, err) of the first candidate with
     err <= RTOL (1 + max |end|): the level itself, not the extrapolation,
     which would give up the level's unimodularity and symmetries.  Raises
     IntegratorDivergence when no candidate gets there.
     """
-    n_first = 2 * int(32 * potential.scatter_halfwidth())
+    X = potential.scatter_halfwidth()
+    n_first = 2 * int(32 * X)
     if potential.kind != "box":
         n_first = max(384, n_first)
-    prev, _, prev_steps = level((n_first + 3) // 4)
-    err = np.inf
-    for n_steps in (n_first << k for k in range(MAX_REFINE)):
-        cur, result, steps = level(n_steps)
-        rho = min((k / j for k, j in zip(steps, prev_steps) if k > j), default=1.0)
+    plan = _split(potential, -X, X, (n_first + 3) // 4, nodes)
+    prev = level(plan)[0]
+    for k in range(MAX_REFINE):
+        segments = [(a, b, n << (k + 2)) for a, b, n in plan]
+        cur, result = level(segments)
         gap = max(float(np.abs(c - p).max()) for c, p in zip(cur, prev))
-        err = gap / (rho ** 4 - 1.0) if rho > 1.0 else np.inf
+        err = gap / (255.0 if k == 0 else 15.0)
         scale = 1.0 + max(float(np.abs(c).max()) for c in cur)
         if err <= RTOL * scale:
             return result, err
-        prev, prev_steps = cur, steps
-    raise IntegratorDivergence(
-        f"CF4 {what} step control stalled at {n_steps} steps (err {err:.3e})"
-    )
+        prev = cur
+    raise IntegratorDivergence(f"CF4 {what} step control stalled at "
+                               f"{sum(n for *_, n in segments)} steps (err {err:.3e})")
 
 
-def _propagate(potential, z, x_from, x_to, n_steps, cols, shifted=False):
-    """Apply the CF4 steps over [x_from, x_to] to a list of columns (u, v).
+def _propagate(potential, z, segments, cols, shifted=False):
+    """Apply the CF4 steps of `segments` to a list of columns (u, v).
 
     The exponentials act one at a time, in the order `_cf4_steps` yields
-    them, each summed from its segment's `_series_coefficients`.
+    them, each summed from its piece's `_series_coefficients`.
     Unshifted, each is exp(h (a A1 + a' A2)) of the phi-frame; `shifted`
     multiplies each by exp(i z h / 2), which turns the phi-frame into the
     m-frame of `analytic_column_batch`.  Returns the new list.
     """
     u = np.array([col[0] for col in cols])
     v = np.array([col[1] for col in cols])
-    for h, b, c in _cf4_steps(potential, x_from, x_to, n_steps):
+    for h, b, c in _cf4_steps(potential, segments):
         d = -1j * z * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
         eps_max = float(np.abs(b * c).max())
         g_max = max(float(np.abs(b).max()), float(np.abs(c).max()))
@@ -287,28 +276,28 @@ def y_matrix_batch(potential, z):
     """Normalized Jost matrix Y(z, x) = exp(i x z sigma3) phi(z, x) at x = 0, +X.
 
     Integrates from -X with Y(-X) = I and returns ((Y(0), Y(+X)), err), each
-    Y a 4-tuple (Y11, Y12, Y21, Y22) of (nz,) arrays.  A level of n steps is
-    one pass that carries the columns of the identity over the legs -X -> 0
-    -> X, max(2, ceil(n/2)) steps each; `_refine` accepts it on Y(+X).
+    Y a 4-tuple (Y11, Y12, Y21, Y22) of (nz,) arrays.  The plan is cut at 0,
+    so a level is one pass that carries the columns of the identity over
+    its pieces left of 0, where Y(0) is read, and then over the rest;
+    `_refine` accepts it on Y(+X).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
     sp, sm = _phase_diag(z, X)
 
-    def level(n_total):
-        n = max(2, (n_total + 1) // 2)
+    def level(segments):
+        cut = sum(b <= 0.0 for _, b, _ in segments)
         cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
-        Y, steps = [], []
-        for x_from, x_to in ((-X, 0.0), (0.0, X)):
-            cols = _propagate(potential, z, x_from, x_to, n, cols)
-            steps += [k for *_, k in _split(potential, x_from, x_to, n)]
+        Y = []
+        for x, leg in ((0.0, segments[:cut]), (X, segments[cut:])):
+            cols = _propagate(potential, z, leg, cols)
             # Y(x) = e^{i x z s3} T e^{i X z s3}, T = [cols[0] | cols[1]]
             (t11, t21), (t12, t22) = cols
-            ep, em = _phase_diag(z, x_to)
+            ep, em = _phase_diag(z, x)
             Y.append((ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm))
-        return Y[1], tuple(Y), steps
+        return Y[1], tuple(Y)
 
-    return _refine(level, potential, "matrix")
+    return _refine(level, potential, "matrix", nodes=(0.0,))
 
 
 def analytic_column_batch(potential, z):
@@ -319,11 +308,10 @@ def analytic_column_batch(potential, z):
     the determinant formula.  Vectorized over complex z.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    X = potential.scatter_halfwidth()
 
-    def level(n_total):
-        [m] = _propagate(potential, z, -X, X, n_total,
+    def level(segments):
+        [m] = _propagate(potential, z, segments,
                          [(np.ones_like(z), np.zeros_like(z))], shifted=True)
-        return m, m, [k for *_, k in _split(potential, -X, X, n_total)]
+        return m, m
 
     return _refine(level, potential, "column")[0]

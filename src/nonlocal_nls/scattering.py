@@ -37,6 +37,11 @@ EPS_A = 1e-8         # floor for |a| on the real grid
 N_ARC = 256          # points on the winding contour's arc
 
 
+def _integration_slack(err):
+    """Room a check of computed data leaves for CF4 error: 200 max(err, RTOL)."""
+    return 200.0 * max(err, RTOL)
+
+
 @dataclass(eq=False)
 class ScatteringData:
     z_grid: np.ndarray
@@ -82,7 +87,7 @@ def compute_scattering(potential: Potential, z_grid: np.ndarray) -> ScatteringDa
     a_prod = (Y0[0] * np.conj(Y0[0][::-1])
               - potential.sigma * Y0[2] * np.conj(Y0[2][::-1]))
     mismatch = float(np.abs(a_prod - a).max())
-    if mismatch > 200.0 * max(err, RTOL):
+    if mismatch > _integration_slack(err):
         raise IntegratorDivergence(
             f"determinant/product formulas disagree by {mismatch:.3e}"
         )
@@ -179,7 +184,7 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
     1974).  Where bound < 1 (N < 0.90), neither a in the closed upper
     half-plane nor abreve in the closed lower one can vanish: the winding is
     0 with no integration (route "small_norm").  The computed a and abreve
-    on the real grid must then lie within bound + 200 max(err, RTOL) of 1,
+    on the real grid must then lie within bound + `_integration_slack(err)` of 1,
     or IntegratorDivergence is raised.  Otherwise (route "arc") the winding
     of a is counted along the boundary of the half-disc of radius z_grid[-1]
     in the closed upper half-plane, a(z) on the arc coming from the analytic
@@ -198,7 +203,7 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
     if bound < 1.0:
         route, winding = "small_norm", 0
         dev = max(float(np.abs(data.a - 1.0).max()), float(np.abs(data.a_breve - 1.0).max()))
-        if dev > bound + 200.0 * max(data.truncation_error, RTOL):
+        if dev > bound + _integration_slack(data.truncation_error):
             raise IntegratorDivergence(
                 f"|a - 1| or |abreve - 1| reaches {dev:.3e} on the real grid, "
                 f"above the small-norm bound {bound:.3e}"

@@ -62,22 +62,24 @@ def gauss_small_ctx(gauss_small, zgrid_wide):
 
 
 def jost_nodes(potential, z, nodes, n_steps):
-    """Y(z, x) at ascending `nodes` in [-X, X] from `_cf4._propagate` legs.
+    """Y(z, x) at ascending `nodes` from `_cf4._propagate` (constant outside [-X, X]).
 
-    Starts from Y(-X) = I, and a leg gets max(2, ceil(n_steps (|leg| / 2X)))
-    steps: ceil(n_steps/2) on a half leg, as in `y_matrix_batch`.  Returns
-    one 4-tuple (Y11, Y12, Y21, Y22) of (nz,) arrays per node.
+    Starts from Y(-X) = I and steps the pieces `_cf4._split` cuts from
+    [-X, X] at `nodes` with n_steps in all, as `y_matrix_batch` steps its
+    level's pieces cut at 0.  Returns one 4-tuple (Y11, Y12, Y21, Y22) of
+    (nz,) arrays per node.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
     sp, sm = _cf4._phase_diag(z, X)
     cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
+    pieces = _cf4._split(potential, -X, X, n_steps, nodes)
     x_cur, out = -X, []
     for x in nodes:
-        if x > x_cur:
-            n = max(2, int(np.ceil(n_steps * ((x - x_cur) / (2 * X)))))
-            cols = _cf4._propagate(potential, z, x_cur, x, n, cols)
-            x_cur = x
+        leg = [p for p in pieces if x_cur < p[1] <= x]
+        if leg:
+            cols = _cf4._propagate(potential, z, leg, cols)
+            x_cur = leg[-1][1]
         (t11, t21), (t12, t22) = cols
         ep, em = _cf4._phase_diag(z, x_cur)
         out.append((ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm))

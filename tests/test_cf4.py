@@ -16,9 +16,11 @@ from nonlocal_nls._cf4 import (
     _series_coefficients,
     _series_expm,
     _sinhc,
+    _split,
     y_matrix_batch,
 )
 from nonlocal_nls.errors import IntegratorDivergence
+from nonlocal_nls.scattering import _integration_slack
 
 from conftest import jost_nodes
 
@@ -29,7 +31,8 @@ def _identity_cols(z):
 
 def _transfer(potential, z, x_from, x_to, n_steps):
     """Entries (T11, T12, T21, T22) of the phi-frame transfer matrix."""
-    (t11, t21), (t12, t22) = _propagate(potential, z, x_from, x_to, n_steps,
+    (t11, t21), (t12, t22) = _propagate(potential, z,
+                                        _split(potential, x_from, x_to, n_steps),
                                         _identity_cols(z))
     return t11, t12, t21, t22
 
@@ -77,16 +80,16 @@ def test_step_control_divergence_raises(gauss_small, monkeypatch):
 def _level_steps(monkeypatch):
     """Record the total steps of each level that `_propagate` integrates.
 
-    A level starts with the leg from -X; the list fills as levels run.
+    A level starts with the piece from -X; the list fills as levels run.
     """
     levels = []
     propagate = _cf4._propagate
 
-    def spy(potential, z, x_from, x_to, n_steps, cols, shifted=False):
-        if x_from == -potential.scatter_halfwidth():
+    def spy(potential, z, segments, cols, shifted=False):
+        if segments[0][0] == -potential.scatter_halfwidth():
             levels.append(0)
-        levels[-1] += n_steps
-        return propagate(potential, z, x_from, x_to, n_steps, cols, shifted)
+        levels[-1] += sum(n for *_, n in segments)
+        return propagate(potential, z, segments, cols, shifted)
 
     monkeypatch.setattr(_cf4, "_propagate", spy)
     return levels
@@ -139,35 +142,41 @@ def test_first_candidate_estimate_is_honest(kind, monkeypatch):
 
 
 def test_refine_takes_the_step_ratio_of_clipped_segments(box_plus, monkeypatch):
-    # box_plus's outer segments |x| in [1, 1.125] are 1/9 of a leg: the
-    # first candidate gives them ceil(36/9) steps, its companion
-    # max(2, ceil(9/9)) = 2, a ratio of 2 or 2.5 where the quarter is 4.  A
-    # fourth-order error that sits in those segments alone is estimated
-    # within a factor 2 only if the gap is divided by that ratio^4 - 1
+    # box_plus's outer pieces |x| in [1, 1.125] are 1/18 of [-X, X]: 1 step
+    # of the plan's 18.  A fourth-order error that sits in those pieces
+    # alone is estimated within a factor 2, and candidate k takes exactly
+    # 4 2^k times each of the plan's counts
     X = box_plus.scatter_halfwidth()
-    assert [n for *_, n in _cf4._split(box_plus, -X, 0.0, 9)] == [2, 8]
+    plan = _split(box_plus, -X, X, 18, (0.0,))
+    assert [n for *_, n in plan] == [1, 8, 8, 1]
+    seen = []
 
-    def level(n_total):
-        n = max(2, (n_total + 1) // 2)
-        segs = [seg for leg in ((-X, 0.0), (0.0, X))
-                for seg in _cf4._split(box_plus, *leg, n)]
-        err = sum(((b - a) / k) ** 4 for a, b, k in segs if abs(b - a) < 0.5)
-        return (np.array([err]),), err, [k for *_, k in segs]
+    def level(segments):
+        seen.append(segments)
+        err = sum(((b - a) / k) ** 4 for a, b, k in segments if b - a < 0.5)
+        return (np.array([err]),), err
 
     monkeypatch.setattr(_cf4, "RTOL", 1.0)
-    true, est = _cf4._refine(level, box_plus, "test")
+    true, est = _cf4._refine(level, box_plus, "test", nodes=(0.0,))
     assert true / 2.0 <= est <= 2.0 * true
+    seen.clear()
+    monkeypatch.setattr(_cf4, "RTOL", 0.0)
+    with pytest.raises(IntegratorDivergence, match="stalled at 576 steps"):
+        _cf4._refine(level, box_plus, "test", nodes=(0.0,))
+    assert seen[0] == plan and len(seen) == 1 + _cf4.MAX_REFINE
+    for k, segments in enumerate(seen[1:]):
+        assert segments == [(a, b, n * 4 * 2 ** k) for a, b, n in plan]
 
 
 def test_smooth_input_stops_one_level_earlier(box_plus, zgrid_wide, monkeypatch):
-    # each input passes on its first candidate, 2 int(32 X) steps, checked
-    # against a companion with a quarter of them: the acceptance gaussian
-    # (X = 19.3) and the box, which has no step floor as CF4 is exact
+    # each input passes on its first candidate, 4 times the plan's steps,
+    # about 2 int(32 X): the acceptance gaussian (X = 19.3, plan 155 steps
+    # each side of 0) and the box, which has no step floor as CF4 is exact
     # between its breakpoints
     gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                       params={"width": 2.6}, L=512.0, N=2 ** 15)
     levels = _level_steps(monkeypatch)
-    for pot, want in ((gauss, [310, 1236]), (box_plus, [18, 72])):
+    for pot, want in ((gauss, [310, 1240]), (box_plus, [18, 72])):
         levels.clear()
         compute_scattering(pot, zgrid_wide)
         assert levels == want
@@ -185,19 +194,34 @@ def test_narrow_smooth_input_keeps_the_step_floor(monkeypatch):
 
 
 def test_step_splits_round_exactly(monkeypatch):
-    # a lone segment gets n_steps and a leg ceil(n/2) steps; on the gaussian
-    # n |seg| / total rounds to 96.00000000000001, and on the box (X = 0.76)
-    # n X / 2X rounds up past n/2 at both of its levels, 12 and 48: in floats
-    # each would take one step more a leg
+    # a lone piece gets n_steps: on the gaussian n |seg| / total rounds to
+    # 96.00000000000001, so the ratio comes first.  Where the ratio itself
+    # rounds up, the plan keeps the extra step and every level multiplies
+    # it: on the box [-0.39, 0.59] (X = 0.715, plan 11 steps) 0.39 / 1.43
+    # is 3/11 plus an ulp, so [-0.39, 0] and [0, 0.39] take 4 plan steps
+    # where exact arithmetic gives 3, and 16 on the first candidate
     gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1, params={"width": 2.6},
                       L=512.0, N=2 ** 15)
-    [(_, b, _)] = _cf4._cf4_steps(gauss, -0.674625, 0.0, 96)
+    [(_, b, _)] = _cf4._cf4_steps(gauss, _split(gauss, -0.674625, 0.0, 96))
     assert b.size == 2 * 96
     box = Potential(kind="box", amplitude=0.3, sigma=-1,
-                    params={"left": -0.635, "right": 0.635}, L=8.0, N=256)
+                    params={"left": -0.39, "right": 0.59}, L=8.0, N=256)
+    X = box.scatter_halfwidth()
+    assert [n for *_, n in _split(box, -X, X, 11, (0.0,))] == [1, 2, 4, 4, 2, 1]
     levels = _level_steps(monkeypatch)
     y_matrix_batch(box, np.array([0.5], dtype=complex))
-    assert levels == [12, 48]
+    assert levels == [14, 56]
+
+
+@pytest.mark.parametrize("name", ["box_plus", "gauss_small"])
+def test_frames_agree_on_the_real_axis(name, request):
+    # the column frame cuts [-X, X] at the breakpoints alone and the matrix
+    # frame at 0 too; at real z both end at a(z)
+    pot = request.getfixturevalue(name)
+    z = np.linspace(-16.0, 16.0, 65).astype(complex)
+    (_, S), err = y_matrix_batch(pot, z)
+    a_column = analytic_column_batch(pot, z)[0]
+    assert np.abs(a_column - S[0]).max() <= _integration_slack(err)
 
 
 def test_column_stall_reports_steps_and_error(gauss_small, monkeypatch):
@@ -263,9 +287,10 @@ def test_shifted_column_is_the_m_frame(box_plus):
     # exp(2 i z X) times the first column of the phi-frame state
     z = np.array([0.7 + 0.5j, -1.3 + 1.0j, 2.0j, 3.1 + 0.2j])
     X = box_plus.scatter_halfwidth()
-    [(m0, m1)] = _propagate(box_plus, z, -X, X, 768,
+    segments = _split(box_plus, -X, X, 768)
+    [(m0, m1)] = _propagate(box_plus, z, segments,
                             [(np.ones_like(z), np.zeros_like(z))], shifted=True)
-    [(u, v), _] = _propagate(box_plus, z, -X, X, 768, _identity_cols(z))
+    [(u, v), _] = _propagate(box_plus, z, segments, _identity_cols(z))
     phase = np.exp(2j * z * X)
     for got, want in ((m0, phase * u), (m1, phase * v)):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

@@ -8,6 +8,7 @@ from nonlocal_nls._cf4 import (
     _expm_shifted,
     _series_coefficients,
     _series_expm,
+    _split,
 )
 from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import BadInput
@@ -20,7 +21,7 @@ def _lax_entries(pot, x, h=1e-6):
     The first exponential of a step of size h carries the off-diagonal
     entries h (a2 Q(x1) + a1 Q(x2)) at the two Gauss points, a1 + a2 = 1/2.
     """
-    [(step, b, c)] = _cf4_steps(pot, x, x + 2 * h, 2)
+    [(step, b, c)] = _cf4_steps(pot, _split(pot, x, x + 2 * h, 2))
     return b[0] / (step / 2), c[0] / (step / 2)
 
 
@@ -48,7 +49,7 @@ def test_complex_gaussian_sigma_minus():
 
 def test_trace_of_lax_rhs_is_zero(box_plus):
     # tr(Q - i z sigma3) = 0, so every CF4 exponential has det = e^0 = 1
-    [(h, bs, cs)] = _cf4_steps(box_plus, 0.4, 0.4 + 2e-3, 2)
+    [(h, bs, cs)] = _cf4_steps(box_plus, _split(box_plus, 0.4, 0.4 + 2e-3, 2))
     for z in (0.0, 1.7, -3.2):
         for b, c in zip(bs[:2], cs[:2]):
             e11, e12, e21, e22 = _expm_shifted(-1j * z * h / 2, b, c)
@@ -57,7 +58,7 @@ def test_trace_of_lax_rhs_is_zero(box_plus):
 
 def test_series_step_is_unimodular(box_plus):
     # the per-segment series keeps det = 1 for each exponential of a step
-    [(h, bs, cs)] = _cf4_steps(box_plus, 0.4, 0.4 + 2e-3, 2)
+    [(h, bs, cs)] = _cf4_steps(box_plus, _split(box_plus, 0.4, 0.4 + 2e-3, 2))
     d = -1j * np.array([0.0, 1.7, -3.2]) * h / 2
     eps = bs * cs
     g_max = max(np.abs(bs).max(), np.abs(cs).max())
