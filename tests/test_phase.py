@@ -335,3 +335,49 @@ class TestGaussLegendrePath:
         assert len(keys) == 2 and keys[0] != keys[1]
         assert round(keys[0], 12) == round(keys[1], 12)
         assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the adaptive quad oracle of delta, delta_boundary and beta
+
+class TestQuadOracle:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_error_estimate_covers_log_ratio_error(self, eps):
+        # int_a^b ds/(s - z) in closed form, z = x0 + i eps split at x0; x0 is
+        # not dyadic, so the rounding of the nodes next to it is part of the error
+        a, b, x0 = -2.0, 3.0, 0.37
+        z = complex(x0, eps)
+        val, err = phase.quad(lambda s: 1.0 / (s - z), a, b, point=x0)
+        assert abs(val - phase._log_ratio(z, b, a)) <= err <= phase.ERR_GATE
+
+    def test_interval_cap_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(phase, "_QUAD_LIMIT", 1)
+        z = complex(0.37, 1e-6)
+        with pytest.raises(QuadratureFailure):
+            phase.quad(lambda s: 1.0 / (s - z), -2.0, 3.0, point=0.37)
+
+    def test_nan_integrand_fails_the_gate(self):
+        with pytest.raises(QuadratureFailure):
+            phase.quad(lambda s: s * np.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("sgn", [1.0, -1.0])
+    def test_cauchy_integral_next_to_the_cut(self, accept_gauss_ctx, sgn):
+        # one of verify's delta+- points, z = 0.1 +- 1.3e-6 i below xi = 0.3;
+        # the reference splits geometrically around Re z, so scipy's quad
+        # resolves the width-eps feature on both sides (a single split at
+        # Re z does not: it is off by 1.9e-6 in the imaginary part)
+        ctx, x0, b = accept_gauss_ctx, 0.1, 0.3
+        z = complex(x0, sgn * 1.3e-6)
+        nu_ref = complex(ctx.nu(np.asarray(x0)))
+        d = 1.3e-6 * 2.0 ** np.arange(-4, 25)
+        pts = np.r_[x0 - d, x0, x0 + d]
+        kw = dict(points=np.sort(pts[(pts > ctx.z_lo) & (pts < b)]),
+                  limit=5000, epsabs=1e-15, epsrel=1e-12)
+
+        def f(s):
+            return (complex(ctx.nu(np.asarray(s))) - nu_ref) / (s - z)
+
+        ref = complex(quad(lambda s: f(s).real, ctx.z_lo, b, **kw)[0],
+                      quad(lambda s: f(s).imag, ctx.z_lo, b, **kw)[0])
+        ref += nu_ref * phase._log_ratio(z, b, ctx.z_lo)
+        assert abs(phase._cauchy_nu(ctx, b, z, b) - ref) <= 1e-11
