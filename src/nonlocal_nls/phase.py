@@ -12,14 +12,15 @@ Definitions used throughout (normative properties in parentheses):
     delta0   = e^{i beta(xi, xi)}
 
 The delta exponent carries a single factor of i so that the stated jump
-holds; the beta integrand carries 1/(s - z) for the same reason.  The
-removable sqrt-type endpoint behavior at s = xi is integrated with the
-substitution s = xi - u^2.
+holds; the beta integrand carries 1/(s - z) for the same reason.  `beta`
+integrates the removable sqrt-type endpoint behavior at s = xi with the
+substitution s = xi - u^2; `delta0` needs none (see there).
 
 All of it is read off one `SpectralContext`, the only input of every
-function here; it refuses any xi whose integration range leaves its grid
-(including NaN).  `delta0` and the nu tail integral use composite
-Gauss-Legendre on the spline knots (nu is analytic between them), with the
+function here; it refuses non-finite r or rbreve, and any xi whose
+integration range leaves its grid (including NaN).  `delta0` and the nu
+tail integral use composite Gauss-Legendre on the spline knots (nu from the
+node table, one spline call on the last, partial interval), with the
 embedded half rule as error estimate; `delta`, `delta_boundary` and `beta` at
 general z use the independent oracle `quad`: adaptive Gauss-Legendre 21 with
 |G21 - G10| as error estimate, vectorized, with no knot alignment.
@@ -81,6 +82,8 @@ class SpectralContext:
     """Spline, quadrature node table and per-xi phase memo of one ScatteringData."""
 
     def __init__(self, data: ScatteringData):
+        if not (np.isfinite(data.r).all() and np.isfinite(data.r_breve).all()):
+            raise BadInput("r and rbreve must be finite on the spectral grid")
         z = data.z_grid
         self.z_grid = z
         self.z_lo = float(z[0])
@@ -144,9 +147,9 @@ class SpectralContext:
         return (p[:-1] + half)[:, None] + half[:, None] * self._gx, half
 
     def _partial(self, b):
-        """k, nodes and half-width of [z_k, b], z_k the last knot <= b."""
+        """k, nodes and half-width of [z_k, b], z_k the last knot below b (or z_0)."""
         z = self.z_grid
-        k = min(max(int(np.searchsorted(z, b, side="right")) - 1, 0), z.size - 2)
+        k = max(int(np.searchsorted(z, b)) - 1, 0)
         return (k, *self._gl_nodes(np.array([z[k], b])))
 
     @cached_property
@@ -266,28 +269,25 @@ def beta(ctx: SpectralContext, xi: float, z: complex) -> complex:
 
 
 def delta0(ctx: SpectralContext, xi: float) -> complex:
-    """delta0(xi) = e^{i beta(xi, xi)}: the chunks of `beta` at z = xi by
-    Gauss-Legendre, the second in u split at the mapped knots sqrt(xi - z_k)."""
-    a = xi - 1.0
-    ctx._window(a, xi)
+    """delta0(xi) = e^{i beta(xi, xi)}: int_{z_lo}^{xi} (nu(s) - nu(xi))/(s - xi) ds
+    - nu(xi) log(xi - z_lo), whose integrand is analytic on every knot interval, by
+    Gauss-Legendre: nu from the node table below z_k, one spline call at xi and on
+    [z_k, xi] (a whole interval when xi is a knot)."""
+    ctx._window(xi - 1.0, xi)
     s, half, nu, _, _ = ctx._nodes
-    k, sp, hp = ctx._partial(a)
-    z = ctx.z_grid
-    knots = np.sqrt(xi - z[(z > a) & (z < xi)][::-1])
-    u, hu = ctx._gl_nodes(np.concatenate(([0.0], knots, [1.0])))
-    # nu at xi, at a, on the partial interval and on the mapped chunk: one spline call
-    v = ctx.nu(np.concatenate(([xi, a], sp.ravel(), (xi - u * u).ravel())))
-    nu_xi, nu_a = v[0], v[1]
-    nu_p, nu_u = v[2:2 + sp.size].reshape(sp.shape), v[2 + sp.size:].reshape(u.shape)
-    vals = nu[:k] - nu_a
-    vals /= s[:k] - xi
-    q1, e1 = ctx._rule(vals, half[:k])
-    qp, ep = ctx._rule((nu_p - nu_a) / (sp - xi), hp)
-    _gate(e1.sum() + ep.sum())
-    v1 = q1.sum() + qp.sum() + nu_a * _log_ratio(complex(xi), a, ctx.z_lo)
-    q2, e2 = ctx._rule(-2.0 * (nu_u - nu_xi) / u, hu)
-    _gate(e2.sum())
-    return cmath.exp(1j * (v1 + q2.sum()))
+    k, _, hp = ctx._partial(xi)
+    # nodes as offsets from xi, so none rounds onto xi; offsets below the least
+    # normal double (xi within 1e-307 above the knot 0) add 0
+    d = hp * (ctx._gx - 1.0)
+    v = ctx.nu(np.concatenate(([xi], xi + d)))
+    nu_xi = v[0]
+    vals = nu[:k] - nu_xi
+    vals *= 1.0 / (s[:k] - xi)
+    q, e = ctx._rule(vals, half[:k])
+    vp = np.divide(v[1:] - nu_xi, d, out=np.zeros_like(v[1:]), where=d <= -np.finfo(float).tiny)
+    qp, ep = ctx._rule(vp, hp)
+    _gate(e.sum() + ep.sum())
+    return cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(xi - ctx.z_lo)))
 
 
 def nu_tail_with_bound(ctx: SpectralContext, xi: float):

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nonlocal_nls import (
@@ -81,6 +82,18 @@ class TestNu:
         r_fn = lambda s: 1.3 * np.exp(-0.5 * s * s) * np.exp(2j * s)
         with pytest.raises((BranchViolation, Exception)):
             nu_at(make_synthetic(z, r_fn, r_fn), 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["r", "r_breve"])
+    def test_non_finite_data_refused(self, box_data, monkeypatch, field, bad):
+        def no_spline(*args, **kwargs):
+            raise AssertionError("a spline was built from non-finite data")
+
+        values = getattr(box_data, field).copy()
+        values[1000] = bad
+        monkeypatch.setattr(phase, "UniformSpline", no_spline)
+        with pytest.raises(BadInput):
+            SpectralContext(dataclasses.replace(box_data, **{field: values}))
 
 
 class TestDelta:
@@ -218,6 +231,29 @@ class TestGaussLegendrePath:
             assert abs(nu_tail_with_bound(coarse, xi)[0]
                        - nu_tail_with_bound(fine, xi)[0]) <= 1e-13
 
+    # derandomized: the oracle's first 21-node sweep over [z_lo, xi - 1] can miss the
+    # gaussian's nu bump and accept about 0 (xi in [15.5115, 15.5195]), and a
+    # randomized draw would land there now and then
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(u=st.floats(0.0, 1.0))
+    def test_matches_quad_oracle_anywhere(self, box_ctx, accept_gauss_ctx, u):
+        # every xi the window serves, [z_lo + 1, z_hi], knots included
+        for ctx in (box_ctx, accept_gauss_ctx):
+            xi = min(ctx.z_lo + 1.0 + u * (ctx.z_hi - ctx.z_lo - 1.0), ctx.z_hi)
+            d0 = cmath.exp(1j * beta(ctx, xi, complex(xi)))
+            assert abs(delta0(ctx, xi) - d0) <= 1e-9 * abs(d0)
+
+    @pytest.mark.parametrize("xi", [0.5, -5.0, 0.0])
+    def test_xi_on_a_knot(self, box_ctx, accept_gauss_ctx, xi):
+        # 0.5 = -16 + 1056/64, -5 = -16 + 704/64 and 0 are knots of the 2049-point
+        # grid; one ulp above a knot the last interval is one ulp long (5e-324 above 0)
+        for ctx in (box_ctx, accept_gauss_ctx):
+            assert xi in ctx.z_grid
+            d0 = delta0(ctx, xi)
+            assert cmath.isfinite(d0)
+            for near in (xi - 1e-12, xi + 1e-12, np.nextafter(xi, np.inf)):
+                assert abs(delta0(ctx, near) - d0) <= 1e-11
+
     def test_phase_data_makes_no_quad_calls(self, box_ctx, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("scipy quad called on the phase_data path")
@@ -300,17 +336,18 @@ class TestGaussLegendrePath:
             call(box_ctx)
 
     def test_phase_data_spline_calls(self, box_ctx, monkeypatch):
-        # every point of delta0 in one spline call; r, rbreve and nu(xi)
-        # together in one more
+        # every point of delta0 (xi and the 8 nodes of [z_k, xi]) in one spline
+        # call; r, rbreve and nu(xi) together in one more
         box_ctx._nodes  # the node table is built once per context, outside the count
-        calls = []
+        points = []
         call = UniformSpline.__call__
         monkeypatch.setattr(UniformSpline, "__call__",
-                            lambda self, *a, **kw: calls.append(1) or call(self, *a, **kw))
-        for xi in (-5.1, 0.5, 7.3):
-            calls.clear()
+                            lambda self, x: points.append(np.size(x)) or call(self, x))
+        for xi in (-5.1, -5.0, 0.5, 7.3):
+            points.clear()
             phase_data(box_ctx, xi)
-            assert len(calls) <= 2
+            assert len(points) <= 2
+            assert sum(points) <= 10
 
     def test_queries_compute_no_nu_tail(self, box_data, monkeypatch):
         def refuse(*args, **kwargs):
@@ -359,6 +396,15 @@ class TestQuadOracle:
     def test_nan_integrand_fails_the_gate(self):
         with pytest.raises(QuadratureFailure):
             phase.quad(lambda s: s * np.nan, 0.0, 1.0)
+
+    @pytest.mark.xfail(strict=True, reason="known defect: the first sweep over [z_lo, xi - 1] "
+                       "misses the narrow nu bump near 0 and accepts about 0")
+    def test_beta_at_xi_is_continuous_in_xi(self, accept_gauss_ctx):
+        # beta(xi, xi) moves by about 1.5e-6 from 15.5 to 15.515625 (delta0 agrees);
+        # the oracle reads 1.49e-3 at 15.5 and 5.8e-17 at 15.515625
+        ctx = accept_gauss_ctx
+        b1, b2 = (beta(ctx, xi, complex(xi)) for xi in (15.5, 15.515625))
+        assert abs(b1 - b2) <= 1e-4
 
     @pytest.mark.parametrize("sgn", [1.0, -1.0])
     def test_cauchy_integral_next_to_the_cut(self, accept_gauss_ctx, sgn):
