@@ -178,12 +178,13 @@ def _split(potential, x_from, x_to, n_steps, nodes=()):
     """(seg_from, seg_to, n) for each piece of [x_from, x_to], left to right.
 
     The span is cut at the potential's breakpoints and at `nodes`.  A piece
-    gets n = ceil(n_steps ((seg_to - seg_from) / (x_to - x_from))) steps;
-    the ratio comes first, so a lone piece gets n_steps.
+    gets n = ceil(n_steps ((seg_to - seg_from) / (x_to - x_from))) steps,
+    at least 1 (the ratio underflows to 0 on a piece a few subnormals
+    wide); the ratio comes first, so a lone piece gets n_steps.
     """
     cuts = [p for p in (*(potential.breakpoints() or ()), *nodes) if x_from < p < x_to]
     pts = sorted({x_from, x_to, *cuts})
-    return [(a, b, int(np.ceil(n_steps * ((b - a) / (x_to - x_from)))))
+    return [(a, b, max(1, int(np.ceil(n_steps * ((b - a) / (x_to - x_from))))))
             for a, b in zip(pts[:-1], pts[1:])]
 
 

@@ -213,6 +213,23 @@ def test_step_splits_round_exactly(monkeypatch):
     assert levels == [14, 56]
 
 
+def test_subnormal_piece_takes_one_step():
+    # a box edge one subnormal right of the node 0 leaves the piece
+    # [0, 5e-324], whose share of the span underflows to 0 steps; it takes
+    # one, and the data matches the box edge at 0
+    box = Potential(kind="box", amplitude=0.5, sigma=1,
+                    params={"left": 5e-324, "right": 1.0}, L=8.0, N=64)
+    X = box.scatter_halfwidth()
+    pieces = _split(box, -X, X, 18, (0.0,))
+    assert (0.0, 5e-324, 1) in pieces
+    assert min(n for *_, n in pieces) == 1
+    z = np.linspace(-6.0, 6.0, 13)
+    ref = Potential(kind="box", amplitude=0.5, sigma=1,
+                    params={"left": 0.0, "right": 1.0}, L=8.0, N=64)
+    assert np.allclose(compute_scattering(box, z).a, compute_scattering(ref, z).a,
+                       rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", ["box_plus", "gauss_small"])
 def test_frames_agree_on_the_real_axis(name, request):
     # the column frame cuts [-X, X] at the breakpoints alone and the matrix
