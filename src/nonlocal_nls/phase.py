@@ -172,14 +172,20 @@ def nu_at(ctx: SpectralContext, s: float) -> complex:
 def quad(f, a, b, point=None):
     """(int_a^b f(s) ds, gated error) for a vectorized f, split at `point`: Gauss-Legendre
     21 per interval, erring by |G21 - G10| plus the node rounding times the variation of f.
-    Each sweep bisects the intervals holding half the error, evaluating the new ones in one
-    f call, until the error is <= 1e-12 + 1e-11 |value| or there are _QUAD_LIMIT intervals."""
+    The first sweep cuts each side of `point` into equal intervals of length <= 1, at most
+    _QUAD_LIMIT // 4 a side so that half the limit is left to refine; each later sweep
+    bisects the intervals holding half the error, evaluating the new ones in one f call,
+    until the error is <= 1e-12 + 1e-11 |value| or there are _QUAD_LIMIT intervals."""
     if a == b:
         return 0j, 0.0
     # the rule on [-1, 1], built here so that commands without an oracle call skip it
     (x21, w21), (x10, w10) = leg.leggauss(21), leg.leggauss(10)
     qx, qw, qdw = np.r_[x21, x10], np.r_[w21, 0 * w10], np.r_[w21, -w10]
-    lo = np.array([a, point] if point is not None and a < point < b else [a], float)
+    # one long first interval can put all 21 nodes off a narrow bump of f
+    ends = [a, point, b] if point is not None and a < point < b else [a, b]
+    cap = max(1, _QUAD_LIMIT // 4)
+    lo = np.concatenate([np.linspace(x0, x1, min(math.ceil(abs(x1 - x0)), cap) + 1)[:-1]
+                         for x0, x1 in zip(ends[:-1], ends[1:])])
     hi = np.r_[lo[1:], b]
     q, e, new = np.zeros(lo.size, complex), np.zeros(lo.size), np.arange(lo.size)
     while True:

@@ -86,6 +86,17 @@ def jost_nodes(potential, z, nodes, n_steps):
     return out
 
 
+def series_entries(coef, b, c):
+    """Entries (e11, e12, e21, e22) of exp([[d, b_i], [c_i, -d]]) from segment
+    coefficients, summed by `_cf4._series_sums` as the kernel sums them.
+    Each entry has shape (b.size, nz)."""
+    b, c = np.atleast_1d(b), np.atleast_1d(c)
+    e = np.array([row for row, _, _ in _cf4._series_sums(coef, b, c)])
+    nz = coef.shape[1] // 3
+    s = e[:, 2 * nz:]
+    return e[:, :nz], s * b[:, None], s * c[:, None], e[:, nz:2 * nz]
+
+
 def synthetic_data(z, r_fn, rb_fn):
     """ScatteringData with prescribed reflection functions.
 

@@ -11,18 +11,18 @@ from nonlocal_nls import (
 )
 from nonlocal_nls._cf4 import (
     analytic_column_batch,
+    _cf4_steps,
     _expm_shifted,
     _propagate,
     _series_coefficients,
-    _series_expm,
     _sinhc,
     _split,
     y_matrix_batch,
 )
 from nonlocal_nls.errors import IntegratorDivergence
-from nonlocal_nls.scattering import _integration_slack
+from nonlocal_nls.scattering import N_ARC, _integration_slack
 
-from conftest import jost_nodes
+from conftest import jost_nodes, series_entries
 
 
 def _identity_cols(z):
@@ -313,6 +313,83 @@ def test_shifted_column_is_the_m_frame(box_plus):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def _antisymmetric_grid(n, z_max=16.0):
+    g = np.linspace(-z_max, z_max, n)
+    return (0.5 * (g - g[::-1])).astype(complex)
+
+
+@pytest.mark.parametrize("n", [65, 64])
+@pytest.mark.parametrize("name", ["box_plus", "gauss_small"])
+def test_folded_grid_matches_its_halves_run_alone(name, n, request):
+    # an antisymmetric grid is folded onto z >= 0, and each -z column is
+    # stepped through J (E_1 ... E_N)^T J; either half on its own is not
+    # antisymmetric, so it runs unfolded and must give the same columns
+    pot = request.getfixturevalue(name)
+    z = _antisymmetric_grid(n)
+    X = pot.scatter_halfwidth()
+    segments = _split(pot, -X, X, 256, (0.0,))
+    folded = [e for col in _propagate(pot, z, segments, _identity_cols(z)) for e in col]
+    tol = 1e-15 * (1.0 + max(float(np.abs(e).max()) for e in folded))
+    for part in (slice(0, n - n // 2), slice(n // 2, n)):
+        alone = _propagate(pot, z[part], segments, _identity_cols(z[part]))
+        for f, a in zip(folded, (e for col in alone for e in col)):
+            assert np.abs(f[part] - a).max() <= tol
+
+
+def test_folded_step_matches_expm(gauss_small):
+    # one CF4 step on a folded grid against the product of its two
+    # exponentials; the -z slot reads e11 and e22 off the z >= 0 sums
+    z = _antisymmetric_grid(33)
+    piece = [(-0.25, 0.25, 1)]
+    [(h, b, c)] = _cf4_steps(gauss_small, piece)
+    (t11, t21), (t12, t22) = _propagate(gauss_small, z, piece, _identity_cols(z))
+    for k in range(z.size):
+        d = -0.5j * z[k] * h
+        want = np.eye(2)
+        for bk, ck in zip(b, c):
+            want = expm(np.array([[d, bk], [ck, -d]])) @ want
+        got = np.array([[t11[k], t12[k]], [t21[k], t22[k]]])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _series_sizes(monkeypatch):
+    """Record the number of z points of each `_series_coefficients` call."""
+    sizes = []
+    series = _cf4._series_coefficients
+
+    def spy(d, *args):
+        sizes.append(d.size)
+        return series(d, *args)
+
+    monkeypatch.setattr(_cf4, "_series_coefficients", spy)
+    return sizes
+
+
+def test_series_is_summed_once_per_pair(box_plus, zgrid_wide, monkeypatch):
+    # the acceptance grid takes nz // 2 + 1 points per segment; the arc of
+    # check_genericity and a grid that is not antisymmetric take all of theirs
+    sizes = _series_sizes(monkeypatch)
+    y_matrix_batch(box_plus, zgrid_wide.astype(complex))
+    assert sizes and set(sizes) == {zgrid_wide.size // 2 + 1}
+    arc = 16.0 * np.exp(1j * np.linspace(0.0, np.pi, N_ARC))
+    for batch, z in ((analytic_column_batch, arc), (y_matrix_batch, arc),
+                     (y_matrix_batch, np.array([0.3, -1.7], dtype=complex))):
+        sizes.clear()
+        batch(box_plus, z)
+        assert sizes and set(sizes) == {z.size}
+
+
+def test_shifted_frame_is_never_folded(box_plus, monkeypatch):
+    # the m-frame factor exp(i z h / 2) breaks the +-z pairing of the rows
+    sizes = _series_sizes(monkeypatch)
+    z = _antisymmetric_grid(65)
+    X = box_plus.scatter_halfwidth()
+    _propagate(box_plus, z, _split(box_plus, -X, X, 64),
+               [(np.ones_like(z), np.zeros_like(z))], shifted=True)
+    analytic_column_batch(box_plus, z)
+    assert sizes and set(sizes) == {z.size}
+
+
 def _series_z(path, size):
     """z on the real axis or on an upper half-plane arc; h = 1, so |d| = |z|/2.
 
@@ -339,12 +416,12 @@ def test_series_exponential(path, size, shifted):
         eps = b * c
         g_max = max(np.abs(b).max(), np.abs(c).max())
         coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
+        E = series_entries(coef, b, c)
         for i in range(b.size):
-            E = _series_expm(coef, b[i], c[i])
             C = _expm_shifted(d, b[i], c[i])
             for k in range(z.size):
                 shift = -d[k] if shifted else 0.0
-                got = np.array([[E[0][k], E[1][k]], [E[2][k], E[3][k]]])
+                got = np.array([[E[0][i, k], E[1][i, k]], [E[2][i, k], E[3][i, k]]])
                 closed = np.exp(shift) * np.array([[C[0][k], C[1][k]], [C[2][k], C[3][k]]])
                 want = expm(np.array([[shift + d[k], b[i]], [c[i], shift - d[k]]]))
                 for ref in (closed, want):

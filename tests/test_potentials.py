@@ -7,12 +7,13 @@ from nonlocal_nls._cf4 import (
     _cf4_steps,
     _expm_shifted,
     _series_coefficients,
-    _series_expm,
     _split,
 )
 from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import BadInput
 from nonlocal_nls.potentials import UniformSpline
+
+from conftest import series_entries
 
 
 def _lax_entries(pot, x, h=1e-6):
@@ -64,11 +65,10 @@ def test_series_step_is_unimodular(box_plus):
     g_max = max(np.abs(bs).max(), np.abs(cs).max())
     for shifted in (False, True):
         coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
-        for b, c in zip(bs[:2], cs[:2]):
-            e11, e12, e21, e22 = _series_expm(coef, b, c)
-            det = e11 * e22 - e12 * e21
-            want = np.exp(-2 * d) if shifted else 1.0
-            assert np.all(np.abs(det - want) < 1e-15)
+        e11, e12, e21, e22 = series_entries(coef, bs[:2], cs[:2])
+        det = e11 * e22 - e12 * e21
+        want = np.exp(-2 * d) if shifted else 1.0
+        assert np.all(np.abs(det - want) < 1e-15)
 
 
 def test_out_of_range_x_truncates(box_plus):
