@@ -26,23 +26,20 @@ loop.  The expansion is an identity, truncated where the remaining terms
 fall below 2^-55 of the entries, so it matches the closed form
 (`_expm_shifted`, which the box oracle uses) to roundoff.
 
-One kernel, `_propagate`, applies these exponentials to a list of columns.
-The matrix frame (`y_matrix_batch`) carries both columns of the identity in
-the phi-frame; the column frame (`analytic_column_batch`) carries the
-bounded first column in the m-frame, where each exponential gains a factor
-exp(i z h / 2).  On a grid with z[::-1] == -z the matrix frame sums each
-series exponential once per +-z pair, as E(-z) = J E(z)^T J with J = sigma1,
-and still steps the -z columns through their own product (see `_propagate`).
-Both frames share one step control, `_refine`: [-X, X]
-is cut once into a plan of pieces with a quarter of 2 int(32 X) steps, and
-the candidate levels take each piece's count times 4, 8, 16 and 32, each
-accepted or not on a Richardson estimate against the level before, the
-plan itself for the first.  The step ratio is exact in every piece, and
-the first check costs a quarter of a level.  A smooth q starts at 384
-steps or more; the box, on which CF4 is exact between breakpoints, has no
-such floor.  Each level is a single pass; the matrix frame's plan is cut
-at 0, so Y(0) and Y(+X) of the accepted level are the result and nothing
-is integrated twice.
+One kernel, `_propagate`, applies these exponentials to a list of columns;
+`y_matrix_batch` carries both columns of the identity.  On a grid with
+z[::-1] == -z it sums each series exponential once per +-z pair, as
+E(-z) = J E(z)^T J with J = sigma1, and still steps the -z columns through
+their own product (see `_propagate`).  In the step control, `_refine`,
+[-X, X] is cut once into a plan of pieces with a quarter of 2 int(32 X)
+steps, and the candidate levels take each piece's count times 4, 8, 16
+and 32, each accepted or not on a Richardson estimate against the level
+before, the plan itself for the first.  The step ratio is exact in every
+piece, and the first check costs a quarter of a level.  A smooth q starts
+at 384 steps or more; the box, on which CF4 is exact between breakpoints,
+has no such floor.  Each level is a single pass; the plan is cut at 0, so
+Y(0) and Y(+X) of the accepted level are the result and nothing is
+integrated twice.
 """
 
 from __future__ import annotations
@@ -101,7 +98,7 @@ def _taylor_s(w, k, radius):
     return acc
 
 
-def _series_coefficients(d, eps_max, g_max, shifted=False):
+def _series_coefficients(d, eps_max, g_max):
     """Per-segment coefficients of exp([[d, b], [c, -d]]) as a series in bc.
 
     With w = d^2 + eps, eps = b c, the exponential is C(w) I + S(w) A for
@@ -127,7 +124,7 @@ def _series_coefficients(d, eps_max, g_max, shifted=False):
     converged after 64 orders.
 
     Returns rows of shape (K+1, 3 nz): the eps^k coefficients of
-    (C + S d, C - S d, S), each times exp(-d) when `shifted`.
+    (C + S d, C - S d, S).
     """
     if not eps_max <= _EPS_MAX:
         raise IntegratorDivergence(
@@ -163,10 +160,7 @@ def _series_coefficients(d, eps_max, g_max, shifted=False):
         raise IntegratorDivergence(
             f"CF4 series exponential did not converge (max |bc| {eps_max:.3e})"
         )
-    coef = np.array(rows[:k - 1]).reshape(k - 1, -1)
-    if shifted:
-        coef *= np.tile(np.exp(-d), 3)
-    return coef
+    return np.array(rows[:k - 1]).reshape(k - 1, -1)
 
 
 def _split(potential, x_from, x_to, n_steps, nodes=()):
@@ -203,7 +197,7 @@ def _cf4_steps(potential, segments):
         yield h, b.ravel(), c.ravel()
 
 
-def _refine(level, potential, what, nodes=()):
+def _refine(level, potential, nodes):
     """Accept the first candidate level whose Richardson estimate passes.
 
     The plan is the `_split` of [-X, X] at `nodes` with a quarter of the
@@ -237,7 +231,7 @@ def _refine(level, potential, what, nodes=()):
         if err <= RTOL * scale:
             return result, err
         prev = cur
-    raise IntegratorDivergence(f"CF4 {what} step control stalled at "
+    raise IntegratorDivergence("CF4 step control stalled at "
                                f"{sum(n for *_, n in segments)} steps (err {err:.3e})")
 
 
@@ -260,33 +254,31 @@ def _series_sums(coef, b, c):
         yield p @ coef, bk, ck
 
 
-def _propagate(potential, z, segments, cols, shifted=False):
+def _propagate(potential, z, segments, cols):
     """Apply the CF4 steps of `segments` to a list of columns (u, v).
 
     The exponentials act one at a time, in the order `_cf4_steps` yields
     them, each summed from its piece's `_series_coefficients` by
-    `_series_sums`.  Unshifted, each is exp(h (a A1 + a' A2)) of the
-    phi-frame; `shifted` multiplies each by exp(i z h / 2), which turns the
-    phi-frame into the m-frame of `analytic_column_batch`.  Returns the new
-    list.
+    `_series_sums`; each is exp(h (a A1 + a' A2)) of the phi-frame.
+    Returns the new list.
 
     The fold.  d(-z) = -d(z) and w0 = d^2 is the same at +-z, so the
     coefficients at -z are those at z with the rows C + S d and C - S d
     swapped, and the same order K: E(-z) = J E(z)^T J with J = sigma1
-    (e11 and e22 swap, e12 and e21 stay).  When the frame is unshifted and
-    z[::-1] == -z, the columns are held as (columns, 2, m) arrays over the
-    m = nz - nz // 2 points z >= 0, with the -z half stored reversed in the
-    second slot; each exponential is then one sum over 3 m coefficients,
-    and the -z slot reads the two diagonal rows in reverse order.  Every
-    other z (the arc, single points, grids not exactly antisymmetric, the
-    shifted frame) runs the same loop with one slot over all nz points.
+    (e11 and e22 swap, e12 and e21 stay).  When z[::-1] == -z, the columns
+    are held as (columns, 2, m) arrays over the m = nz - nz // 2 points
+    z >= 0, with the -z half stored reversed in the second slot; each
+    exponential is then one sum over 3 m coefficients, and the -z slot
+    reads the two diagonal rows in reverse order.  Every other z (single
+    points, grids not exactly antisymmetric) runs the same loop with one
+    slot over all nz points.
     This is not the symmetry trap of filling a(-z) from a(z): each -z
     column is still stepped through its own product J (E_1 ... E_N)^T J, a
     different product from the one at +z, so the symmetries of the
     scattering data are still tests.
     """
     nz = z.size
-    pairs = 1 if shifted or not np.array_equal(z[::-1], -z) else 2
+    pairs = 2 if np.array_equal(z[::-1], -z) else 1
     m = nz - nz // 2 if pairs == 2 else nz
     # z index of each slot entry, and slot entry of each z; an odd grid holds
     # z = 0 in both slots and reads it back from slot 0
@@ -300,7 +292,7 @@ def _propagate(potential, z, segments, cols, shifted=False):
         d = -1j * zh * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
         eps_max = float(np.abs(b * c).max())
         g_max = max(float(np.abs(b).max()), float(np.abs(c).max()))
-        coef = _series_coefficients(d, eps_max, g_max, shifted)
+        coef = _series_coefficients(d, eps_max, g_max)
         for e, bk, ck in _series_sums(coef, b, c):
             diag, s = e[:2 * m].reshape(2, m), e[2 * m:]
             e11, e22 = diag[:pairs], diag[::-1][:pairs]
@@ -346,21 +338,4 @@ def y_matrix_batch(potential, z):
             Y.append((ep * t11 * sp, ep * t12 * sm, em * t21 * sp, em * t22 * sm))
         return Y[1], tuple(Y)
 
-    return _refine(level, potential, "matrix", nodes=(0.0,))
-
-
-def analytic_column_batch(potential, z):
-    """First modified-Jost column (Phi-minus, first column) at the right end.
-
-    Propagates m' = [[0, q], [-sigma conj(q(-x)), 2 i z]] m with m(-X) = (1,0),
-    which stays bounded for Im z >= 0; its first component at +X is a(z) by
-    the determinant formula.  Vectorized over complex z.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-
-    def level(segments):
-        [m] = _propagate(potential, z, segments,
-                         [(np.ones_like(z), np.zeros_like(z))], shifted=True)
-        return m, m
-
-    return _refine(level, potential, "column")[0]
+    return _refine(level, potential, nodes=(0.0,))

@@ -12,8 +12,9 @@ equation the two are independent functions.
 
 An exact matrix-exponential route for piecewise-constant (box) potentials
 serves as the oracle.  The no-discrete-spectrum (genericity) assumption is
-backed by a small-norm bound where it applies and otherwise by a
-winding-number count of a(z) over a half-disc in the upper half-plane.
+backed by a small-norm bound where it applies and otherwise by the
+argument principle: the turns of a and abreve along the real grid count
+their zeros in the upper and lower half-planes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cf4 import RTOL, _expm_shifted, analytic_column_batch, y_matrix_batch
+from ._cf4 import RTOL, _expm_shifted, y_matrix_batch
 from .errors import (
     BadInput,
     GenericityViolation,
@@ -34,7 +35,6 @@ from .potentials import Potential
 
 EPS_GENERIC = 1e-6   # floor for |1 - r rbreve|
 EPS_A = 1e-8         # floor for |a| on the real grid
-N_ARC = 256          # points on the winding contour's arc
 
 
 def _integration_slack(err):
@@ -162,6 +162,7 @@ class GenericityReport:
     min_abs_a: float
     min_abs_one_minus_rr: float
     winding: int
+    winding_breve: int
     contour_radius: float
     a_pass: bool
     rr_pass: bool
@@ -174,34 +175,42 @@ class GenericityReport:
         return self.a_pass and self.rr_pass and self.winding_pass
 
 
+def _turns(f):
+    """Whole turns of f along the grid, closed through the principal arg at both ends."""
+    arg = np.unwrap(np.angle(f))
+    return int(np.round((arg[-1] - np.angle(f[-1])) / (2.0 * np.pi)))
+
+
 def check_genericity(data: ScatteringData) -> GenericityReport:
-    """Report min |a|, min |1 - r rbreve| and the winding number of a(z).
+    """Report min |a|, min |1 - r rbreve| and the zero counts of a and abreve.
 
     `bound` is I0(2 N) - 1 with N = potential.l1_bound() >= ||q||_1.  As
     ||r||_1 = ||q||_1 for r(x) = -sigma conj(q(-x)), the Neumann series of the
     Jost columns gives |a(z) - 1| <= bound for Im z >= 0 and
     |abreve(z) - 1| <= bound for Im z <= 0 (Ablowitz, Kaup, Newell & Segur,
     1974).  Where bound < 1 (N < 0.90), neither a in the closed upper
-    half-plane nor abreve in the closed lower one can vanish: the winding is
-    0 with no integration (route "small_norm").  The computed a and abreve
-    on the real grid must then lie within bound + `_integration_slack(err)` of 1,
-    or IntegratorDivergence is raised.  Otherwise (route "arc") the winding
-    of a is counted along the boundary of the half-disc of radius z_grid[-1]
-    in the closed upper half-plane, a(z) on the arc coming from the analytic
-    first column integrated at complex z; zero winding means no zeros of a
-    are claimed inside, and abreve is not checked.  Data that does not
-    remember its potential is refused with BadInput.
+    half-plane nor abreve in the closed lower one can vanish: both counts
+    are 0 (route "small_norm").  The computed a and abreve on the real grid
+    must then lie within bound + `_integration_slack(err)` of 1, or
+    IntegratorDivergence is raised.  Otherwise (route "real_axis") the
+    argument principle counts the zeros on the real grid alone, as a and
+    abreve tend to 1 for |z| -> oo in their closed half-planes (Ablowitz &
+    Musslimani, Nonlinearity 29 (2016) 915): `winding`, the whole turns of
+    a along the grid, counts the zeros of a in Im z > 0, and
+    `winding_breve`, minus those of abreve, the zeros of abreve in
+    Im z < 0.  The tails beyond the grid must not wind, so |a - 1| or
+    |abreve - 1| >= 1 at an end of the grid raises GenericityViolation.
+    Data that does not remember its potential is refused with BadInput.
     """
     if data.potential is None:
         raise BadInput("genericity check needs the potential of the scattering data")
     min_a = float(np.abs(data.a).min())
     w = 1.0 - data.r * data.r_breve
     min_w = float(np.abs(w).min())
-    R = float(data.z_grid[-1])
-    # capped where I0 stays finite (1e302); every bound >= 1 takes the arc
+    # capped where I0 stays finite (1e302); every bound >= 1 counts on the real axis
     bound = float(np.i0(min(2.0 * data.potential.l1_bound(), 700.0))) - 1.0
     if bound < 1.0:
-        route, winding = "small_norm", 0
+        route, winding, winding_breve = "small_norm", 0, 0
         dev = max(float(np.abs(data.a - 1.0).max()), float(np.abs(data.a_breve - 1.0).max()))
         if dev > bound + _integration_slack(data.truncation_error):
             raise IntegratorDivergence(
@@ -209,23 +218,23 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
                 f"above the small-norm bound {bound:.3e}"
             )
     else:
-        route = "arc"
-        theta = np.linspace(0.0, np.pi, N_ARC)
-        z_arc = R * np.exp(1j * theta)
-        a_arc, _ = analytic_column_batch(data.potential, z_arc)
-        path = np.concatenate([data.a, a_arc[1:]])
-        if np.abs(path).min() < EPS_A:
-            raise GenericityViolation("a(z) vanishes on the winding contour")
-        total = np.unwrap(np.angle(path))
-        winding = int(np.round((total[-1] - total[0]) / (2.0 * np.pi)))
+        route = "real_axis"
+        edge = max(float(np.abs(f[[0, -1]] - 1.0).max()) for f in (data.a, data.a_breve))
+        if edge >= 1.0:
+            raise GenericityViolation(
+                f"|a - 1| or |abreve - 1| reaches {edge:.3e} at the ends of the z grid, "
+                "so the zeros cannot be counted on it; widen the window"
+            )
+        winding, winding_breve = _turns(data.a), -_turns(data.a_breve)
     return GenericityReport(
         min_abs_a=min_a,
         min_abs_one_minus_rr=min_w,
         winding=winding,
-        contour_radius=R,
+        winding_breve=winding_breve,
+        contour_radius=float(data.z_grid[-1]),
         a_pass=min_a >= EPS_A,
         rr_pass=min_w >= EPS_GENERIC,
-        winding_pass=winding == 0,
+        winding_pass=winding == 0 and winding_breve == 0,
         route=route,
         bound=bound,
     )

@@ -10,7 +10,6 @@ from nonlocal_nls import (
     exact_box_scattering,
 )
 from nonlocal_nls._cf4 import (
-    analytic_column_batch,
     _cf4_steps,
     _expm_shifted,
     _propagate,
@@ -20,7 +19,6 @@ from nonlocal_nls._cf4 import (
     y_matrix_batch,
 )
 from nonlocal_nls.errors import IntegratorDivergence
-from nonlocal_nls.scattering import N_ARC, _integration_slack
 
 from conftest import jost_nodes, series_entries
 
@@ -73,7 +71,7 @@ def _stall(monkeypatch):
 def test_step_control_divergence_raises(gauss_small, monkeypatch):
     # a truncation stall: on a box CF4 is exact, so its only gap is roundoff
     _stall(monkeypatch)
-    with pytest.raises(IntegratorDivergence, match=r"stalled at \d+ steps"):
+    with pytest.raises(IntegratorDivergence, match=r"stalled at \d+ steps \(err \d"):
         y_matrix_batch(gauss_small, np.array([0.3 + 0j]))
 
 
@@ -85,11 +83,11 @@ def _level_steps(monkeypatch):
     levels = []
     propagate = _cf4._propagate
 
-    def spy(potential, z, segments, cols, shifted=False):
+    def spy(potential, z, segments, cols):
         if segments[0][0] == -potential.scatter_halfwidth():
             levels.append(0)
         levels[-1] += sum(n for *_, n in segments)
-        return propagate(potential, z, segments, cols, shifted)
+        return propagate(potential, z, segments, cols)
 
     monkeypatch.setattr(_cf4, "_propagate", spy)
     return levels
@@ -157,12 +155,12 @@ def test_refine_takes_the_step_ratio_of_clipped_segments(box_plus, monkeypatch):
         return (np.array([err]),), err
 
     monkeypatch.setattr(_cf4, "RTOL", 1.0)
-    true, est = _cf4._refine(level, box_plus, "test", nodes=(0.0,))
+    true, est = _cf4._refine(level, box_plus, nodes=(0.0,))
     assert true / 2.0 <= est <= 2.0 * true
     seen.clear()
     monkeypatch.setattr(_cf4, "RTOL", 0.0)
     with pytest.raises(IntegratorDivergence, match="stalled at 576 steps"):
-        _cf4._refine(level, box_plus, "test", nodes=(0.0,))
+        _cf4._refine(level, box_plus, nodes=(0.0,))
     assert seen[0] == plan and len(seen) == 1 + _cf4.MAX_REFINE
     for k, segments in enumerate(seen[1:]):
         assert segments == [(a, b, n * 4 * 2 ** k) for a, b, n in plan]
@@ -230,23 +228,6 @@ def test_subnormal_piece_takes_one_step():
                        rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["box_plus", "gauss_small"])
-def test_frames_agree_on_the_real_axis(name, request):
-    # the column frame cuts [-X, X] at the breakpoints alone and the matrix
-    # frame at 0 too; at real z both end at a(z)
-    pot = request.getfixturevalue(name)
-    z = np.linspace(-16.0, 16.0, 65).astype(complex)
-    (_, S), err = y_matrix_batch(pot, z)
-    a_column = analytic_column_batch(pot, z)[0]
-    assert np.abs(a_column - S[0]).max() <= _integration_slack(err)
-
-
-def test_column_stall_reports_steps_and_error(gauss_small, monkeypatch):
-    _stall(monkeypatch)
-    with pytest.raises(IntegratorDivergence, match=r"stalled at \d+ steps \(err \d"):
-        analytic_column_batch(gauss_small, np.array([1.0j]))
-
-
 def test_unimodular_transfer(box_plus):
     z = np.linspace(-5, 5, 11).astype(complex)
     T = _transfer(box_plus, z, -2.0, 2.0, 200)
@@ -297,20 +278,6 @@ def test_nodes_are_the_accepted_level_legs(box_plus):
     nodes, _ = y_matrix_batch(box_plus, z)
     for got, want in zip(nodes, jost_nodes(box_plus, z, [0.0, X], 72)):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-def test_shifted_column_is_the_m_frame(box_plus):
-    # each shifted exponential carries exp(i z h / 2); over [-X, X] that is
-    # exp(2 i z X) times the first column of the phi-frame state
-    z = np.array([0.7 + 0.5j, -1.3 + 1.0j, 2.0j, 3.1 + 0.2j])
-    X = box_plus.scatter_halfwidth()
-    segments = _split(box_plus, -X, X, 768)
-    [(m0, m1)] = _propagate(box_plus, z, segments,
-                            [(np.ones_like(z), np.zeros_like(z))], shifted=True)
-    [(u, v), _] = _propagate(box_plus, z, segments, _identity_cols(z))
-    phase = np.exp(2j * z * X)
-    for got, want in ((m0, phase * u), (m1, phase * v)):
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def _antisymmetric_grid(n, z_max=16.0):
@@ -366,28 +333,16 @@ def _series_sizes(monkeypatch):
 
 
 def test_series_is_summed_once_per_pair(box_plus, zgrid_wide, monkeypatch):
-    # the acceptance grid takes nz // 2 + 1 points per segment; the arc of
-    # check_genericity and a grid that is not antisymmetric take all of theirs
+    # the acceptance grid takes nz // 2 + 1 points per segment; an arc in the
+    # upper half-plane and a grid that is not antisymmetric take all of theirs
     sizes = _series_sizes(monkeypatch)
     y_matrix_batch(box_plus, zgrid_wide.astype(complex))
     assert sizes and set(sizes) == {zgrid_wide.size // 2 + 1}
-    arc = 16.0 * np.exp(1j * np.linspace(0.0, np.pi, N_ARC))
-    for batch, z in ((analytic_column_batch, arc), (y_matrix_batch, arc),
-                     (y_matrix_batch, np.array([0.3, -1.7], dtype=complex))):
+    arc = 16.0 * np.exp(1j * np.linspace(0.0, np.pi, 256))
+    for z in (arc, np.array([0.3, -1.7], dtype=complex)):
         sizes.clear()
-        batch(box_plus, z)
+        y_matrix_batch(box_plus, z)
         assert sizes and set(sizes) == {z.size}
-
-
-def test_shifted_frame_is_never_folded(box_plus, monkeypatch):
-    # the m-frame factor exp(i z h / 2) breaks the +-z pairing of the rows
-    sizes = _series_sizes(monkeypatch)
-    z = _antisymmetric_grid(65)
-    X = box_plus.scatter_halfwidth()
-    _propagate(box_plus, z, _split(box_plus, -X, X, 64),
-               [(np.ones_like(z), np.zeros_like(z))], shifted=True)
-    analytic_column_batch(box_plus, z)
-    assert sizes and set(sizes) == {z.size}
 
 
 def _series_z(path, size):
@@ -400,10 +355,9 @@ def _series_z(path, size):
     return (rho[:, None] * np.exp(1j * theta)[None, :]).ravel()
 
 
-@pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("size", ["small", "large"])
 @pytest.mark.parametrize("path", ["real", "arc"])
-def test_series_exponential(path, size, shifted):
+def test_series_exponential(path, size):
     # |bc| from 0 up to 1 covers every step of the amplitude-4.5 box
     z = _series_z(path, size)
     d = -1j * z / 2.0
@@ -415,15 +369,14 @@ def test_series_exponential(path, size, shifted):
             b = b + 0.3
         eps = b * c
         g_max = max(np.abs(b).max(), np.abs(c).max())
-        coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
+        coef = _series_coefficients(d, float(np.abs(eps).max()), g_max)
         E = series_entries(coef, b, c)
         for i in range(b.size):
             C = _expm_shifted(d, b[i], c[i])
             for k in range(z.size):
-                shift = -d[k] if shifted else 0.0
                 got = np.array([[E[0][i, k], E[1][i, k]], [E[2][i, k], E[3][i, k]]])
-                closed = np.exp(shift) * np.array([[C[0][k], C[1][k]], [C[2][k], C[3][k]]])
-                want = expm(np.array([[shift + d[k], b[i]], [c[i], shift - d[k]]]))
+                closed = np.array([[C[0][k], C[1][k]], [C[2][k], C[3][k]]])
+                want = expm(np.array([[d[k], b[i]], [c[i], -d[k]]]))
                 for ref in (closed, want):
                     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 

@@ -100,6 +100,19 @@ def test_genericity_violation_exits_2(tmp_path, runner):
     assert res.exit_code == 2
 
 
+def test_zero_of_abreve_exits_2(tmp_path, runner):
+    # a has no zero in the upper half-plane and abreve one in the lower
+    pot = {"kind": "gaussian", "amplitude": [0.737, 0.839], "sigma": 1, "L": 32.0,
+           "N": 1024, "params": {"width": 0.857, "center": -1.753, "chirp": -0.088}}
+    cfg = _write_config(tmp_path / "cfg.json", pot, window={"z_max": 8.0, "n": 513})
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "scatter"])
+    assert res.exit_code == 2
+    rep = json.loads((out / "genericity.json").read_text())
+    assert rep["route"] == "real_axis" and not rep["passed"]
+    assert (rep["winding"], rep["winding_breve"]) == (0, 1)
+
+
 def test_formula_mismatch_is_integrator_fault_exits_3(tmp_path, runner, monkeypatch):
     # a Y(0) off by 1e-6 breaks the product formula for a(z): an integration
     # fault, not a genericity verdict on the data

@@ -63,12 +63,10 @@ def test_series_step_is_unimodular(box_plus):
     d = -1j * np.array([0.0, 1.7, -3.2]) * h / 2
     eps = bs * cs
     g_max = max(np.abs(bs).max(), np.abs(cs).max())
-    for shifted in (False, True):
-        coef = _series_coefficients(d, float(np.abs(eps).max()), g_max, shifted)
-        e11, e12, e21, e22 = series_entries(coef, bs[:2], cs[:2])
-        det = e11 * e22 - e12 * e21
-        want = np.exp(-2 * d) if shifted else 1.0
-        assert np.all(np.abs(det - want) < 1e-15)
+    coef = _series_coefficients(d, float(np.abs(eps).max()), g_max)
+    e11, e12, e21, e22 = series_entries(coef, bs[:2], cs[:2])
+    det = e11 * e22 - e12 * e21
+    assert np.all(np.abs(det - 1.0) < 1e-15)
 
 
 def test_out_of_range_x_truncates(box_plus):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from nonlocal_nls import (
     Potential,
+    _cf4,
     check_genericity,
     compute_scattering,
     exact_box_scattering,
@@ -273,36 +274,93 @@ class TestGenericity:
                 break
         assert tripped
 
-    def test_small_norm_route_never_integrates_the_arc(self, monkeypatch, accept_gauss_data,
-                                                       box_minus_data, zgrid_wide):
-        # the three benchmark scatter inputs: ||q||_1 = 0.652, 0.6 and <= 0.63
-        def no_arc(*args, **kwargs):
-            raise AssertionError("the arc was integrated on small-norm data")
-
-        monkeypatch.setattr(scattering, "analytic_column_batch", no_arc)
+    def test_genericity_integrates_nothing(self, monkeypatch, accept_gauss_data,
+                                           box_minus_data, zgrid_wide):
+        # the three benchmark scatter inputs (||q||_1 = 0.652, 0.6 and <= 0.63)
+        # take the small-norm route and a bound state the real axis: neither
+        # calls into the CF4 module
         x = np.linspace(-32.0, 32.0, 4096, endpoint=False)
         q = 0.12 * np.exp(-(1.0 + 0.3j) * (x - 0.25) ** 2 / (2.0 * 2.1 ** 2))
         chirped = Potential(kind="samples", amplitude=0.12, sigma=-1, L=32.0, N=4096,
                             params={"samples": q})
-        for data in (accept_gauss_data, box_minus_data, compute_scattering(chirped, zgrid_wide)):
+        bound_state = Potential(kind="gaussian", amplitude=0.8, sigma=1,
+                                params={"width": 1.0}, L=32.0, N=1024)
+        small = [accept_gauss_data, box_minus_data, compute_scattering(chirped, zgrid_wide)]
+        large = compute_scattering(bound_state, np.linspace(-8.0, 8.0, 513))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_genericity called into _cf4")
+
+        for module in (_cf4, scattering):
+            for name, value in list(vars(module).items()):
+                if callable(value) and getattr(value, "__module__", None) == _cf4.__name__:
+                    monkeypatch.setattr(module, name, refuse)
+        for data in small:
             rep = check_genericity(data)
             assert rep.route == "small_norm" and rep.bound < 1.0
-            assert rep.winding == 0 and rep.passed
+            assert rep.winding == rep.winding_breve == 0 and rep.passed
+        assert check_genericity(large).route == "real_axis"
 
     @pytest.mark.parametrize("amplitude, winding", [(0.8, 1), (0.4, 0)])
-    def test_arc_route_above_the_bound(self, amplitude, winding):
+    def test_real_axis_route_above_the_bound(self, amplitude, winding):
         # ||q||_1 = 2.0 (a bound state, see test_pde) and 1.0: both past 0.90
         pot = Potential(kind="gaussian", amplitude=amplitude, sigma=1,
                         params={"width": 1.0}, L=32.0, N=1024)
         rep = check_genericity(compute_scattering(pot, np.linspace(-8.0, 8.0, 513)))
-        assert rep.route == "arc" and rep.bound >= 1.0
-        assert rep.winding == winding
+        assert rep.route == "real_axis" and rep.bound >= 1.0
+        assert rep.winding == rep.winding_breve == winding
+        assert rep.contour_radius == 8.0 and rep.passed == (winding == 0)
+
+    def test_real_axis_route_counts_zeros_of_abreve(self):
+        # a has no zero in the upper half-plane and abreve one in the lower,
+        # which the arc over the upper half-plane, counting zeros of a alone,
+        # passed.  abreve(z; q) = a(-z; q~) for q~(x) = -sigma conj(q(-x)),
+        # so the mirror has the counts swapped
+        z = np.linspace(-8.0, 8.0, 513)
+        q = _abreve_zero()
+        A, p = q.amplitude, q.params
+        mirror = Potential(kind="gaussian", amplitude=-q.sigma * np.conj(A), sigma=q.sigma,
+                           L=q.L, N=q.N, params={"width": p["width"], "center": -p["center"],
+                                                 "chirp": -p["chirp"]})
+        rep, rep_mirror = (check_genericity(compute_scattering(pot, z)) for pot in (q, mirror))
+        assert rep.route == rep_mirror.route == "real_axis"
+        assert (rep.winding, rep.winding_breve) == (0, 1)
+        assert (rep_mirror.winding, rep_mirror.winding_breve) == (1, 0)
+        assert rep.a_pass and rep.rr_pass and not rep.winding_pass and not rep.passed
+
+    @pytest.mark.parametrize("amplitude, zeros", [(0.45, 0), (0.7, 1), (1.7, 2)])
+    def test_real_axis_route_counts_sech_zeros(self, amplitude, zeros):
+        # for q = A sech(x) with sigma = +1, a has a zero at i (A - 1/2 - k)
+        # for every integer k >= 0 with A - 1/2 - k > 0 (Satsuma & Yajima
+        # 1974), and abreve as many in the lower half-plane
+        L, N = 32.0, 1024
+        x = -L + (2.0 * L / N) * np.arange(N)
+        pot = Potential(kind="samples", amplitude=amplitude, sigma=1, L=L, N=N,
+                        params={"samples": amplitude / np.cosh(x)})
+        rep = check_genericity(compute_scattering(pot, np.linspace(-8.0, 8.0, 513)))
+        assert rep.route == "real_axis"
+        assert (rep.winding, rep.winding_breve) == (zeros, zeros)
+
+    def test_real_axis_route_refuses_a_narrow_window(self):
+        # |a - 1| = 5.6 at z = +-1, so a may still turn beyond the window;
+        # the same data on |z| <= 8 passes
+        pot = Potential(kind="gaussian", amplitude=1.5, sigma=-1,
+                        params={"width": 1.0}, L=32.0, N=1024)
+        with pytest.raises(GenericityViolation, match="widen the window"):
+            check_genericity(compute_scattering(pot, np.linspace(-1.0, 1.0, 33)))
+        assert check_genericity(compute_scattering(pot, np.linspace(-8.0, 8.0, 513))).passed
 
     def test_small_norm_witness_catches_a_bad_abreve(self, box_minus_data):
         # a real-axis abreve outside the bound is an integration fault
         bad = dataclasses.replace(box_minus_data, a_breve=3.0 * box_minus_data.a_breve)
         with pytest.raises(IntegratorDivergence, match="small-norm bound"):
             check_genericity(bad)
+
+
+def _abreve_zero():
+    """A gaussian whose abreve has one zero in the lower half-plane and a none in the upper."""
+    return Potential(kind="gaussian", amplitude=0.737 + 0.839j, sigma=1, L=32.0, N=1024,
+                     params={"width": 0.857, "center": -1.753, "chirp": -0.088})
 
 
 def _abs_sum(pot, n):
