@@ -17,13 +17,14 @@ integrates the removable sqrt-type endpoint behavior at s = xi with the
 substitution s = xi - u^2; `delta0` needs none (see there).
 
 All of it is read off one `SpectralContext`, the only input of every
-function here; it refuses non-finite r or rbreve, and any xi whose
-integration range leaves its grid (including NaN).  `delta0` and the nu
-tail integral use composite Gauss-Legendre on the spline knots (nu from the
-node table, one spline call on the last, partial interval), with the
-embedded half rule as error estimate; `delta`, `delta_boundary` and `beta` at
-general z use the independent oracle `quad`: adaptive Gauss-Legendre 21 with
-|G21 - G10| as error estimate, vectorized, with no knot alignment.
+function here; it refuses non-finite r or rbreve, data whose genericity
+report fails, and any xi whose integration range leaves its grid (NaN too).
+`delta0` and the nu tail integral use composite Gauss-Legendre on the spline
+knots (nu from the node table, one spline call on the last, partial
+interval), with the embedded half rule as error estimate; `delta`,
+`delta_boundary` and `beta` at general z use the independent oracle `quad`:
+adaptive Gauss-Legendre 21 with |G21 - G10| as error estimate, vectorized,
+with no knot alignment.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     WindowExceeded,
 )
 from .potentials import UniformSpline
-from .scattering import EPS_GENERIC, ScatteringData
+from .scattering import EPS_A, EPS_GENERIC, ScatteringData, check_genericity
 
 _QUAD_LIMIT = 400
 ERR_GATE = 1e-6      # largest accepted quadrature error estimate
@@ -88,9 +89,17 @@ class SpectralContext:
         self.z_grid = z
         self.z_lo = float(z[0])
         self.z_hi = float(z[-1])
+        rep = check_genericity(data)
+        if not rep.passed:
+            why = [text for text, ok in (
+                (f"|a| reaches {rep.min_abs_a:.3e} (floor {EPS_A:g})", rep.a_pass),
+                (f"|1 - r rbreve| reaches {rep.min_abs_one_minus_rr:.3e} "
+                 f"(floor {EPS_GENERIC:g})", rep.rr_pass),
+                (f"a has {rep.winding} zero(s) in Im z > 0 and abreve "
+                 f"{rep.winding_breve} in Im z < 0", rep.winding_pass)) if not ok]
+            raise GenericityViolation(
+                f"discrete spectrum not excluded (route {rep.route}): " + "; ".join(why))
         w = 1.0 - data.r * data.r_breve
-        if np.abs(w).min() < EPS_GENERIC:
-            raise GenericityViolation("1 - r rbreve nearly vanishes on the grid")
         arg = np.unwrap(np.angle(w))
         arg -= arg[0] - math.remainder(arg[0], 2.0 * math.pi)
         self.branch_max_arg = float(np.abs(arg).max())

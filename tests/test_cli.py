@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import nonlocal_nls
 from nonlocal_nls import Potential, asymptotics, compute_scattering, scattering
+from nonlocal_nls import cli
 from nonlocal_nls.cli import main
 from nonlocal_nls.errors import IntegratorDivergence
 
@@ -111,6 +112,30 @@ def test_zero_of_abreve_exits_2(tmp_path, runner):
     rep = json.loads((out / "genericity.json").read_text())
     assert rep["route"] == "real_axis" and not rep["passed"]
     assert (rep["winding"], rep["winding_breve"]) == (0, 1)
+    # the genericity verdict refuses it before the branch check (exit 3) is reached
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "a"), "asym"])
+    assert res.exit_code == 2, res.output
+    assert "abreve 1 in Im z < 0" in res.output
+
+
+@pytest.mark.parametrize("command", ["phase", "asym", "compare", "verify"])
+def test_bound_state_refused_by_every_phase_consumer_exits_2(tmp_path, runner, monkeypatch,
+                                                             command):
+    # a and abreve each have one zero off the axis; the spectral context
+    # refuses the data before anything is evolved, checked or written
+    def refuse(*args, **kwargs):
+        raise AssertionError("the PDE ran on refused data")
+
+    monkeypatch.setattr(cli, "evolve", refuse)
+    pot = {"kind": "gaussian", "amplitude": [0.8, 0.0], "sigma": 1, "L": 32.0,
+           "N": 1024, "params": {"width": 1.0}}
+    cfg = _write_config(tmp_path / "cfg.json", pot, window={"z_max": 8.0, "n": 513},
+                        rays=[-0.3, 0.3], times=[40.0, 80.0, 160.0])
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+    assert res.exit_code == 2, res.output
+    assert "route real_axis" in res.output and "[PASS]" not in res.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_formula_mismatch_is_integrator_fault_exits_3(tmp_path, runner, monkeypatch):

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from nonlocal_nls import (
+    Potential,
     asymptotics,
     beta,
+    check_genericity,
+    compute_scattering,
     delta,
     delta0,
     delta_boundary,
@@ -23,12 +26,15 @@ from nonlocal_nls.errors import (
     BadInput,
     BranchViolation,
     CutEvaluation,
+    GenericityViolation,
     NonpositiveTime,
     QuadratureFailure,
     WindowExceeded,
 )
 from nonlocal_nls.phase import SpectralContext, nu_tail_with_bound
 from nonlocal_nls.potentials import UniformSpline
+
+from conftest import synthetic_data
 
 XI = 0.5
 
@@ -80,8 +86,31 @@ class TestNu:
         # r rbreve winds around 1: the unwrapped arg must hit pi
         z = np.linspace(-8, 8, 1025)
         r_fn = lambda s: 1.3 * np.exp(-0.5 * s * s) * np.exp(2j * s)
-        with pytest.raises((BranchViolation, Exception)):
+        with pytest.raises(BranchViolation):
             nu_at(make_synthetic(z, r_fn, r_fn), 0.0)
+
+    def test_bound_state_refused(self):
+        # a and abreve each have one zero off the axis (see test_scattering)
+        pot = Potential(kind="gaussian", amplitude=0.8, sigma=1, params={"width": 1.0},
+                        L=32.0, N=1024)
+        data = compute_scattering(pot, np.linspace(-8.0, 8.0, 513))
+        assert not check_genericity(data).passed
+        with pytest.raises(GenericityViolation, match=r"route real_axis\): a has 1 zero"):
+            SpectralContext(data)
+
+    def test_context_floor_is_the_report_floor(self, make_synthetic):
+        # |1 - r rbreve| = c at z = 0 and nowhere less; the context is refused
+        # exactly where the report fails
+        z = np.linspace(-4, 4, 65)
+        for c, ok in ((1e-7, False), (2e-6, True)):
+            r_fn = lambda s: np.sqrt(1.0 - c) * np.exp(-s * s) + 0j
+            rep = check_genericity(synthetic_data(z, r_fn, r_fn))
+            assert rep.passed == rep.rr_pass == ok
+            if ok:
+                make_synthetic(z, r_fn, r_fn)
+            else:
+                with pytest.raises(GenericityViolation, match=r"1 - r rbreve\| reaches 1.000e-07"):
+                    make_synthetic(z, r_fn, r_fn)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["r", "r_breve"])

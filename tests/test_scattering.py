@@ -255,22 +255,26 @@ class TestGenericity:
         assert rep.winding == 0
         assert rep.passed
 
-    def test_refuses_data_without_potential(self):
+    def test_data_without_potential_counts_on_the_real_axis(self):
+        # no potential, no norm bound: the zeros are counted on the grid
         data = synthetic_data(np.linspace(-4, 4, 65), lambda z: 0.1 / (1 + z * z),
                               lambda z: 0.1 / (1 + z * z))
-        with pytest.raises(BadInput, match="potential"):
-            check_genericity(data)
+        rep = check_genericity(data)
+        assert rep.route == "real_axis" and rep.bound >= 1.0
+        assert rep.winding == rep.winding_breve == 0 and rep.passed
 
     def test_adversarial_amplitude_sweep_trips(self):
         # sigma = -1 boxes approach a spectral singularity as A grows:
-        # 1 - r rbreve = sech^2-type at z = 0 -> the threshold must trip
+        # 1 - r rbreve = sech^2-type at z = 0 -> the verdict must trip, while
+        # computing the data itself judges nothing
         tripped = False
         for A in (0.5, 1.5, 2.5, 3.5, 4.5):
-            pot = _box(A, -1, -1, 1)
+            data = compute_scattering(_box(A, -1, -1, 1), np.linspace(-6, 6, 193))
             try:
-                compute_scattering(pot, np.linspace(-6, 6, 193))
+                tripped = not check_genericity(data).passed
             except GenericityViolation:
                 tripped = True
+            if tripped:
                 break
         assert tripped
 
