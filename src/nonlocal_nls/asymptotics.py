@@ -20,8 +20,11 @@ threshold is refused symmetrically); inside a 0.02-wide band below the
 threshold the evaluation is flagged "marginal".
 
 Every query reads its phase data off a `SpectralContext` built once per
-scattering data set: `phase_data` runs once per distinct float xi, memoized
-on the context.
+scattering data set, from the context's memo of one `PhaseData` per distinct
+float xi.  `asym` fills that memo for all the xi of its queries with one
+`phase_data` sweep before the first query; a xi missing from it is computed
+on its own.  The factors 1/Gamma(1 - i nu) and nu/(r rbreve) depend on xi
+alone and are computed once per memo entry (`PhaseData.ray_factors`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadInput,
     NonpositiveTime,
@@ -37,7 +42,7 @@ from .errors import (
     ValidityViolation,
     WindowExceeded,
 )
-from .model import connection_coefficients, nu_over_w, rgamma
+from .model import connection_coefficients
 from .phase import PhaseData, SpectralContext, phase_data, stationary_point
 
 IM_NU_LIMIT = 0.25
@@ -56,11 +61,20 @@ class AsymptoticEvaluation:
     im_nu: float
 
 
-def _phase_at(ctx: SpectralContext, xi: float) -> PhaseData:
-    ph = ctx.phase_memo.get(xi)
-    if ph is None:
-        ph = ctx.phase_memo[xi] = phase_data(ctx, xi)
-    return ph
+def _serves(ctx: SpectralContext, xi: float) -> bool:
+    """Whether the ray formula serves xi: at least 1% of the window's width inside
+    either end, with [xi - 1, xi] on the grid (delta0's range); never a NaN."""
+    pad = 0.01 * (ctx.z_hi - ctx.z_lo)
+    return ctx.z_lo + pad <= xi <= ctx.z_hi - pad and ctx.z_lo <= xi - 1.0
+
+
+def _fill_phase_memo(ctx: SpectralContext, xis) -> None:
+    """Phase data of every distinct xi in xis that the ray formula serves, in
+    first-seen order, into ctx.phase_memo from one `phase_data` sweep; q_asymptotic
+    refuses the others query by query."""
+    fresh = [xi for xi in dict.fromkeys(xis) if xi not in ctx.phase_memo and _serves(ctx, xi)]
+    if fresh:
+        ctx.phase_memo.update(zip(fresh, phase_data(ctx, np.array(fresh))))
 
 
 def alpha(phase: PhaseData, t: float) -> complex:
@@ -69,7 +83,7 @@ def alpha(phase: PhaseData, t: float) -> complex:
         raise NonpositiveTime(f"t must be positive, got {t}")
     nu = phase.nu_at_xi
     _gate(nu)
-    w = phase.r_xi * phase.r_breve_xi
+    rg, nw = phase.ray_factors
     # sqrt(pi) e^{-pi nu/2 + i pi/4 + 4 i t xi^2} t^{-i Re nu} delta0^2 8^{-i nu}
     #   * (-i) rbreve(xi) (nu/w) / Gamma(1 - i nu)
     phase_factor = cmath.exp(
@@ -83,8 +97,8 @@ def alpha(phase: PhaseData, t: float) -> complex:
         * cmath.exp(-1j * nu * math.log(8.0))
         * (-1j)
         * phase.r_breve_xi
-        * nu_over_w(nu, w)
-        * rgamma(1.0 - 1j * nu)
+        * nw
+        * rg
     )
 
 
@@ -109,14 +123,18 @@ def q_asymptotic(x: float, t: float, ctx: SpectralContext,
     if t < t_min:
         raise BadInput(f"t = {t} below configured t_min = {t_min}")
     xi = stationary_point(x, t)
-    pad = 0.01 * (ctx.z_hi - ctx.z_lo)
-    if not (ctx.z_lo + pad <= xi <= ctx.z_hi - pad):
-        raise WindowExceeded(f"xi = {xi} outside the spectral window interior")
-    ph = _phase_at(ctx, xi)
+    if not _serves(ctx, xi):
+        raise WindowExceeded(
+            f"xi = {xi} is not served: it must lie 1% of the window's width inside "
+            f"[{ctx.z_lo}, {ctx.z_hi}], with xi - 1 >= {ctx.z_lo}")
+    ph = ctx.phase_memo.get(xi)
+    if ph is None:
+        ph = ctx.phase_memo[xi] = phase_data(ctx, xi)
     nu = ph.nu_at_xi
     validity = _gate(nu)
 
-    coeffs = connection_coefficients(ph.r_xi, ph.r_breve_xi, nu, ph.delta0, xi, t)
+    coeffs = connection_coefficients(ph.r_xi, ph.r_breve_xi, nu, ph.delta0, xi, t,
+                                     ph.ray_factors)
     q_model = 2.0 * coeffs.beta1 / math.sqrt(8.0 * t)
 
     a = alpha(ph, t)

@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import io as nio
-from .asymptotics import q_asymptotic
+from .asymptotics import _fill_phase_memo, q_asymptotic
 from .config import ExperimentConfig
 from .errors import (
     BadInput,
@@ -28,7 +28,13 @@ from .errors import (
 )
 from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, snapshot_from_potential, spectral_interpolate
-from .phase import SpectralContext, delta_boundary, nu_tail_with_bound, phase_data
+from .phase import (
+    SpectralContext,
+    delta_boundary,
+    nu_tail_with_bound,
+    phase_data,
+    stationary_point,
+)
 from .scattering import check_genericity, compute_scattering, exact_box_scattering
 
 
@@ -111,7 +117,7 @@ def scatter(ctx):
     nio.write_genericity_json(report, out / "genericity.json")
     click.echo(f"wrote {out / 'scattering.csv'}")
     if not report.passed:
-        raise GenericityViolation("genericity report failed; see genericity.json")
+        raise GenericityViolation(report.refusal())
 
 
 @_command()
@@ -122,8 +128,8 @@ def phase(ctx):
     if not cfg.rays:
         raise BadInput("config has no rays")
     spectral = SpectralContext(_scatter_data(cfg))
-    rays = [(phase_data(spectral, xi), nu_tail_with_bound(spectral, xi)[0],
-             spectral.branch_max_arg) for xi in cfg.rays]
+    rays = [(ph, nu_tail_with_bound(spectral, xi)[0], spectral.branch_max_arg)
+            for xi, ph in zip(cfg.rays, phase_data(spectral, np.array(cfg.rays)))]
     nio.write_phase_json(rays, out / "phase.json")
     click.echo(f"wrote {out / 'phase.json'}")
 
@@ -142,6 +148,7 @@ def asym(ctx, queries_path):
     if not queries:
         raise BadInput("no queries: pass --queries or configure rays and times")
     spectral = SpectralContext(_scatter_data(cfg))
+    _fill_phase_memo(spectral, [stationary_point(x, t) for x, t in queries])
     rows = []
     for x, t in queries:
         q, validity, im_nu = _leading(x, t, spectral, cfg)

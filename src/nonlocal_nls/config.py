@@ -44,7 +44,11 @@ class ExperimentConfig:
             raise BadInput("dt must be positive")
 
     def z_grid(self) -> np.ndarray:
-        return np.linspace(-self.z_max, self.z_max, self.nz)
+        """The spectral window: linspace made exactly antisymmetric (z[::-1] == -z,
+        within 1 ulp of linspace, which is antisymmetric only for a dyadic step),
+        so that CF4 folds every window."""
+        g = np.linspace(-self.z_max, self.z_max, self.nz)
+        return 0.5 * (g - g[::-1])
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

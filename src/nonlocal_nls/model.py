@@ -84,11 +84,14 @@ class ModelCoefficients:
     beta2: complex
 
 
-def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t) -> ModelCoefficients:
+def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t,
+                            ray_factors=None) -> ModelCoefficients:
     """Scaled jump data and the explicit-solution coefficients beta1, beta2.
 
     t > 0 is required; the reflectionless degeneracies are handled by the
     stabilized products (see module docstring), never by dividing by r(xi).
+    `ray_factors` is the pair (1/Gamma(1 - i nu), nu/(r rbreve)) when the
+    caller holds it (`PhaseData.ray_factors`); it is computed here otherwise.
     """
     if not t > 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
@@ -96,7 +99,9 @@ def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t) -> ModelCoeffic
     r_breve_xi = complex(r_breve_xi)
     nu = complex(nu)
     delta0 = complex(delta0)
-    w = r_xi * r_breve_xi
+    if ray_factors is None:
+        ray_factors = rgamma(1.0 - 1j * nu), nu_over_w(nu, r_xi * r_breve_xi)
+    rg, nw = ray_factors
     log8t = cmath.log(8.0 * t)
     phase_t = cmath.exp(1j * nu * log8t)            # (8t)^{i nu}
     osc = cmath.exp(-4j * t * xi * xi)              # e^{-i x^2/(4t)}, x = -4 t xi
@@ -105,9 +110,8 @@ def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t) -> ModelCoeffic
     # beta1 = sqrt(2pi) e^{i pi/4 - pi nu/2} / (rho Gamma(-i nu)), stabilized
     # through 1/Gamma(-i nu) = -i nu / Gamma(1 - i nu) and nu/r = rbreve*(nu/w),
     # with the entire 1/Gamma(1 - i nu):
-    rg = rgamma(1.0 - 1j * nu)
     core = _SQRT2PI * cmath.exp(_PIQ - math.pi * nu / 2.0) * rg
-    beta1 = core * (-1j) * r_breve_xi * nu_over_w(nu, w) * delta0 ** 2 / phase_t / osc
+    beta1 = core * (-1j) * r_breve_xi * nw * delta0 ** 2 / phase_t / osc
     # beta2 = nu/beta1 in the same pole-free style; Gamma(1 - i nu) = 1/rg
     # exactly, its poles lying at Im nu <= -1
     beta2 = (1j * rho / rg

@@ -21,7 +21,8 @@ function here; it refuses non-finite r or rbreve, data whose genericity
 report fails, and any xi whose integration range leaves its grid (NaN too).
 `delta0` and the nu tail integral use composite Gauss-Legendre on the spline
 knots (nu from the node table, one spline call on the last, partial
-interval), with the embedded half rule as error estimate; `delta`,
+interval; `delta0` and `phase_data` take a 1-d array of xi too and make that
+call once for all of them), with the embedded half rule as error estimate; `delta`,
 `delta_boundary` and `beta` at general z use the independent oracle `quad`:
 adaptive Gauss-Legendre 21 with |G21 - G10| as error estimate, vectorized,
 with no knot alignment.
@@ -46,8 +47,9 @@ from .errors import (
     QuadratureFailure,
     WindowExceeded,
 )
+from .model import nu_over_w, rgamma
 from .potentials import UniformSpline
-from .scattering import EPS_A, EPS_GENERIC, ScatteringData, check_genericity
+from .scattering import EPS_GENERIC, ScatteringData, check_genericity
 
 _QUAD_LIMIT = 400
 ERR_GATE = 1e-6      # largest accepted quadrature error estimate
@@ -91,14 +93,7 @@ class SpectralContext:
         self.z_hi = float(z[-1])
         rep = check_genericity(data)
         if not rep.passed:
-            why = [text for text, ok in (
-                (f"|a| reaches {rep.min_abs_a:.3e} (floor {EPS_A:g})", rep.a_pass),
-                (f"|1 - r rbreve| reaches {rep.min_abs_one_minus_rr:.3e} "
-                 f"(floor {EPS_GENERIC:g})", rep.rr_pass),
-                (f"a has {rep.winding} zero(s) in Im z > 0 and abreve "
-                 f"{rep.winding_breve} in Im z < 0", rep.winding_pass)) if not ok]
-            raise GenericityViolation(
-                f"discrete spectrum not excluded (route {rep.route}): " + "; ".join(why))
+            raise GenericityViolation(rep.refusal())
         w = 1.0 - data.r * data.r_breve
         arg = np.unwrap(np.angle(w))
         arg -= arg[0] - math.remainder(arg[0], 2.0 * math.pi)
@@ -283,26 +278,45 @@ def beta(ctx: SpectralContext, xi: float, z: complex) -> complex:
     return v1 + v2 - nu_xi * cmath.log(z - xi + 1.0)
 
 
-def delta0(ctx: SpectralContext, xi: float) -> complex:
+def _rays(xi) -> np.ndarray:
+    """xi as a 1-d float array; a float is an array of length 1."""
+    xis = np.asarray(xi, dtype=float)
+    if xis.ndim > 1:
+        raise BadInput(f"xi must be a float or a 1-d array, got shape {xis.shape}")
+    return xis.reshape(-1)
+
+
+def delta0(ctx: SpectralContext, xi):
     """delta0(xi) = e^{i beta(xi, xi)}: int_{z_lo}^{xi} (nu(s) - nu(xi))/(s - xi) ds
     - nu(xi) log(xi - z_lo), whose integrand is analytic on every knot interval, by
-    Gauss-Legendre: nu from the node table below z_k, one spline call at xi and on
-    [z_k, xi] (a whole interval when xi is a knot)."""
-    ctx._window(xi - 1.0, xi)
+    Gauss-Legendre: nu from the node table below z_k, and at xi and on [z_k, xi] (a
+    whole interval when xi is a knot) from one spline call for every xi.  A float xi
+    gives a complex, a 1-d array one value per entry; each xi keeps its own sums and
+    its own error gate."""
+    xis = _rays(xi)
+    for x in xis:
+        ctx._window(x - 1.0, x)
     s, half, nu, _, _ = ctx._nodes
-    k, _, hp = ctx._partial(xi)
+    z = ctx.z_grid
+    ks = np.maximum(z.searchsorted(xis) - 1, 0)
+    hp = 0.5 * (xis - z[ks])
     # nodes as offsets from xi, so none rounds onto xi; offsets below the least
     # normal double (xi within 1e-307 above the knot 0) add 0
-    d = hp * (ctx._gx - 1.0)
-    v = ctx.nu(np.concatenate(([xi], xi + d)))
-    nu_xi = v[0]
-    vals = nu[:k] - nu_xi
-    vals *= 1.0 / (s[:k] - xi)
-    q, e = ctx._rule(vals, half[:k])
-    vp = np.divide(v[1:] - nu_xi, d, out=np.zeros_like(v[1:]), where=d <= -np.finfo(float).tiny)
-    qp, ep = ctx._rule(vp, hp)
-    _gate(e.sum() + ep.sum())
-    return cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(xi - ctx.z_lo)))
+    d = hp[:, None] * (ctx._gx - 1.0)
+    v = ctx.nu(np.concatenate((xis, (xis[:, None] + d).ravel())))
+    nu_xis, v_nodes = v[:xis.size], v[xis.size:].reshape(d.shape)
+    out = np.empty(xis.size, complex)
+    for i, (x, k) in enumerate(zip(xis, ks)):
+        nu_xi = nu_xis[i]
+        vals = nu[:k] - nu_xi
+        vals *= 1.0 / (s[:k] - x)
+        q, e = ctx._rule(vals, half[:k])
+        vp = np.divide(v_nodes[i] - nu_xi, d[i], out=np.zeros_like(v_nodes[i]),
+                       where=d[i] <= -np.finfo(float).tiny)
+        qp, ep = ctx._rule(vp, hp[i:i + 1])
+        _gate(e.sum() + ep.sum())
+        out[i] = cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(x - ctx.z_lo)))
+    return out if np.ndim(xi) else complex(out[0])
 
 
 def nu_tail_with_bound(ctx: SpectralContext, xi: float):
@@ -328,10 +342,26 @@ class PhaseData:
     r_xi: complex
     r_breve_xi: complex
 
+    @cached_property
+    def ray_factors(self) -> tuple[complex, complex]:
+        """(1/Gamma(1 - i nu), nu/(r rbreve)) at xi: the factors of the ray formula
+        that depend on xi alone, computed on first use and kept."""
+        nu = self.nu_at_xi
+        return rgamma(1.0 - 1j * nu), nu_over_w(nu, self.r_xi * self.r_breve_xi)
 
-def phase_data(ctx: SpectralContext, xi: float) -> PhaseData:
-    """The leading term's inputs at xi; r, rbreve and nu come from one spline call."""
-    d0 = delta0(ctx, xi)
-    r, rb, arg_ref = ctx._columns(np.asarray(xi))
-    return PhaseData(xi=float(xi), nu_at_xi=complex(_branch_nu(r, rb, arg_ref)),
-                     delta0=d0, r_xi=complex(r), r_breve_xi=complex(rb))
+
+def phase_data(ctx: SpectralContext, xi):
+    """The leading term's inputs at xi: a PhaseData for a float, a list of them for a
+    1-d array.  delta0 of every xi comes from one sweep (one spline call); r, rbreve
+    and nu at each xi from one more, 0-d spline call."""
+    xis = _rays(xi)
+    out = []
+    for x, d0 in zip(xis, delta0(ctx, xis)):
+        # nu(xi) is read again on the 0-d path, not taken from the sweep's array:
+        # the two paths round differently (on the box of amplitude 0.3 with
+        # sigma = +1, Im nu is exactly 0.0 at every xi on the 0-d path and up to
+        # 1.9e-19 off it on the array path), and the ray formula reads the 0-d value
+        r, rb, arg_ref = ctx._columns(np.asarray(x))
+        out.append(PhaseData(xi=float(x), nu_at_xi=complex(_branch_nu(r, rb, arg_ref)),
+                             delta0=complex(d0), r_xi=complex(r), r_breve_xi=complex(rb)))
+    return out if np.ndim(xi) else out[0]

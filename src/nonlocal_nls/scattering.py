@@ -166,6 +166,16 @@ class GenericityReport:
     def passed(self) -> bool:
         return self.a_pass and self.rr_pass and self.winding_pass
 
+    def refusal(self) -> str:
+        """The verdict of a failed report in words: each failed floor or count, and the route."""
+        why = [text for text, ok in (
+            (f"|a| reaches {self.min_abs_a:.3e} (floor {EPS_A:g})", self.a_pass),
+            (f"|1 - r rbreve| reaches {self.min_abs_one_minus_rr:.3e} "
+             f"(floor {EPS_GENERIC:g})", self.rr_pass),
+            (f"a has {self.winding} zero(s) in Im z > 0 and abreve "
+             f"{self.winding_breve} in Im z < 0", self.winding_pass)) if not ok]
+        return f"discrete spectrum not excluded (route {self.route}): " + "; ".join(why)
+
 
 def _turns(f):
     """Whole turns of f along the grid, closed through the principal arg at both ends."""

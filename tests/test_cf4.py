@@ -345,6 +345,24 @@ def test_series_is_summed_once_per_pair(box_plus, zgrid_wide, monkeypatch):
         assert sizes and set(sizes) == {z.size}
 
 
+def test_every_config_window_folds(box_plus, monkeypatch):
+    # linspace is antisymmetric only for a dyadic step; the config's grid is
+    # made so (within 1 ulp of z_max), and equals linspace where it already was
+    from nonlocal_nls.config import ExperimentConfig
+
+    for z_max, nz in ((16.0, 2049), (10.0, 2049), (8.0, 513), (6.0, 257), (16.0, 257)):
+        z = ExperimentConfig(box_plus, z_max=z_max, nz=nz).z_grid()
+        assert np.array_equal(z, np.linspace(-z_max, z_max, nz))
+    sizes = _series_sizes(monkeypatch)
+    for z_max, nz in ((10.0, 1001), (3.7, 513)):
+        z = ExperimentConfig(box_plus, z_max=z_max, nz=nz).z_grid()
+        assert np.array_equal(z[::-1], -z)
+        assert np.abs(z - np.linspace(-z_max, z_max, nz)).max() <= np.spacing(z_max)
+        sizes.clear()
+        compute_scattering(box_plus, z)
+        assert sizes and set(sizes) == {nz // 2 + 1}
+
+
 def _series_z(path, size):
     """z on the real axis or on an upper half-plane arc; h = 1, so |d| = |z|/2.
 

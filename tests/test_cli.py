@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 import nonlocal_nls
-from nonlocal_nls import Potential, asymptotics, compute_scattering, scattering
+from nonlocal_nls import Potential, asymptotics, compute_scattering, model, phase, scattering
 from nonlocal_nls import cli
 from nonlocal_nls.cli import main
 from nonlocal_nls.errors import IntegratorDivergence
+from nonlocal_nls.potentials import UniformSpline
 
 
 def _write_config(path, potential, **over):
@@ -118,6 +120,24 @@ def test_zero_of_abreve_exits_2(tmp_path, runner):
     assert "abreve 1 in Im z < 0" in res.output
 
 
+BOUND_STATE_POT = {"kind": "gaussian", "amplitude": [0.8, 0.0], "sigma": 1, "L": 32.0,
+                   "N": 1024, "params": {"width": 1.0}}
+
+
+def test_bound_state_scatter_names_the_failed_count(tmp_path, runner):
+    # scatter writes both files, then refuses in the words phase uses
+    cfg = _write_config(tmp_path / "cfg.json", BOUND_STATE_POT,
+                        window={"z_max": 8.0, "n": 513}, rays=[0.3])
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "scatter"])
+    assert res.exit_code == 2
+    assert (out / "scattering.csv").exists() and (out / "genericity.json").exists()
+    assert "a has 1 zero(s) in Im z > 0 and abreve 1 in Im z < 0" in res.output
+    refused = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "p"), "phase"])
+    assert refused.exit_code == 2
+    assert refused.output == res.output.split("\n", 1)[1]
+
+
 @pytest.mark.parametrize("command", ["phase", "asym", "compare", "verify"])
 def test_bound_state_refused_by_every_phase_consumer_exits_2(tmp_path, runner, monkeypatch,
                                                              command):
@@ -127,9 +147,7 @@ def test_bound_state_refused_by_every_phase_consumer_exits_2(tmp_path, runner, m
         raise AssertionError("the PDE ran on refused data")
 
     monkeypatch.setattr(cli, "evolve", refuse)
-    pot = {"kind": "gaussian", "amplitude": [0.8, 0.0], "sigma": 1, "L": 32.0,
-           "N": 1024, "params": {"width": 1.0}}
-    cfg = _write_config(tmp_path / "cfg.json", pot, window={"z_max": 8.0, "n": 513},
+    cfg = _write_config(tmp_path / "cfg.json", BOUND_STATE_POT, window={"z_max": 8.0, "n": 513},
                         rays=[-0.3, 0.3], times=[40.0, 80.0, 160.0])
     out = tmp_path / "o"
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
@@ -369,14 +387,59 @@ def test_out_naming_a_file_exits_1(tmp_path, runner, command):
 
 def test_determinism_byte_identical(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(json.dumps({"x": -4.0 * xi * t, "t": t}) + "\n"
+                               for t in (20.0, 40.0) for xi in (0.4, -1.3, 0.4, 5.99)))
     outs = []
     for name in ("o1", "o2"):
         out = tmp_path / name
-        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
-                                   "scatter"])
-        assert res.exit_code == 0
-        outs.append((out / "scattering.csv").read_bytes())
+        for command in (["scatter"], ["asym", "--queries", str(queries)]):
+            res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), *command])
+            assert res.exit_code == 0
+        outs.append([(out / f).read_bytes() for f in ("scattering.csv", "asym.csv")])
     assert outs[0] == outs[1]
+
+
+def _asym_rows(tmp_path, runner, xis, times):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(json.dumps({"x": -4.0 * xi * t, "t": t}) + "\n"
+                               for t in times for xi in xis))
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "asym", "--queries", str(queries)])
+    assert res.exit_code == 0, res.output
+    lines = (out / "asym.csv").read_text().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def test_asym_refuses_a_xi_per_query(tmp_path, runner):
+    # xi = -5.5 keeps the 1% pad of the window [-6, 6], but [xi - 1, xi] leaves
+    # the grid: its rows are "invalid" and every other query is served
+    rows = _asym_rows(tmp_path, runner, [0.4, -5.5, -1.0], (20.0, 40.0))
+    assert [row["validity"] for row in rows] == ["valid", "invalid", "valid"] * 2
+    assert all(row["re_q"] == "nan" for row in rows if row["validity"] == "invalid")
+    assert all(math.isfinite(float(row["abs_q"])) for row in rows if row["validity"] == "valid")
+
+
+def test_asym_sweeps_every_distinct_xi_once(tmp_path, runner, monkeypatch):
+    # M distinct served xi make one array spline call (xi and its 8 nodes each)
+    # and M 0-d calls (r, rbreve and nu at xi), and 1/Gamma runs once per xi
+    calls, gammas = [], []
+    spline = UniformSpline.__call__
+    monkeypatch.setattr(UniformSpline, "__call__",
+                        lambda self, x: calls.append(np.shape(x)) or spline(self, x))
+    rgamma = model.rgamma
+    for mod in (model, phase, asymptotics):   # every module that may bind it
+        monkeypatch.setattr(mod, "rgamma", lambda z: gammas.append(z) or rgamma(z),
+                            raising=False)
+    served = [0.4, -0.25, 1.0, 2.5, -3.0]
+    rows = _asym_rows(tmp_path, runner, [*served, 5.99, -5.5], (20.0, 40.0, 80.0))
+    assert [row["validity"] for row in rows[:7]] == ["valid"] * 5 + ["invalid"] * 2
+    # besides the sweep, only the node table: one call of 8 nodes per knot interval
+    assert sorted(shape for shape in calls if shape) == [(9 * len(served),), (8 * 256,)]
+    assert calls.count(()) == len(served)
+    assert len(gammas) == len(served)
 
 
 def test_verify_subcommand(tmp_path, runner):

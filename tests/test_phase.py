@@ -399,6 +399,31 @@ class TestGaussLegendrePath:
         assert round(keys[0], 12) == round(keys[1], 12)
         assert len(calls) == 2
 
+    def test_sweep_equals_single_calls(self, box_ctx, accept_gauss_ctx):
+        # knots (0.5, -5, 0), a few ulps above 0.5, 1e-308 above the knot 0 (offsets
+        # below the least normal double), and both window edges of delta0's range
+        above = [0.5]
+        for _ in range(3):
+            above.append(float(np.nextafter(above[-1], np.inf)))
+        xis = np.array([0.5, -5.0, 0.0, *above[1:], 1e-308, -15.0, 16.0, -13.7, 7.3])
+        for ctx in (box_ctx, accept_gauss_ctx):
+            swept = phase_data(ctx, xis)
+            assert isinstance(swept, list) and len(swept) == xis.size
+            for xi, ph in zip(xis, swept):
+                single = phase_data(ctx, float(xi))
+                assert isinstance(single, phase.PhaseData)
+                assert ph == single
+                assert ph.delta0 == delta0(ctx, float(xi))
+            assert list(delta0(ctx, xis)) == [ph.delta0 for ph in swept]
+            assert phase_data(ctx, xis[:0]) == []
+
+    def test_sweep_refuses_what_one_xi_refuses(self, box_ctx):
+        for xi in (float("nan"), -15.5, 16.5):
+            with pytest.raises(WindowExceeded):
+                phase_data(box_ctx, np.array([0.5, xi]))
+        with pytest.raises(BadInput):
+            phase_data(box_ctx, np.array([[0.5]]))
+
 
 # ---------------------------------------------------------------------------
 # the adaptive quad oracle of delta, delta_boundary and beta
