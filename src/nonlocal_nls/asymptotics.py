@@ -68,11 +68,12 @@ def _serves(ctx: SpectralContext, xi: float) -> bool:
     return ctx.z_lo + pad <= xi <= ctx.z_hi - pad and ctx.z_lo <= xi - 1.0
 
 
-def _fill_phase_memo(ctx: SpectralContext, xis) -> None:
-    """Phase data of every distinct xi in xis that the ray formula serves, in
-    first-seen order, into ctx.phase_memo from one `phase_data` sweep; q_asymptotic
-    refuses the others query by query."""
-    fresh = [xi for xi in dict.fromkeys(xis) if xi not in ctx.phase_memo and _serves(ctx, xi)]
+def _fill_phase_memo(ctx: SpectralContext, queries) -> None:
+    """Phase data at every distinct xi = -x/(4t) of the (x, t) queries that the ray
+    formula serves, in first-seen order, into ctx.phase_memo from one `phase_data`
+    sweep; q_asymptotic refuses the others query by query."""
+    xis = dict.fromkeys(stationary_point(x, t) for x, t in queries)
+    fresh = [xi for xi in xis if xi not in ctx.phase_memo and _serves(ctx, xi)]
     if fresh:
         ctx.phase_memo.update(zip(fresh, phase_data(ctx, np.array(fresh))))
 

@@ -28,13 +28,7 @@ from .errors import (
 )
 from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, snapshot_from_potential, spectral_interpolate
-from .phase import (
-    SpectralContext,
-    delta_boundary,
-    nu_tail_with_bound,
-    phase_data,
-    stationary_point,
-)
+from .phase import SpectralContext, delta_boundary, nu_tail_with_bound, phase_data
 from .scattering import check_genericity, compute_scattering, exact_box_scattering
 
 
@@ -148,7 +142,7 @@ def asym(ctx, queries_path):
     if not queries:
         raise BadInput("no queries: pass --queries or configure rays and times")
     spectral = SpectralContext(_scatter_data(cfg))
-    _fill_phase_memo(spectral, [stationary_point(x, t) for x, t in queries])
+    _fill_phase_memo(spectral, queries)
     rows = []
     for x, t in queries:
         q, validity, im_nu = _leading(x, t, spectral, cfg)
