@@ -33,8 +33,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     BadInput,
     NonpositiveTime,
@@ -63,7 +61,7 @@ class AsymptoticEvaluation:
 
 def _serves(ctx: SpectralContext, xi: float) -> bool:
     """Whether the ray formula serves xi: at least 1% of the window's width inside
-    either end, with [xi - 1, xi] on the grid (delta0's range); never a NaN."""
+    either end, with [xi - 1, xi] on the grid (delta0's range); a NaN is never served."""
     pad = 0.01 * (ctx.z_hi - ctx.z_lo)
     return ctx.z_lo + pad <= xi <= ctx.z_hi - pad and ctx.z_lo <= xi - 1.0
 
@@ -75,7 +73,7 @@ def _fill_phase_memo(ctx: SpectralContext, queries) -> None:
     xis = dict.fromkeys(stationary_point(x, t) for x, t in queries)
     fresh = [xi for xi in xis if xi not in ctx.phase_memo and _serves(ctx, xi)]
     if fresh:
-        ctx.phase_memo.update(zip(fresh, phase_data(ctx, np.array(fresh))))
+        ctx.phase_memo.update(zip(fresh, phase_data(ctx, fresh)))
 
 
 def alpha(phase: PhaseData, t: float) -> complex:

@@ -123,7 +123,7 @@ def phase(ctx):
         raise BadInput("config has no rays")
     spectral = SpectralContext(_scatter_data(cfg))
     rays = [(ph, nu_tail_with_bound(spectral, xi)[0], spectral.branch_max_arg)
-            for xi, ph in zip(cfg.rays, phase_data(spectral, np.array(cfg.rays)))]
+            for xi, ph in zip(cfg.rays, phase_data(spectral, cfg.rays))]
     nio.write_phase_json(rays, out / "phase.json")
     click.echo(f"wrote {out / 'phase.json'}")
 

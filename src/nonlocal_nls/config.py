@@ -44,9 +44,9 @@ class ExperimentConfig:
             raise BadInput("dt must be positive")
 
     def z_grid(self) -> np.ndarray:
-        """The spectral window: linspace made exactly antisymmetric (z[::-1] == -z,
-        within 1 ulp of linspace, which is antisymmetric only for a dyadic step),
-        so that CF4 folds every window."""
+        """The spectral window: linspace made exactly antisymmetric (z[::-1] == -z)
+        so that CF4 folds every window.  linspace is antisymmetric only for a dyadic
+        step and is returned unchanged there; elsewhere z moves by <= 1 ulp of z_max."""
         g = np.linspace(-self.z_max, self.z_max, self.nz)
         return 0.5 * (g - g[::-1])
 

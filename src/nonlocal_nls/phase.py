@@ -291,8 +291,8 @@ def delta0(ctx: SpectralContext, xi):
     - nu(xi) log(xi - z_lo), whose integrand is analytic on every knot interval, by
     Gauss-Legendre: nu from the node table below z_k, and at xi and on [z_k, xi] (a
     whole interval when xi is a knot) from one spline call for every xi.  A float xi
-    gives a complex, a 1-d array one value per entry; each xi keeps its own sums and
-    its own error gate."""
+    gives a complex, a 1-d array an array of one value per entry; each xi keeps its
+    own sums and its own error gate."""
     xis = _rays(xi)
     for x in xis:
         ctx._window(x - 1.0, x)
@@ -351,9 +351,9 @@ class PhaseData:
 
 
 def phase_data(ctx: SpectralContext, xi):
-    """The leading term's inputs at xi: a PhaseData for a float, a list of them for a
-    1-d array.  delta0 of every xi comes from one sweep (one spline call); r, rbreve
-    and nu at each xi from one more, 0-d spline call."""
+    """The leading term's inputs at xi: a PhaseData for a float, a list of them for
+    a 1-d array or sequence.  delta0 of every xi comes from one sweep (one spline
+    call), and r, rbreve and nu at each xi from a 0-d spline call of its own."""
     xis = _rays(xi)
     out = []
     for x, d0 in zip(xis, delta0(ctx, xis)):
