@@ -9,10 +9,8 @@ from .pde import FieldSnapshot, evolve, spectral_interpolate
 from .phase import (
     PhaseData,
     beta,
-    delta,
     delta0,
     delta_boundary,
-    nu_at,
     phase_data,
     stationary_point,
 )
@@ -24,7 +22,7 @@ from .scattering import (
     compute_scattering,
     exact_box_scattering,
 )
-from .weber import weber_D, weber_residual
+from .weber import weber_D
 
 __version__ = "0.1.0"
 
@@ -32,8 +30,7 @@ __all__ = [
     "AsymptoticEvaluation", "FieldSnapshot", "GenericityReport",
     "ModelCoefficients", "PhaseData", "Potential", "ScatteringData", "alpha",
     "beta", "check_genericity", "compute_scattering",
-    "connection_coefficients", "delta", "delta0", "delta_boundary", "errors",
-    "evolve", "exact_box_scattering", "jump_matrix", "nu_at", "phase_data",
-    "psi", "q_asymptotic", "spectral_interpolate", "stationary_point",
-    "weber_D", "weber_residual",
+    "connection_coefficients", "delta0", "delta_boundary", "errors", "evolve",
+    "exact_box_scattering", "jump_matrix", "phase_data", "psi", "q_asymptotic",
+    "spectral_interpolate", "stationary_point", "weber_D",
 ]

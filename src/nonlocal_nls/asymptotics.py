@@ -59,11 +59,12 @@ class AsymptoticEvaluation:
     im_nu: float
 
 
-def _serves(ctx: SpectralContext, xi: float) -> bool:
-    """Whether the ray formula serves xi: at least 1% of the window's width inside
-    either end, with [xi - 1, xi] on the grid (delta0's range); a NaN is never served."""
-    pad = 0.01 * (ctx.z_hi - ctx.z_lo)
-    return ctx.z_lo + pad <= xi <= ctx.z_hi - pad and ctx.z_lo <= xi - 1.0
+def _serves(z_lo: float, z_hi: float, xi: float) -> bool:
+    """Whether the ray formula serves xi on the window [z_lo, z_hi]: at least 1% of its
+    width inside either end, with [xi - 1, xi] on the grid (delta0's range); a NaN is
+    never served.  The config's rays and every query obey this one rule."""
+    pad = 0.01 * (z_hi - z_lo)
+    return z_lo + pad <= xi <= z_hi - pad and z_lo <= xi - 1.0
 
 
 def _fill_phase_memo(ctx: SpectralContext, queries) -> None:
@@ -71,7 +72,7 @@ def _fill_phase_memo(ctx: SpectralContext, queries) -> None:
     formula serves, in first-seen order, into ctx.phase_memo from one `phase_data`
     sweep; q_asymptotic refuses the others query by query."""
     xis = dict.fromkeys(stationary_point(x, t) for x, t in queries)
-    fresh = [xi for xi in xis if xi not in ctx.phase_memo and _serves(ctx, xi)]
+    fresh = [xi for xi in xis if xi not in ctx.phase_memo and _serves(ctx.z_lo, ctx.z_hi, xi)]
     if fresh:
         ctx.phase_memo.update(zip(fresh, phase_data(ctx, fresh)))
 
@@ -122,19 +123,17 @@ def q_asymptotic(x: float, t: float, ctx: SpectralContext,
     if t < t_min:
         raise BadInput(f"t = {t} below configured t_min = {t_min}")
     xi = stationary_point(x, t)
-    if not _serves(ctx, xi):
+    if not _serves(ctx.z_lo, ctx.z_hi, xi):
         raise WindowExceeded(
-            f"xi = {xi} is not served: it must lie 1% of the window's width inside "
-            f"[{ctx.z_lo}, {ctx.z_hi}], with xi - 1 >= {ctx.z_lo}")
+            f"xi = {xi} is not served: it must lie at least 1% of the window's width "
+            f"inside [{ctx.z_lo}, {ctx.z_hi}], with xi - 1 >= {ctx.z_lo}")
     ph = ctx.phase_memo.get(xi)
     if ph is None:
         ph = ctx.phase_memo[xi] = phase_data(ctx, xi)
     nu = ph.nu_at_xi
     validity = _gate(nu)
 
-    coeffs = connection_coefficients(ph.r_xi, ph.r_breve_xi, nu, ph.delta0, xi, t,
-                                     ph.ray_factors)
-    q_model = 2.0 * coeffs.beta1 / math.sqrt(8.0 * t)
+    q_model = 2.0 * connection_coefficients(ph, t).beta1 / math.sqrt(8.0 * t)
 
     a = alpha(ph, t)
     # t-power e^{(Im nu - 1/2) log t} in a single exponential

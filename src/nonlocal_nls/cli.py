@@ -301,8 +301,7 @@ def verify(ctx):
             worst = max(worst, abs(dp / dm - w) / abs(w))
         record("delta jump |delta+/delta- - (1 - r rbreve)|", worst, 1e-6)
         t_ref = cfg.times[0] if cfg.times else 40.0
-        co = connection_coefficients(ph.r_xi, ph.r_breve_xi, ph.nu_at_xi,
-                                     ph.delta0, xi, t_ref)
+        co = connection_coefficients(ph, t_ref)
         record("beta1 beta2 - nu", abs(co.beta1 * co.beta2 - co.nu), 1e-10)
         V = jump_matrix(co)
         jr = 0.0

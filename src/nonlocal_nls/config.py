@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asymptotics import _serves
 from .errors import BadInput
 from .potentials import Potential, _json_float, _json_int
 
@@ -27,13 +28,10 @@ class ExperimentConfig:
             raise BadInput("window, rays, times, dt and t_min must be finite")
         if self.z_max <= 0 or self.nz < 9 or self.nz % 2 == 0:
             raise BadInput("window needs z_max > 0 and odd nz >= 9")
-        span = 2.0 * self.z_max
         for xi in self.rays:
-            if not (-self.z_max + 0.01 * span < xi < self.z_max - 0.01 * span):
-                raise BadInput(f"ray xi = {xi} not strictly inside the window")
-            if xi - 1.0 < -self.z_max:
-                # beta and delta0 serve the xi with [xi - 1, xi] on the grid
-                raise BadInput(f"ray xi = {xi} needs xi - 1 >= -z_max = {-self.z_max}")
+            if not _serves(-self.z_max, self.z_max, xi):
+                raise BadInput(f"ray xi = {xi} is not served: it must lie at least 1% of the "
+                               f"window's width inside it, with xi - 1 >= -z_max = {-self.z_max}")
         if list(self.times) != sorted(self.times):
             raise BadInput("times must be sorted ascending")
         if self.t_min <= 0:

@@ -84,24 +84,18 @@ class ModelCoefficients:
     beta2: complex
 
 
-def connection_coefficients(r_xi, r_breve_xi, nu, delta0, xi, t,
-                            ray_factors=None) -> ModelCoefficients:
-    """Scaled jump data and the explicit-solution coefficients beta1, beta2.
+def connection_coefficients(phase, t) -> ModelCoefficients:
+    """Scaled jump data and the explicit-solution coefficients beta1, beta2 of the
+    `phase.PhaseData` at xi, with its `ray_factors`.
 
     t > 0 is required; the reflectionless degeneracies are handled by the
     stabilized products (see module docstring), never by dividing by r(xi).
-    `ray_factors` is the pair (1/Gamma(1 - i nu), nu/(r rbreve)) when the
-    caller holds it (`PhaseData.ray_factors`); it is computed here otherwise.
     """
     if not t > 0:
         raise NonpositiveTime(f"t must be positive, got {t}")
-    r_xi = complex(r_xi)
-    r_breve_xi = complex(r_breve_xi)
-    nu = complex(nu)
-    delta0 = complex(delta0)
-    if ray_factors is None:
-        ray_factors = rgamma(1.0 - 1j * nu), nu_over_w(nu, r_xi * r_breve_xi)
-    rg, nw = ray_factors
+    r_xi, r_breve_xi, delta0, xi = phase.r_xi, phase.r_breve_xi, phase.delta0, phase.xi
+    nu = phase.nu_at_xi
+    rg, nw = phase.ray_factors
     log8t = cmath.log(8.0 * t)
     phase_t = cmath.exp(1j * nu * log8t)            # (8t)^{i nu}
     osc = cmath.exp(-4j * t * xi * xi)              # e^{-i x^2/(4t)}, x = -4 t xi
@@ -155,31 +149,3 @@ def psi(zeta, coeffs: ModelCoefficients) -> np.ndarray:
     P12 = -1j * coeffs.beta1 * p2 * c2 * weber_D(-a1 - 1.0, c2 * zeta)
     return np.array([[P11, P12], [P21, P22]], dtype=complex)
 
-
-def psi_normalizer(zeta, nu) -> np.ndarray:
-    """diag(zeta^{i nu} e^{-i zeta^2/4}, zeta^{-i nu} e^{+i zeta^2/4})."""
-    zeta = complex(zeta)
-    lg = cmath.log(zeta)
-    e = cmath.exp(-0.25j * zeta * zeta)
-    d1 = cmath.exp(1j * nu * lg) * e
-    return np.array([[d1, 0.0], [0.0, 1.0 / d1]], dtype=complex)
-
-
-def row_ode_residual(coeffs: ModelCoefficients, zeta) -> float:
-    """Weber-type second-order residual of both rows of Psi at zeta.
-
-    Row 1 entries solve w'' = (-i/2 + nu - z^2/4) w, row 2 entries the
-    conjugate-sign variant; returns the worst normalized residual.
-    """
-    zeta = complex(zeta)
-    h = 1e-3  # step of the fourth-order central difference
-    stack = [psi(zeta + k * h, coeffs) for k in (-2, -1, 0, 1, 2)]
-    worst = 0.0
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        w = [m[i, j] for m in stack]
-        d2 = (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12.0 * h * h)
-        sign = -0.5j if i == 0 else 0.5j
-        res = d2 - (sign + coeffs.nu - zeta * zeta / 4.0) * w[2]
-        scale = (1.0 + abs(coeffs.nu) + abs(zeta) ** 2 / 4.0) * max(abs(v) for v in w)
-        worst = max(worst, abs(res) / scale if scale > 0 else abs(res))
-    return worst

@@ -19,13 +19,15 @@ substitution s = xi - u^2; `delta0` needs none (see there).
 All of it is read off one `SpectralContext`, the only input of every
 function here; it refuses non-finite r or rbreve, data whose genericity
 report fails, and any xi whose integration range leaves its grid (NaN too).
-`delta0` and the nu tail integral use composite Gauss-Legendre on the spline
-knots (nu from the node table, one spline call on the last, partial
-interval; `delta0` and `phase_data` take a 1-d array of xi too and make that
-call once for all of them), with the embedded half rule as error estimate; `delta`,
-`delta_boundary` and `beta` at general z use the independent oracle `quad`:
-adaptive Gauss-Legendre 21 with |G21 - G10| as error estimate, vectorized,
-with no knot alignment.
+nu is one function of s, the same bits alone or in an array (1 - r rbreve is
+formed in real arithmetic).  `delta0` and the nu tail integral use composite
+Gauss-Legendre on the spline knots (nu from the node table, one spline call on
+the last, partial interval; `delta0` and `phase_data` take a 1-d array of xi too
+and make that call once for all of them), with the embedded half rule as error
+estimate; `phase_data` reads r, rbreve and nu at xi off that same call.  The
+boundary values of delta and `beta` at general z use the independent oracle
+`quad`: adaptive Gauss-Legendre 21 with |G21 - G10| as error estimate,
+vectorized, with no knot alignment.
 """
 
 from __future__ import annotations
@@ -70,9 +72,18 @@ def _gate(err: float) -> float:
     return err
 
 
-def _branch_nu(r, rb, arg_ref):
-    """-log(1 - r rbreve)/(2 pi) on the 2 pi branch nearest the reference arg."""
-    w = 1.0 - r * rb
+def _one_minus_rrb(v):
+    """1 - r rbreve from the spline's columns v[0..3] (re r, im r, re rbreve, im rbreve) in
+    real arithmetic, as numpy's array complex product fuses multiply-adds and its 0-d one
+    does not."""
+    w = np.empty(np.shape(v[0]), complex)
+    w.real = 1.0 - (v[0] * v[2] - v[1] * v[3])
+    w.imag = 0.0 - (v[0] * v[3] + v[1] * v[2])
+    return w
+
+
+def _branch_nu(w, arg_ref):
+    """-log(w)/(2 pi), w = 1 - r rbreve, on the 2 pi branch nearest the reference arg."""
     aw = np.abs(w)
     if np.any(aw < EPS_GENERIC):
         raise GenericityViolation("1 - r rbreve nearly vanishes off-grid")
@@ -127,19 +138,18 @@ class SpectralContext:
             raise WindowExceeded(
                 f"[{lo}, {hi}] is not inside the spectral grid [{self.z_lo}, {self.z_hi}]")
 
-    def _columns(self, s):
-        """r, rbreve and the unwrapped arg of 1 - r rbreve at s, from one spline call."""
+    def _read(self, s):
+        """The spline's columns at s and nu(s), from one spline call."""
         v = self._spline(s)
-        return v[0] + 1j * v[1], v[2] + 1j * v[3], v[4]
+        return v, _branch_nu(_one_minus_rrb(v), v[4])
 
     def w(self, s):
         """1 - r(s) rbreve(s) from the spline."""
-        r, rb, _ = self._columns(s)
-        return 1.0 - r * rb
+        return _one_minus_rrb(self._spline(s))
 
     def nu(self, s):
         """Interpolate r, rbreve first, then take the branch-corrected log."""
-        return _branch_nu(*self._columns(s))
+        return self._read(s)[1]
 
     def _rule(self, vals, half):
         """Rule values and error estimates per interval (nodes on the last axis)."""
@@ -150,12 +160,6 @@ class SpectralContext:
         half = 0.5 * np.diff(p)
         return (p[:-1] + half)[:, None] + half[:, None] * self._gx, half
 
-    def _partial(self, b):
-        """k, nodes and half-width of [z_k, b], z_k the last knot below b (or z_0)."""
-        z = self.z_grid
-        k = max(int(np.searchsorted(z, b)) - 1, 0)
-        return (k, *self._gl_nodes(np.array([z[k], b])))
-
     @cached_property
     def _nodes(self):
         """Nodes and nu on every knot interval; running rule sums and errors."""
@@ -165,12 +169,6 @@ class SpectralContext:
                              for i in range(0, flat.size, _NODE_CHUNK)]).reshape(s.shape)
         q, err = self._rule(nu, half)
         return s, half, nu, np.r_[0.0, np.cumsum(q)], np.r_[0.0, np.cumsum(err)]
-
-
-def nu_at(ctx: SpectralContext, s: float) -> complex:
-    """nu(s) between grid nodes (cubic in r, rbreve before the log)."""
-    ctx._window(s, s)
-    return complex(ctx.nu(np.asarray(s)))
 
 
 def quad(f, a, b, point=None):
@@ -234,15 +232,6 @@ def _cauchy_nu(ctx: SpectralContext, b: float, z: complex, xi: float) -> complex
     return val + nu_ref * _log_ratio(z, b, z_lo) if near else val
 
 
-def delta(ctx: SpectralContext, xi: float, z: complex) -> complex:
-    """delta(z) off the cut (-inf, xi]."""
-    z = _finite_point(z)
-    if z.imag == 0.0 and z.real <= xi:
-        raise CutEvaluation(f"z = {z} lies on the cut (-inf, {xi}]")
-    ctx._window(xi, xi)
-    return cmath.exp(1j * _cauchy_nu(ctx, xi, z, xi))
-
-
 def delta_boundary(ctx: SpectralContext, xi: float, z0: float, side: str) -> complex:
     """One-sided boundary value delta_+/- at z0 on the cut: the exponent
     int_{z_lo}^{xi} i nu(s)/(s - z) ds at z0 +- i eps and z0 +- i eps/2, with
@@ -286,45 +275,56 @@ def _rays(xi) -> np.ndarray:
     return xis.reshape(-1)
 
 
-def delta0(ctx: SpectralContext, xi):
-    """delta0(xi) = e^{i beta(xi, xi)}: int_{z_lo}^{xi} (nu(s) - nu(xi))/(s - xi) ds
-    - nu(xi) log(xi - z_lo), whose integrand is analytic on every knot interval, by
-    Gauss-Legendre: nu from the node table below z_k, and at xi and on [z_k, xi] (a
-    whole interval when xi is a knot) from one spline call for every xi.  A float xi
-    gives a complex, a 1-d array an array of one value per entry; each xi keeps its
-    own sums and its own error gate."""
+def _last_intervals(ctx: SpectralContext, xis: np.ndarray):
+    """k, the half-width of [z_k, xi] (z_k the last knot below xi, or z_0; a whole
+    interval at a knot) and its nodes as offsets from xi, so that none rounds onto xi, per
+    xi; then the columns and nu at every xi and nu at every node, from one spline call."""
+    z = ctx.z_grid
+    ks = np.maximum(z.searchsorted(xis) - 1, 0)
+    hp = 0.5 * (xis - z[ks])
+    d = hp[:, None] * (ctx._gx - 1.0)
+    v, nu = ctx._read(np.concatenate((xis, (xis[:, None] + d).ravel())))
+    n = xis.size
+    return ks, hp, d, v[:, :n], nu[:n], nu[n:].reshape(d.shape)
+
+
+def _sweep(ctx: SpectralContext, xi):
+    """xi as a 1-d array, and the spline columns, nu and delta0 = e^{i B} at every xi:
+    B = int_{z_lo}^{xi} (nu(s) - nu(xi))/(s - xi) ds - nu(xi) log(xi - z_lo), analytic on
+    every knot interval, by Gauss-Legendre with nu from the node table below z_k and from
+    `_last_intervals` on [z_k, xi].  Each xi keeps its own sums and error gate."""
     xis = _rays(xi)
     for x in xis:
         ctx._window(x - 1.0, x)
     s, half, nu, _, _ = ctx._nodes
-    z = ctx.z_grid
-    ks = np.maximum(z.searchsorted(xis) - 1, 0)
-    hp = 0.5 * (xis - z[ks])
-    # nodes as offsets from xi, so none rounds onto xi; offsets below the least
-    # normal double (xi within 1e-307 above the knot 0) add 0
-    d = hp[:, None] * (ctx._gx - 1.0)
-    v = ctx.nu(np.concatenate((xis, (xis[:, None] + d).ravel())))
-    nu_xis, v_nodes = v[:xis.size], v[xis.size:].reshape(d.shape)
-    out = np.empty(xis.size, complex)
-    for i, (x, k) in enumerate(zip(xis, ks)):
-        nu_xi = nu_xis[i]
+    ks, hp, d, cols, nu_xis, nu_nodes = _last_intervals(ctx, xis)
+    d0 = np.empty(xis.size, complex)
+    for i, (x, k, nu_xi) in enumerate(zip(xis, ks, nu_xis)):
         vals = nu[:k] - nu_xi
         vals *= 1.0 / (s[:k] - x)
         q, e = ctx._rule(vals, half[:k])
-        vp = np.divide(v_nodes[i] - nu_xi, d[i], out=np.zeros_like(v_nodes[i]),
+        # offsets below the least normal double (xi within 1e-307 above the knot 0) add 0
+        vp = np.divide(nu_nodes[i] - nu_xi, d[i], out=np.zeros_like(nu_nodes[i]),
                        where=d[i] <= -np.finfo(float).tiny)
         qp, ep = ctx._rule(vp, hp[i:i + 1])
         _gate(e.sum() + ep.sum())
-        out[i] = cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(x - ctx.z_lo)))
-    return out if np.ndim(xi) else complex(out[0])
+        d0[i] = cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(x - ctx.z_lo)))
+    return xis, cols, nu_xis, d0
+
+
+def delta0(ctx: SpectralContext, xi):
+    """delta0(xi) = e^{i beta(xi, xi)}, from `_sweep`.  A float xi gives a complex, a
+    1-d array an array of one value per entry."""
+    d0 = _sweep(ctx, xi)[3]
+    return d0 if np.ndim(xi) else complex(d0[0])
 
 
 def nu_tail_with_bound(ctx: SpectralContext, xi: float):
     """(int_{-inf}^{xi} nu(s) ds over the grid, estimated truncation error)."""
     ctx._window(xi, xi)
     *_, cum, cum_err = ctx._nodes
-    k, sp, hp = ctx._partial(xi)
-    q, err = ctx._rule(ctx.nu(sp), hp)
+    (k,), hp, *_, nu_nodes = _last_intervals(ctx, _rays(xi))
+    q, err = ctx._rule(nu_nodes, hp)
     err = _gate(cum_err[k] + err.sum())
     # tail: envelope |nu(s)| <= nu_edge (s/z_lo)^{-2} beyond the window
     # (the 1/s^2 rate is the slow box-like case; smooth data decay faster,
@@ -352,16 +352,10 @@ class PhaseData:
 
 def phase_data(ctx: SpectralContext, xi):
     """The leading term's inputs at xi: a PhaseData for a float, a list of them for
-    a 1-d array or sequence.  delta0 of every xi comes from one sweep (one spline
-    call), and r, rbreve and nu at each xi from a 0-d spline call of its own."""
-    xis = _rays(xi)
-    out = []
-    for x, d0 in zip(xis, delta0(ctx, xis)):
-        # nu(xi) is read again on the 0-d path, not taken from the sweep's array:
-        # the two paths round differently (on the box of amplitude 0.3 with
-        # sigma = +1, Im nu is exactly 0.0 at every xi on the 0-d path and up to
-        # 1.9e-19 off it on the array path), and the ray formula reads the 0-d value
-        r, rb, arg_ref = ctx._columns(np.asarray(x))
-        out.append(PhaseData(xi=float(x), nu_at_xi=complex(_branch_nu(r, rb, arg_ref)),
-                             delta0=complex(d0), r_xi=complex(r), r_breve_xi=complex(rb)))
+    a 1-d array or sequence, all read off one `_sweep` (one spline call)."""
+    xis, cols, nus, d0s = _sweep(ctx, xi)
+    r, rb = cols[0] + 1j * cols[1], cols[2] + 1j * cols[3]
+    out = [PhaseData(xi=float(x), nu_at_xi=complex(nu), delta0=complex(d0),
+                     r_xi=complex(a), r_breve_xi=complex(b))
+           for x, nu, d0, a, b in zip(xis, nus, d0s, r, rb)]
     return out if np.ndim(xi) else out[0]

@@ -42,20 +42,3 @@ def weber_D(a, eta) -> complex:
     _check_box(a, eta)
     return _D(a, eta)
 
-
-def weber_residual(a, eta) -> float:
-    """Normalized Weber-equation residual on a 5-point stencil.
-
-    Returns |w'' + (a + 1/2 - eta^2/4) w| / ((1 + |a| + |eta|^2/4) max|w|)
-    with w'' from the fourth-order central difference of step h = 1e-3
-    along the real direction of eta.
-    """
-    a = complex(a)
-    eta = complex(eta)
-    _check_box(a, eta)
-    h = 1e-3
-    w = [_D(a, eta + k * h) for k in (-2, -1, 0, 1, 2)]
-    d2 = (-w[0] + 16 * w[1] - 30 * w[2] + 16 * w[3] - w[4]) / (12.0 * h * h)
-    res = d2 + (a + 0.5 - eta * eta / 4.0) * w[2]
-    scale = (1.0 + abs(a) + abs(eta) ** 2 / 4.0) * max(abs(v) for v in w)
-    return abs(res) / scale if scale > 0 else abs(res)

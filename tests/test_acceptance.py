@@ -8,22 +8,20 @@ from nonlocal_nls import (
     Potential,
     compute_scattering,
     connection_coefficients,
-    delta,
     delta_boundary,
     evolve,
     exact_box_scattering,
     jump_matrix,
-    nu_at,
     phase_data,
     psi,
     q_asymptotic,
     spectral_interpolate,
-    weber_residual,
 )
 from nonlocal_nls.errors import ValidityViolation
 from nonlocal_nls.pde import snapshot_from_potential
 from nonlocal_nls.phase import SpectralContext, beta, nu_tail_with_bound
 from conftest import synthetic_context
+from oracles import delta, nu_at, weber_residual
 
 
 def _report(criterion, detail):
@@ -154,8 +152,7 @@ def test_criterion_5_model_problem(accept_gauss_ctx):
     # Psi jump and beta product, pipeline data at xi = 0.3, t = 100
     xi, t = 0.3, 100.0
     ph = phase_data(accept_gauss_ctx, xi)
-    co = connection_coefficients(ph.r_xi, ph.r_breve_xi, ph.nu_at_xi,
-                                 ph.delta0, xi, t)
+    co = connection_coefficients(ph, t)
     V = jump_matrix(co)
     worst_jump = 0.0
     for zr in np.linspace(-3.5, 3.5, 20):

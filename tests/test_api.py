@@ -12,6 +12,16 @@ def test_public_names_resolve_once():
     assert not missing
 
 
+def test_public_names_are_pinned():
+    # every public name; a new one has to change this test
+    assert nonlocal_nls.__all__ == [
+        "AsymptoticEvaluation", "FieldSnapshot", "GenericityReport", "ModelCoefficients",
+        "PhaseData", "Potential", "ScatteringData", "alpha", "beta", "check_genericity",
+        "compute_scattering", "connection_coefficients", "delta0", "delta_boundary",
+        "errors", "evolve", "exact_box_scattering", "jump_matrix", "phase_data", "psi",
+        "q_asymptotic", "spectral_interpolate", "stationary_point", "weber_D"]
+
+
 def test_settings_are_pinned():
     # every knob a user can set; a new one has to change this test
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [

@@ -12,6 +12,8 @@ from nonlocal_nls import (
 from nonlocal_nls.errors import BadInput, NonpositiveTime, ValidityViolation, WindowExceeded
 from nonlocal_nls.phase import SpectralContext
 
+from oracles import nu_at
+
 
 def test_zero_potential_leading_term_vanishes():
     pot = Potential(kind="zero", L=16.0, N=256)
@@ -86,7 +88,6 @@ def test_validity_gate_refuses(make_synthetic):
         return 1.0 * bump * target ** 0.5 + 1e-4
 
     ctx = make_synthetic(z, r_fn, rb_fn)
-    from nonlocal_nls import nu_at
     nu = nu_at(ctx, 0.3)
     assert abs(nu.imag) >= 0.25
     with pytest.raises(ValidityViolation):
@@ -124,4 +125,4 @@ def test_nonpositive_time_is_typed(box_ctx, t):
     with pytest.raises(NonpositiveTime):
         alpha(ph, t)
     with pytest.raises(NonpositiveTime):
-        connection_coefficients(ph.r_xi, ph.r_breve_xi, ph.nu_at_xi, ph.delta0, 0.3, t)
+        connection_coefficients(ph, t)

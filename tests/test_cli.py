@@ -422,9 +422,29 @@ def test_asym_refuses_a_xi_per_query(tmp_path, runner):
     assert all(math.isfinite(float(row["abs_q"])) for row in rows if row["validity"] == "valid")
 
 
+def test_ray_at_the_exact_pad_is_served(tmp_path, runner):
+    # the window [-16, 16] keeps a pad of 1% of its width, 0.32: the config, `phase`
+    # and `asym` all serve the ray 16 - 0.32, and the config refuses one ulp further out
+    pad_ray = 16.0 - 0.01 * 32.0
+    window = {"z_max": 16.0, "n": 2049}
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, window=window, rays=[pad_ray],
+                        times=[16.0, 32.0])
+    out = tmp_path / "o"
+    for command in ("phase", "asym"):
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+        assert res.exit_code == 0, res.output
+    lines = (out / "asym.csv").read_text().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines] == ["validity", "valid", "valid"]
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, window=window,
+                        rays=[float(np.nextafter(pad_ray, np.inf))])
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "phase"])
+    assert res.exit_code == 1
+    assert "at least 1% of the window's width" in res.output
+
+
 def test_asym_sweeps_every_distinct_xi_once(tmp_path, runner, monkeypatch):
-    # M distinct served xi make one array spline call (xi and its 8 nodes each)
-    # and M 0-d calls (r, rbreve and nu at xi), and 1/Gamma runs once per xi
+    # M distinct served xi make one array spline call (xi and its 8 nodes each), which
+    # gives r, rbreve and nu at xi too, so no 0-d call; 1/Gamma runs once per xi
     calls, gammas = [], []
     spline = UniformSpline.__call__
     monkeypatch.setattr(UniformSpline, "__call__",
@@ -438,7 +458,7 @@ def test_asym_sweeps_every_distinct_xi_once(tmp_path, runner, monkeypatch):
     assert [row["validity"] for row in rows[:7]] == ["valid"] * 5 + ["invalid"] * 2
     # besides the sweep, only the node table: one call of 8 nodes per knot interval
     assert sorted(shape for shape in calls if shape) == [(9 * len(served),), (8 * 256,)]
-    assert calls.count(()) == len(served)
+    assert calls.count(()) == 0
     assert len(gammas) == len(served)
 
 

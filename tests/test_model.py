@@ -13,8 +13,17 @@ from nonlocal_nls import (
     psi,
 )
 from nonlocal_nls.errors import BadInput
-from nonlocal_nls.model import psi_normalizer, rgamma, row_ode_residual
-from nonlocal_nls.phase import SpectralContext
+from nonlocal_nls.model import rgamma
+from nonlocal_nls.phase import PhaseData, SpectralContext
+
+from oracles import psi_normalizer, row_ode_residual
+
+
+def model_coefficients(r, r_breve, nu, delta0, xi, t):
+    """connection_coefficients of prescribed phase data at xi."""
+    return connection_coefficients(PhaseData(
+        xi=float(xi), nu_at_xi=complex(nu), delta0=complex(delta0), r_xi=complex(r),
+        r_breve_xi=complex(r_breve)), t)
 
 
 def coeffs_from(nu, rho_hat_val, t=50.0, xi=0.4, delta0=1.0):
@@ -23,7 +32,7 @@ def coeffs_from(nu, rho_hat_val, t=50.0, xi=0.4, delta0=1.0):
     kappa = 1.0 - cmath.exp(-2 * math.pi * nu)
     r_breve = rho_hat_val
     r = kappa / r_breve if r_breve != 0 else 0.0
-    return connection_coefficients(r, r_breve, nu, delta0, xi, t)
+    return model_coefficients(r, r_breve, nu, delta0, xi, t)
 
 
 CASES = [
@@ -67,7 +76,7 @@ class TestConnectionCoefficients:
 
     def test_degenerate_reflectionless_limit(self):
         # rbreve -> 0 with r fixed: beta1 -> 0 and beta2 stays finite
-        co = connection_coefficients(0.3, 0.0, 0.0, 1.0, 0.4, 50.0)
+        co = model_coefficients(0.3, 0.0, 0.0, 1.0, 0.4, 50.0)
         assert co.beta1 == 0
         assert abs(co.beta2) > 0
         assert co.beta1 * co.beta2 == 0
@@ -76,7 +85,7 @@ class TestConnectionCoefficients:
         # pure upper-triangular jump has the explicit solution
         # beta1 = rho_hat e^{-i pi/4} / sqrt(2 pi)
         t, xi = 37.0, 0.3
-        co = connection_coefficients(0.0, 0.25 + 0.1j, 0.0, 1.0, xi, t)
+        co = model_coefficients(0.0, 0.25 + 0.1j, 0.0, 1.0, xi, t)
         expected = co.rho_hat * cmath.exp(-1j * math.pi / 4) / math.sqrt(2 * math.pi)
         assert abs(co.beta1 - expected) < 1e-14
         assert co.beta2 == 0
@@ -89,7 +98,7 @@ class TestConnectionCoefficients:
         for scale in (0.9e-4, 1.1e-4):
             kappa = scale * (0.6 + 0.8j)
             nu = -cmath.log(1 - kappa) / (2 * math.pi)
-            co = connection_coefficients(kappa / 0.3, 0.3, nu, 1.0, 0.4, 50.0)
+            co = model_coefficients(kappa / 0.3, 0.3, nu, 1.0, 0.4, 50.0)
             vals.append(co.beta1)
         assert abs(vals[0] - vals[1]) < 1e-3 * abs(vals[1])
 
@@ -101,8 +110,7 @@ class TestConnectionCoefficients:
         cos = []
         for d in (d1, d2):
             ph = phase_data(SpectralContext(d), xi)
-            cos.append(connection_coefficients(
-                ph.r_xi, ph.r_breve_xi, ph.nu_at_xi, ph.delta0, xi, t).beta1)
+            cos.append(connection_coefficients(ph, t).beta1)
         assert abs(cos[0] - cos[1]) < 1e-8 * abs(cos[1])
 
 
@@ -117,7 +125,7 @@ class TestPsi:
             assert np.abs(up - dn @ V).max() < 1e-6
 
     def test_reflectionless_is_diagonal(self):
-        co = connection_coefficients(0.0, 0.0, 0.0, 1.0, 0.4, 50.0)
+        co = model_coefficients(0.0, 0.0, 0.0, 1.0, 0.4, 50.0)
         z = 0.8 + 0.6j
         M = psi(z, co)
         assert M[1, 0] == 0 and M[0, 1] == 0

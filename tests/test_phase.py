@@ -12,11 +12,9 @@ from nonlocal_nls import (
     beta,
     check_genericity,
     compute_scattering,
-    delta,
     delta0,
     delta_boundary,
     exact_box_scattering,
-    nu_at,
     phase,
     phase_data,
     q_asymptotic,
@@ -35,6 +33,7 @@ from nonlocal_nls.phase import SpectralContext, nu_tail_with_bound
 from nonlocal_nls.potentials import UniformSpline
 
 from conftest import synthetic_data
+from oracles import delta, nu_at
 
 XI = 0.5
 
@@ -224,6 +223,63 @@ def test_phase_data_bundle(box_ctx):
 
 
 # ---------------------------------------------------------------------------
+# one evaluation path per value: alone or in an array, the same bits
+
+@pytest.fixture(scope="module")
+def im_nu_ctx():
+    """The README's Im nu example: an off-centre gaussian, Im nu(+-0.24) = +-0.128."""
+    pot = Potential(kind="gaussian", amplitude=0.3, sigma=-1,
+                    params={"width": 1.5, "center": 2.0}, L=32.0, N=1024)
+    return SpectralContext(compute_scattering(pot, np.linspace(-8.0, 8.0, 1025)))
+
+
+def _same_bits(a, b):
+    """Whether complex values a and b have the same bits (so -0.0 is not 0.0)."""
+    a, b = (np.ascontiguousarray(v, dtype=complex).view(np.uint64) for v in (a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.fixture(params=["box", "im_nu"])
+def one_path_ctx(request, box_ctx, im_nu_ctx):
+    return box_ctx if request.param == "box" else im_nu_ctx
+
+
+class TestOnePathPerValue:
+    def test_nu_and_w_are_the_same_alone_or_in_an_array(self, one_path_ctx):
+        # numpy's array complex product fuses multiply-adds and its 0-d one does not;
+        # on the box that moved Im nu off the exact 0.0 of a lone point
+        ctx = one_path_ctx
+        xs = np.random.default_rng(7).uniform(ctx.z_lo, ctx.z_hi, 2000)
+        for f in (ctx.nu, ctx.w):
+            assert _same_bits(f(xs), [f(np.asarray(x)) for x in xs])
+
+    def test_delta0_subtracts_nu_at_xi(self, one_path_ctx, monkeypatch):
+        # every nu that the sweep reads at a point equal to xi is that xi's nu_at_xi
+        ctx = one_path_ctx
+        ctx._nodes  # the node table is built once per context, outside the record
+        reads = []   # the points of each spline call, then the nu made of its columns
+        spline, branch_nu = UniformSpline.__call__, phase._branch_nu
+
+        def recorded_nu(*args):
+            nu = branch_nu(*args)
+            reads.append(np.atleast_1d(nu))
+            return nu
+
+        monkeypatch.setattr(UniformSpline, "__call__",
+                            lambda self, x: reads.append(np.atleast_1d(x)) or spline(self, x))
+        monkeypatch.setattr(phase, "_branch_nu", recorded_nu)
+        xs = np.random.default_rng(9).uniform(ctx.z_lo + 1.0, ctx.z_hi, 200)
+        nu_at_xi = {ph.xi: ph.nu_at_xi for ph in phase_data(ctx, xs)}
+        matched = 0
+        for points, nus in zip(reads[::2], reads[1::2]):
+            for s, nu in zip(points, nus):
+                if s in nu_at_xi:
+                    assert _same_bits(nu, nu_at_xi[s])
+                    matched += 1
+        assert matched >= xs.size
+
+
+# ---------------------------------------------------------------------------
 # composite Gauss-Legendre production path against the quad oracle
 
 XI_FIXED = (-13.7, -5.1, 0.5, 7.3, 13.9)
@@ -363,7 +419,7 @@ class TestGaussLegendrePath:
 
     def test_phase_data_spline_calls(self, box_ctx, monkeypatch):
         # every point of delta0 (xi and the 8 nodes of [z_k, xi]) in one spline
-        # call; r, rbreve and nu(xi) together in one more
+        # call, which gives r, rbreve and nu(xi) too
         box_ctx._nodes  # the node table is built once per context, outside the count
         points = []
         call = UniformSpline.__call__
@@ -372,8 +428,7 @@ class TestGaussLegendrePath:
         for xi in (-5.1, -5.0, 0.5, 7.3):
             points.clear()
             phase_data(box_ctx, xi)
-            assert len(points) <= 2
-            assert sum(points) <= 10
+            assert points == [9]
 
     def test_queries_compute_no_nu_tail(self, box_data, monkeypatch):
         def refuse(*args, **kwargs):
@@ -409,10 +464,12 @@ class TestGaussLegendrePath:
         for ctx in (box_ctx, accept_gauss_ctx):
             swept = phase_data(ctx, xis)
             assert isinstance(swept, list) and len(swept) == xis.size
-            for xi, ph in zip(xis, swept):
+            for xi, nu, ph in zip(xis, ctx.nu(xis), swept):
                 single = phase_data(ctx, float(xi))
                 assert isinstance(single, phase.PhaseData)
-                assert ph == single
+                for f in dataclasses.fields(ph):
+                    assert _same_bits(getattr(ph, f.name), getattr(single, f.name)), f.name
+                assert _same_bits(ph.nu_at_xi, nu)
                 assert ph.delta0 == delta0(ctx, float(xi))
             assert list(delta0(ctx, xis)) == [ph.delta0 for ph in swept]
             assert phase_data(ctx, xis[:0]) == []

@@ -8,8 +8,10 @@ from mpmath.libmp import NoConvergence
 from scipy.integrate import solve_ivp
 from scipy.special import gamma as scipy_gamma
 
-from nonlocal_nls import weber_D, weber_residual
+from nonlocal_nls import weber_D
 from nonlocal_nls.errors import OutOfValidityBox, SeriesNonConvergence
+
+from oracles import weber_residual
 
 # frozen from the independent Weber-ODE integration oracle (DOP853,
 # rtol 1e-13, series initial data at eta = 0)
