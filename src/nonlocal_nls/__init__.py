@@ -9,7 +9,6 @@ from .pde import FieldSnapshot, evolve, spectral_interpolate
 from .phase import (
     PhaseData,
     beta,
-    delta0,
     delta_boundary,
     phase_data,
     stationary_point,
@@ -30,7 +29,7 @@ __all__ = [
     "AsymptoticEvaluation", "FieldSnapshot", "GenericityReport",
     "ModelCoefficients", "PhaseData", "Potential", "ScatteringData", "alpha",
     "beta", "check_genericity", "compute_scattering",
-    "connection_coefficients", "delta0", "delta_boundary", "errors", "evolve",
+    "connection_coefficients", "delta_boundary", "errors", "evolve",
     "exact_box_scattering", "jump_matrix", "phase_data", "psi", "q_asymptotic",
     "spectral_interpolate", "stationary_point", "weber_D",
 ]

@@ -19,12 +19,12 @@ term would be overtaken by the O(t^{-3/4}) remainder (and the mirrored
 threshold is refused symmetrically); inside a 0.02-wide band below the
 threshold the evaluation is flagged "marginal".
 
-Every query reads its phase data off a `SpectralContext` built once per
-scattering data set, from the context's memo of one `PhaseData` per distinct
-float xi.  `asym` fills that memo for all the xi of its queries with one
-`phase_data` sweep before the first query; a xi missing from it is computed
-on its own.  The factors 1/Gamma(1 - i nu) and nu/(r rbreve) depend on xi
-alone and are computed once per memo entry (`PhaseData.ray_factors`).
+Each evaluation reads one `PhaseData`: nu(xi), delta0(xi), r(xi) and rbreve(xi),
+the inputs of the model problem at the stationary point.  `_serves` is the one
+rule for which xi the formula serves; the config applies it to its rays and the
+CLI to its queries before one `phase_data` sweep over their distinct xi.  The
+factors 1/Gamma(1 - i nu) and nu/(r rbreve) depend on xi alone and are computed
+once per `PhaseData` (`PhaseData.ray_factors`).
 """
 
 from __future__ import annotations
@@ -33,15 +33,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BadInput,
-    NonpositiveTime,
-    RouteDisagreement,
-    ValidityViolation,
-    WindowExceeded,
-)
+from .errors import BadInput, NonpositiveTime, RouteDisagreement, ValidityViolation
 from .model import connection_coefficients
-from .phase import PhaseData, SpectralContext, phase_data, stationary_point
+from .phase import PhaseData
 
 IM_NU_LIMIT = 0.25
 MARGIN = 0.02
@@ -50,7 +44,6 @@ T_MIN_DEFAULT = 10.0
 
 @dataclass
 class AsymptoticEvaluation:
-    x: float
     t: float
     xi: float
     alpha: complex
@@ -65,16 +58,6 @@ def _serves(z_lo: float, z_hi: float, xi: float) -> bool:
     never served.  The config's rays and every query obey this one rule."""
     pad = 0.01 * (z_hi - z_lo)
     return z_lo + pad <= xi <= z_hi - pad and z_lo <= xi - 1.0
-
-
-def _fill_phase_memo(ctx: SpectralContext, queries) -> None:
-    """Phase data at every distinct xi = -x/(4t) of the (x, t) queries that the ray
-    formula serves, in first-seen order, into ctx.phase_memo from one `phase_data`
-    sweep; q_asymptotic refuses the others query by query."""
-    xis = dict.fromkeys(stationary_point(x, t) for x, t in queries)
-    fresh = [xi for xi in xis if xi not in ctx.phase_memo and _serves(ctx.z_lo, ctx.z_hi, xi)]
-    if fresh:
-        ctx.phase_memo.update(zip(fresh, phase_data(ctx, fresh)))
 
 
 def alpha(phase: PhaseData, t: float) -> complex:
@@ -112,9 +95,10 @@ def _gate(nu: complex) -> str:
     return "valid" if abs(im) < IM_NU_LIMIT - MARGIN else "marginal"
 
 
-def q_asymptotic(x: float, t: float, ctx: SpectralContext,
+def q_asymptotic(phase: PhaseData, t: float,
                  t_min: float = T_MIN_DEFAULT) -> AsymptoticEvaluation:
-    """Leading-order q(x, t) with validity diagnostics.
+    """Leading-order q(x, t) on the ray xi = phase.xi = -x/(4t), with validity
+    diagnostics.
 
     Both the alpha route and the 2 beta1/sqrt(8t) route are computed; they
     are the same algebra regrouped, and their agreement (1e-10) guards the
@@ -122,20 +106,12 @@ def q_asymptotic(x: float, t: float, ctx: SpectralContext,
     """
     if t < t_min:
         raise BadInput(f"t = {t} below configured t_min = {t_min}")
-    xi = stationary_point(x, t)
-    if not _serves(ctx.z_lo, ctx.z_hi, xi):
-        raise WindowExceeded(
-            f"xi = {xi} is not served: it must lie at least 1% of the window's width "
-            f"inside [{ctx.z_lo}, {ctx.z_hi}], with xi - 1 >= {ctx.z_lo}")
-    ph = ctx.phase_memo.get(xi)
-    if ph is None:
-        ph = ctx.phase_memo[xi] = phase_data(ctx, xi)
-    nu = ph.nu_at_xi
+    nu = phase.nu_at_xi
     validity = _gate(nu)
 
-    q_model = 2.0 * connection_coefficients(ph, t).beta1 / math.sqrt(8.0 * t)
+    q_model = 2.0 * connection_coefficients(phase, t).beta1 / math.sqrt(8.0 * t)
 
-    a = alpha(ph, t)
+    a = alpha(phase, t)
     # t-power e^{(Im nu - 1/2) log t} in a single exponential
     q_closed = a * math.exp((nu.imag - 0.5) * math.log(t))
 
@@ -146,6 +122,6 @@ def q_asymptotic(x: float, t: float, ctx: SpectralContext,
             f"{q_model} vs {q_closed}"
         )
     return AsymptoticEvaluation(
-        x=float(x), t=float(t), xi=float(xi), alpha=a,
+        t=float(t), xi=phase.xi, alpha=a,
         q_leading=q_model, validity=validity, im_nu=float(nu.imag),
     )

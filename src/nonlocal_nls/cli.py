@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import io as nio
-from .asymptotics import _fill_phase_memo, q_asymptotic
+from .asymptotics import _serves, q_asymptotic
 from .config import ExperimentConfig
 from .errors import (
     BadInput,
@@ -24,11 +24,16 @@ from .errors import (
     MissingInputs,
     NonlocalNLSError,
     ValidityViolation,
-    WindowExceeded,
 )
 from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, snapshot_from_potential, spectral_interpolate
-from .phase import SpectralContext, delta_boundary, nu_tail_with_bound, phase_data
+from .phase import (
+    SpectralContext,
+    delta_boundary,
+    nu_tail_with_bound,
+    phase_data,
+    stationary_point,
+)
 from .scattering import check_genericity, compute_scattering, exact_box_scattering
 
 
@@ -91,13 +96,25 @@ def _scatter_data(cfg: ExperimentConfig):
     return compute_scattering(cfg.potential, cfg.z_grid())
 
 
-def _leading(x, t, spectral, cfg: ExperimentConfig):
-    """(q, validity, Im nu) of the leading term; NaN and "invalid" where it is refused."""
-    try:
-        ev = q_asymptotic(x, t, spectral, t_min=cfg.t_min)
-    except (ValidityViolation, WindowExceeded):
-        return complex(math.nan, math.nan), "invalid", math.nan
-    return ev.q_leading, ev.validity, ev.im_nu
+def _ray_phases(spectral: SpectralContext, queries) -> dict:
+    """{xi: PhaseData} at every distinct xi = -x/(4t) of the (x, t) queries that the
+    ray formula serves, in first-seen order, from one `phase_data` sweep."""
+    xis = [xi for xi in dict.fromkeys(stationary_point(x, t) for x, t in queries)
+           if _serves(spectral.z_lo, spectral.z_hi, xi)]
+    return dict(zip(xis, phase_data(spectral, xis))) if xis else {}
+
+
+def _leading(x, t, phases: dict, cfg: ExperimentConfig):
+    """(q, validity, Im nu) of the leading term; NaN and "invalid" where it is refused:
+    at a xi that `phases` lacks (one the ray formula does not serve) or by the Im nu gate."""
+    ph = phases.get(stationary_point(x, t))
+    if ph is not None:
+        try:
+            ev = q_asymptotic(ph, t, t_min=cfg.t_min)
+            return ev.q_leading, ev.validity, ev.im_nu
+        except ValidityViolation:
+            pass
+    return complex(math.nan, math.nan), "invalid", math.nan
 
 
 @_command()
@@ -141,11 +158,10 @@ def asym(ctx, queries_path):
         queries = [(-4.0 * xi * t, t) for xi in cfg.rays for t in cfg.times]
     if not queries:
         raise BadInput("no queries: pass --queries or configure rays and times")
-    spectral = SpectralContext(_scatter_data(cfg))
-    _fill_phase_memo(spectral, queries)
+    phases = _ray_phases(SpectralContext(_scatter_data(cfg)), queries)
     rows = []
     for x, t in queries:
-        q, validity, im_nu = _leading(x, t, spectral, cfg)
+        q, validity, im_nu = _leading(x, t, phases, cfg)
         rows.append({"x": x, "t": t, "xi": -x / (4.0 * t), "re_q": q.real, "im_q": q.imag,
                      "abs_q": abs(q), "im_nu": im_nu, "validity": validity})
     nio.write_asym_csv(rows, out / "asym.csv")
@@ -187,7 +203,9 @@ def compare(ctx):
     out = _outdir(ctx)
     if not cfg.rays or not cfg.times:
         raise BadInput("compare needs both rays and times in the config")
-    spectral = SpectralContext(_scatter_data(cfg))
+    # every ray's phase data before the PDE, so that a refused ray costs no evolve
+    phases = _ray_phases(SpectralContext(_scatter_data(cfg)),
+                         [(-4.0 * xi * t, t) for xi in cfg.rays for t in cfg.times])
     snaps = evolve(cfg.potential, cfg.times, cfg.dt)
     rows = []
     fits = {}
@@ -201,7 +219,7 @@ def compare(ctx):
                 continue
             q_num = spectral_interpolate(snap, x)
             try:
-                q_asym, validity, _ = _leading(x, t, spectral, cfg)
+                q_asym, validity, _ = _leading(x, t, phases, cfg)
             except NonlocalNLSError as exc:
                 # flush what we have with a failure marker, then propagate
                 q_asym, validity = complex(math.nan, math.nan), "failed"

@@ -14,18 +14,18 @@ Definitions used throughout (normative properties in parentheses):
 The delta exponent carries a single factor of i so that the stated jump
 holds; the beta integrand carries 1/(s - z) for the same reason.  `beta`
 integrates the removable sqrt-type endpoint behavior at s = xi with the
-substitution s = xi - u^2; `delta0` needs none (see there).
+substitution s = xi - u^2; delta0 needs none (see `_sweep`).
 
 All of it is read off one `SpectralContext`, the only input of every
 function here; it refuses non-finite r or rbreve, data whose genericity
 report fails, and any xi whose integration range leaves its grid (NaN too).
 nu is one function of s, the same bits alone or in an array (1 - r rbreve is
-formed in real arithmetic).  `delta0` and the nu tail integral use composite
-Gauss-Legendre on the spline knots (nu from the node table, one spline call on
-the last, partial interval; `delta0` and `phase_data` take a 1-d array of xi too
-and make that call once for all of them), with the embedded half rule as error
-estimate; `phase_data` reads r, rbreve and nu at xi off that same call.  The
-boundary values of delta and `beta` at general z use the independent oracle
+formed in real arithmetic, on the grid too).  delta0 and the nu tail integral
+use composite Gauss-Legendre on the spline knots (nu from the node table, one
+spline call on the last, partial interval; `phase_data` takes a 1-d array of xi
+too and makes that call once for all of them), with the embedded half rule as
+error estimate; `phase_data` reads r, rbreve and nu at xi off that same call.
+The boundary values of delta and `beta` at general z use the independent oracle
 `quad`: adaptive Gauss-Legendre 21 with |G21 - G10| as error estimate,
 vectorized, with no knot alignment.
 """
@@ -73,7 +73,7 @@ def _gate(err: float) -> float:
 
 
 def _one_minus_rrb(v):
-    """1 - r rbreve from the spline's columns v[0..3] (re r, im r, re rbreve, im rbreve) in
+    """1 - r rbreve from the real columns v[0..3] (re r, im r, re rbreve, im rbreve) in
     real arithmetic, as numpy's array complex product fuses multiply-adds and its 0-d one
     does not."""
     w = np.empty(np.shape(v[0]), complex)
@@ -93,7 +93,7 @@ def _branch_nu(w, arg_ref):
 
 
 class SpectralContext:
-    """Spline, quadrature node table and per-xi phase memo of one ScatteringData."""
+    """Spline and quadrature node table of one ScatteringData."""
 
     def __init__(self, data: ScatteringData):
         if not (np.isfinite(data.r).all() and np.isfinite(data.r_breve).all()):
@@ -105,7 +105,7 @@ class SpectralContext:
         rep = check_genericity(data)
         if not rep.passed:
             raise GenericityViolation(rep.refusal())
-        w = 1.0 - data.r * data.r_breve
+        w = _one_minus_rrb((data.r.real, data.r.imag, data.r_breve.real, data.r_breve.imag))
         arg = np.unwrap(np.angle(w))
         arg -= arg[0] - math.remainder(arg[0], 2.0 * math.pi)
         self.branch_max_arg = float(np.abs(arg).max())
@@ -130,7 +130,6 @@ class SpectralContext:
         w_low[sub] = np.linalg.solve(leg.legvander(self._gx[sub], sub.size - 1).T,
                                      np.eye(sub.size)[0] * 2.0)
         self._gdw = self._gw - w_low
-        self.phase_memo: dict[float, PhaseData] = {}
 
     def _window(self, lo: float, hi: float):
         """Refuse unless z_lo <= lo and hi <= z_hi; a NaN end is refused too."""
@@ -310,13 +309,6 @@ def _sweep(ctx: SpectralContext, xi):
         _gate(e.sum() + ep.sum())
         d0[i] = cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(x - ctx.z_lo)))
     return xis, cols, nu_xis, d0
-
-
-def delta0(ctx: SpectralContext, xi):
-    """delta0(xi) = e^{i beta(xi, xi)}, from `_sweep`.  A float xi gives a complex, a
-    1-d array an array of one value per entry."""
-    d0 = _sweep(ctx, xi)[3]
-    return d0 if np.ndim(xi) else complex(d0[0])
 
 
 def nu_tail_with_bound(ctx: SpectralContext, xi: float):

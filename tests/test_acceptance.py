@@ -175,7 +175,7 @@ def test_criterion_6_route_equivalence(box03_ctx):
              (-0.35, 64.0), (0.0, 41.0)]
     worst = 0.0
     for xi, t in pairs:
-        ev = q_asymptotic(-4 * xi * t, t, box03_ctx)   # internal 1e-10 cross-check
+        ev = q_asymptotic(phase_data(box03_ctx, xi), t)   # internal 1e-10 cross-check
         worst = max(worst, abs(ev.im_nu))
     z = np.linspace(-8, 8, 1025)
     sctx = synthetic_context(
@@ -184,7 +184,7 @@ def test_criterion_6_route_equivalence(box03_ctx):
         lambda s: 0.35 * np.exp(-2.0 * (s + 0.2) ** 2 - 0.4j * s),
     )
     for xi, t in ((0.3, 30.0), (0.0, 75.0), (-0.4, 200.0), (0.6, 45.0)):
-        q_asymptotic(-4 * xi * t, t, sctx)
+        q_asymptotic(phase_data(sctx, xi), t)
 
     from nonlocal_nls import alpha
     ph = phase_data(box03_ctx, 0.45)
@@ -201,10 +201,10 @@ def test_criterion_7_end_to_end_rate(accept_gauss_ctx, pde_run):
     summary = []
     for xi in (0.3, 0.5):
         errs = []
+        ph = phase_data(accept_gauss_ctx, xi)
         for snap in snaps:
-            x = -4.0 * xi * snap.t
-            q_num = spectral_interpolate(snap, x)
-            ev = q_asymptotic(x, snap.t, accept_gauss_ctx)
+            q_num = spectral_interpolate(snap, -4.0 * xi * snap.t)
+            ev = q_asymptotic(ph, snap.t)
             errs.append(abs(q_num - ev.q_leading))
         monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         slope = float(np.polyfit(np.log(times), np.log(errs), 1)[0])
@@ -226,9 +226,10 @@ def test_decay_law_with_nonzero_im_nu():
     summary = []
     for xi in (0.24, -0.24):
         q_num, q_asym = [], []
+        ph = phase_data(ctx, xi)
         for snap in snaps:
             x = -4.0 * xi * snap.t
-            ev = q_asymptotic(x, snap.t, ctx)
+            ev = q_asymptotic(ph, snap.t)
             assert ev.validity == "valid"
             q_num.append(spectral_interpolate(snap, x))
             q_asym.append(ev.q_leading)
@@ -271,7 +272,7 @@ def test_criterion_9_degenerate_gates():
     [snap] = evolve(pot, [40.0], 0.01)
     xi = 0.3
     q_num = spectral_interpolate(snap, -4 * xi * 40.0)
-    ev = q_asymptotic(-4 * xi * 40.0, 40.0, ctx)
+    ev = q_asymptotic(phase_data(ctx, xi), 40.0)
     assert ev.q_leading == 0
     assert abs(q_num - ev.q_leading) == 0.0
 
@@ -286,6 +287,6 @@ def test_criterion_9_degenerate_gates():
     nu = nu_at(sctx, 0.3)
     assert nu.imag >= 0.25
     with pytest.raises(ValidityViolation):
-        q_asymptotic(-4 * 0.3 * 50.0, 50.0, sctx)
+        q_asymptotic(phase_data(sctx, 0.3), 50.0)
     _report(9, "zero potential: q_asym == 0 with zero comparison error; "
                f"Im nu = {nu.imag:.3f} >= 1/4 refused with ValidityViolation")

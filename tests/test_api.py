@@ -17,8 +17,8 @@ def test_public_names_are_pinned():
     assert nonlocal_nls.__all__ == [
         "AsymptoticEvaluation", "FieldSnapshot", "GenericityReport", "ModelCoefficients",
         "PhaseData", "Potential", "ScatteringData", "alpha", "beta", "check_genericity",
-        "compute_scattering", "connection_coefficients", "delta0", "delta_boundary",
-        "errors", "evolve", "exact_box_scattering", "jump_matrix", "phase_data", "psi",
+        "compute_scattering", "connection_coefficients", "delta_boundary", "errors",
+        "evolve", "exact_box_scattering", "jump_matrix", "phase_data", "psi",
         "q_asymptotic", "spectral_interpolate", "stationary_point", "weber_D"]
 
 

@@ -1,15 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from nonlocal_nls import (
     Potential,
     alpha,
+    cli,
     compute_scattering,
     connection_coefficients,
     phase_data,
     q_asymptotic,
+    stationary_point,
 )
-from nonlocal_nls.errors import BadInput, NonpositiveTime, ValidityViolation, WindowExceeded
+from nonlocal_nls.errors import BadInput, NonpositiveTime, ValidityViolation
 from nonlocal_nls.phase import SpectralContext
 
 from oracles import nu_at
@@ -18,16 +23,16 @@ from oracles import nu_at
 def test_zero_potential_leading_term_vanishes():
     pot = Potential(kind="zero", L=16.0, N=256)
     ctx = SpectralContext(compute_scattering(pot, np.linspace(-8, 8, 257)))
-    ev = q_asymptotic(-20.0, 25.0, ctx)
+    ev = q_asymptotic(phase_data(ctx, 0.2), 25.0)
     assert ev.q_leading == 0
     assert ev.alpha == 0
     assert ev.validity == "valid"
 
 
 def test_scaling_law_exact(box_ctx):
-    xi = 0.5
-    ev1 = q_asymptotic(-4 * xi * 40.0, 40.0, box_ctx)
-    ev2 = q_asymptotic(-4 * xi * 80.0, 80.0, box_ctx)
+    ph = phase_data(box_ctx, 0.5)
+    ev1 = q_asymptotic(ph, 40.0)
+    ev2 = q_asymptotic(ph, 80.0)
     ratio = abs(ev2.q_leading) / abs(ev1.q_leading)
     assert ratio == pytest.approx(2.0 ** (ev1.im_nu - 0.5), rel=1e-12)
 
@@ -41,9 +46,9 @@ def test_alpha_modulus_t_independent(box_ctx):
 
 def test_route_equivalence_ten_pairs(box_ctx, make_synthetic):
     # real-nu pipeline data plus complex-nu synthetic data
-    for xi in (0.2, 0.45):
+    for ph in phase_data(box_ctx, [0.2, 0.45]):
         for t in (25.0, 60.0, 110.0):
-            q_asymptotic(-4 * xi * t, t, box_ctx)  # raises if routes split
+            q_asymptotic(ph, t)  # raises if routes split
     z = np.linspace(-8, 8, 1025)
     ctx = make_synthetic(
         z,
@@ -52,7 +57,7 @@ def test_route_equivalence_ten_pairs(box_ctx, make_synthetic):
     )
     im_nus = []
     for xi, t in ((0.3, 30.0), (0.0, 75.0), (-0.4, 200.0), (0.6, 45.0)):
-        ev = q_asymptotic(-4 * xi * t, t, ctx)
+        ev = q_asymptotic(phase_data(ctx, xi), t)
         im_nus.append(ev.im_nu)
     assert any(v != 0 for v in im_nus)  # genuinely complex-exponent cases
 
@@ -65,9 +70,9 @@ def test_anomalous_exponent_sign(make_synthetic):
         lambda s: 0.5 * np.exp(-1.5 * s ** 2 + 1.2j * s),
         lambda s: 0.5 * np.exp(-1.5 * s ** 2 + 1.2j * s),
     )
-    xi = 0.25
-    ev1 = q_asymptotic(-4 * xi * 50.0, 50.0, ctx)
-    ev2 = q_asymptotic(-4 * xi * 100.0, 100.0, ctx)
+    ph = phase_data(ctx, 0.25)
+    ev1 = q_asymptotic(ph, 50.0)
+    ev2 = q_asymptotic(ph, 100.0)
     assert ev1.im_nu != 0
     measured = np.log2(abs(ev2.q_leading) / abs(ev1.q_leading))
     assert measured == pytest.approx(ev1.im_nu - 0.5, abs=1e-10)
@@ -91,7 +96,7 @@ def test_validity_gate_refuses(make_synthetic):
     nu = nu_at(ctx, 0.3)
     assert abs(nu.imag) >= 0.25
     with pytest.raises(ValidityViolation):
-        q_asymptotic(-4 * 0.3 * 50.0, 50.0, ctx)
+        q_asymptotic(phase_data(ctx, 0.3), 50.0)
 
 
 def test_marginal_band_flagged(make_synthetic):
@@ -104,19 +109,32 @@ def test_marginal_band_flagged(make_synthetic):
         return ((1.0 - target) ** 0.5) * bump
 
     ctx = make_synthetic(z, r_fn, r_fn)
-    ev = q_asymptotic(-4 * 0.3 * 50.0, 50.0, ctx)
+    ev = q_asymptotic(phase_data(ctx, 0.3), 50.0)
     assert ev.validity == "marginal"
     assert 0.23 <= abs(ev.im_nu) < 0.25
 
 
-def test_window_exceeded(box_ctx):
-    with pytest.raises(WindowExceeded):
-        q_asymptotic(-4 * 15.99 * 50.0, 50.0, box_ctx)
+def test_window_exceeded(box_ctx, tmp_path):
+    # 15.99 lies on the grid [-16, 16] but not 1% of its width inside: the CLI sweeps
+    # no phase data for it, and `asym` writes its row "invalid"
+    t = 50.0
+    queries = [(-4 * 15.99 * t, t), (-4 * 0.3 * t, t)]
+    assert list(cli._ray_phases(box_ctx, queries)) == [stationary_point(*queries[1])]
+    box = {"kind": "box", "amplitude": [0.3, 0.0], "sigma": 1, "L": 8.0, "N": 256,
+           "params": {"left": -1.0, "right": 1.0}}
+    cfg, lines, out = tmp_path / "cfg.json", tmp_path / "q.jsonl", tmp_path / "o"
+    cfg.write_text(json.dumps({"potential": box, "window": {"z_max": 16.0, "n": 2049}}))
+    lines.write_text("".join(json.dumps({"x": x, "t": t}) + "\n" for x, t in queries))
+    res = CliRunner().invoke(cli.main, ["--config", str(cfg), "--out", str(out),
+                                        "asym", "--queries", str(lines)])
+    assert res.exit_code == 0, res.output
+    rows = (out / "asym.csv").read_text().splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["invalid", "valid"]
 
 
 def test_t_min_enforced(box_ctx):
     with pytest.raises(BadInput):
-        q_asymptotic(-4 * 0.3 * 5.0, 5.0, box_ctx)
+        q_asymptotic(phase_data(box_ctx, 0.3), 5.0)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0])

@@ -36,6 +36,13 @@ BOX_POT = {"kind": "box", "amplitude": [0.3, 0.0], "sigma": 1,
            "L": 8.0, "N": 256, "params": {"left": -1.0, "right": 1.0}}
 
 
+# the light gaussian of the small end-to-end runs
+LIGHT_GAUSS = {"kind": "gaussian", "amplitude": [0.08, 0.0], "sigma": 1,
+               "L": 128.0, "N": 4096, "params": {"width": 2.0}}
+LIGHT_RUN = {"rays": [0.25], "times": [12.0, 18.0, 27.0], "window": {"z_max": 8.0, "n": 513},
+             "pde": {"dt": 0.004}, "t_min": 10.0}
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -390,13 +397,17 @@ def test_determinism_byte_identical(tmp_path, runner):
     queries = tmp_path / "q.jsonl"
     queries.write_text("".join(json.dumps({"x": -4.0 * xi * t, "t": t}) + "\n"
                                for t in (20.0, 40.0) for xi in (0.4, -1.3, 0.4, 5.99)))
+    light = _write_config(tmp_path / "light.json", LIGHT_GAUSS, **LIGHT_RUN)
+    runs = [(cfg, ["scatter"]), (cfg, ["asym", "--queries", str(queries)]),
+            (light, ["phase"]), (light, ["compare"])]
+    files = ("scattering.csv", "asym.csv", "phase.json", "compare.csv", "fits.json")
     outs = []
     for name in ("o1", "o2"):
         out = tmp_path / name
-        for command in (["scatter"], ["asym", "--queries", str(queries)]):
-            res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), *command])
-            assert res.exit_code == 0
-        outs.append([(out / f).read_bytes() for f in ("scattering.csv", "asym.csv")])
+        for config, command in runs:
+            res = runner.invoke(main, ["--config", str(config), "--out", str(out), *command])
+            assert res.exit_code == 0, res.output
+        outs.append([(out / f).read_bytes() for f in files])
     assert outs[0] == outs[1]
 
 
@@ -462,6 +473,41 @@ def test_asym_sweeps_every_distinct_xi_once(tmp_path, runner, monkeypatch):
     assert len(gammas) == len(served)
 
 
+def test_compare_sweeps_every_ray_once(tmp_path, runner, monkeypatch):
+    # the phase data of every (ray, time) come from one array spline call, as in asym
+    calls = []
+    spline = UniformSpline.__call__
+    monkeypatch.setattr(UniformSpline, "__call__",
+                        lambda self, x: calls.append(np.shape(x)) or spline(self, x))
+    rays, times = [0.25, -0.3, 1.0], LIGHT_RUN["times"]
+    cfg = _write_config(tmp_path / "cfg.json", LIGHT_GAUSS, **{**LIGHT_RUN, "rays": rays})
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "o"), "compare"])
+    assert res.exit_code == 0, res.output
+    xis = {-(-4.0 * xi * t) / (4.0 * t) for xi in rays for t in times}
+    # besides the sweep, only the node table: one call of 8 nodes per knot interval
+    assert sorted(shape for shape in calls if shape) == [(9 * len(xis),), (8 * 512,)]
+    assert calls.count(()) == 0
+
+
+def test_compare_refuses_a_ray_before_the_pde(tmp_path, runner, monkeypatch):
+    # the README trap, shortened: delta0's quadrature error estimate at +-0.24 fails its
+    # gate, so compare exits 3 before it evolves or writes anything, as phase and asym do
+    def refuse(*args, **kwargs):
+        raise AssertionError("the PDE ran for a refused ray")
+
+    monkeypatch.setattr(cli, "evolve", refuse)
+    pot = {"kind": "gaussian", "amplitude": [0.3, 0.0], "sigma": 1,
+           "L": 32.0, "N": 1024, "params": {"width": 1.5, "center": 1.0}}
+    cfg = _write_config(tmp_path / "cfg.json", pot, rays=[0.24, -0.24],
+                        times=[40.0, 80.0, 160.0], window={"z_max": 8.0, "n": 1025},
+                        pde={"dt": 0.005})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "compare"])
+    assert res.exit_code == 3, res.output
+    assert "quadrature error estimate" in res.output
+    assert not (out / "compare.csv").exists()
+
+
 def test_verify_subcommand(tmp_path, runner):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     res = runner.invoke(main, ["--config", str(cfg), "--out",
@@ -472,12 +518,7 @@ def test_verify_subcommand(tmp_path, runner):
 
 def test_compare_and_report_small(tmp_path, runner):
     # tiny but honest end-to-end through the CLI on a light config
-    pot = {"kind": "gaussian", "amplitude": [0.08, 0.0], "sigma": 1,
-           "L": 128.0, "N": 4096, "params": {"width": 2.0}}
-    cfg = _write_config(tmp_path / "cfg.json", pot,
-                        rays=[0.25], times=[12.0, 18.0, 27.0],
-                        window={"z_max": 8.0, "n": 513},
-                        pde={"dt": 0.004}, t_min=10.0)
+    cfg = _write_config(tmp_path / "cfg.json", LIGHT_GAUSS, **LIGHT_RUN)
     out = tmp_path / "out"
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "compare"])
     assert res.exit_code == 0, res.output
@@ -520,12 +561,7 @@ def test_verify_ray_far_left_exits_0(tmp_path, runner):
 def test_route_disagreement_fails_rows_exits_3(tmp_path, runner, monkeypatch):
     alpha = asymptotics.alpha
     monkeypatch.setattr(asymptotics, "alpha", lambda ph, t: alpha(ph, t) * (1.0 + 1e-6))
-    pot = {"kind": "gaussian", "amplitude": [0.08, 0.0], "sigma": 1,
-           "L": 128.0, "N": 4096, "params": {"width": 2.0}}
-    cfg = _write_config(tmp_path / "cfg.json", pot,
-                        rays=[0.25], times=[12.0, 18.0, 27.0],
-                        window={"z_max": 8.0, "n": 513},
-                        pde={"dt": 0.004}, t_min=10.0)
+    cfg = _write_config(tmp_path / "cfg.json", LIGHT_GAUSS, **LIGHT_RUN)
     out = tmp_path / "out"
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "compare"])
     assert res.exit_code == 3

@@ -8,11 +8,10 @@ from scipy.integrate import quad
 
 from nonlocal_nls import (
     Potential,
-    asymptotics,
     beta,
     check_genericity,
+    cli,
     compute_scattering,
-    delta0,
     delta_boundary,
     exact_box_scattering,
     phase,
@@ -178,7 +177,7 @@ class TestBetaFactorization:
         assert slope >= 0.45
 
     def test_delta0_limit_consistency(self, box_ctx):
-        d0 = delta0(box_ctx, XI)
+        d0 = phase_data(box_ctx, XI).delta0
         nuxi = nu_at(box_ctx, XI)
         z = complex(XI, 1e-4)
         val = delta(box_ctx, XI, z) * np.exp(-1j * nuxi * np.log(complex(z - XI)))
@@ -188,7 +187,7 @@ class TestBetaFactorization:
         # doubling the grid sampling changes delta0 below 1e-6
         from nonlocal_nls import compute_scattering
         dense = SpectralContext(compute_scattering(box_plus, np.linspace(-16, 16, 4097)))
-        assert abs(delta0(dense, XI) - delta0(box_ctx, XI)) < 1e-6
+        assert abs(phase_data(dense, XI).delta0 - phase_data(box_ctx, XI).delta0) < 1e-6
 
 
 class TestNuTail:
@@ -253,6 +252,14 @@ class TestOnePathPerValue:
         for f in (ctx.nu, ctx.w):
             assert _same_bits(f(xs), [f(np.asarray(x)) for x in xs])
 
+    def test_grid_w_is_formed_as_the_spline_forms_it(self, accept_gauss_ctx, accept_gauss_data):
+        # a sigma = +1 real even gaussian has rbreve = -conj(r), so 1 - r rbreve is real
+        # and its arg is exactly 0 in real arithmetic; numpy's fused complex product
+        # left 2.5e-18 on the grid
+        data = accept_gauss_data
+        assert np.array_equal(data.r_breve, -np.conj(data.r))
+        assert accept_gauss_ctx.branch_max_arg == 0.0
+
     def test_delta0_subtracts_nu_at_xi(self, one_path_ctx, monkeypatch):
         # every nu that the sweep reads at a point equal to xi is that xi's nu_at_xi
         ctx = one_path_ctx
@@ -312,7 +319,7 @@ class TestGaussLegendrePath:
         monkeypatch.setattr(phase, "GL_NODES", 2 * phase.GL_NODES)
         fine = SpectralContext(spectral)
         for xi in XI_FIXED:
-            assert abs(delta0(coarse, xi) - delta0(fine, xi)) <= 1e-13
+            assert abs(phase_data(coarse, xi).delta0 - phase_data(fine, xi).delta0) <= 1e-13
             assert abs(nu_tail_with_bound(coarse, xi)[0]
                        - nu_tail_with_bound(fine, xi)[0]) <= 1e-13
 
@@ -323,7 +330,7 @@ class TestGaussLegendrePath:
         for ctx in (box_ctx, accept_gauss_ctx):
             xi = min(ctx.z_lo + 1.0 + u * (ctx.z_hi - ctx.z_lo - 1.0), ctx.z_hi)
             d0 = cmath.exp(1j * beta(ctx, xi, complex(xi)))
-            assert abs(delta0(ctx, xi) - d0) <= 1e-9 * abs(d0)
+            assert abs(phase_data(ctx, xi).delta0 - d0) <= 1e-9 * abs(d0)
 
     @pytest.mark.parametrize("xi", [0.5, -5.0, 0.0])
     def test_xi_on_a_knot(self, box_ctx, accept_gauss_ctx, xi):
@@ -331,10 +338,10 @@ class TestGaussLegendrePath:
         # grid; one ulp above a knot the last interval is one ulp long (5e-324 above 0)
         for ctx in (box_ctx, accept_gauss_ctx):
             assert xi in ctx.z_grid
-            d0 = delta0(ctx, xi)
+            d0 = phase_data(ctx, xi).delta0
             assert cmath.isfinite(d0)
             for near in (xi - 1e-12, xi + 1e-12, np.nextafter(xi, np.inf)):
-                assert abs(delta0(ctx, near) - d0) <= 1e-11
+                assert abs(phase_data(ctx, near).delta0 - d0) <= 1e-11
 
     def test_phase_data_makes_no_quad_calls(self, box_ctx, monkeypatch):
         def refuse(*args, **kwargs):
@@ -385,7 +392,7 @@ class TestGaussLegendrePath:
             (nu_at, 0.0),
             (lambda ctx, xi: delta(ctx, xi, 1.0 + 1.0j), 0.0),
             (lambda ctx, xi: beta(ctx, xi, 1.0 + 1.0j), 1.0),
-            (delta0, 1.0),
+            (phase_data, 1.0),
             (nu_tail_with_bound, 0.0),
         ]
         for call, reach in entry_points:
@@ -434,25 +441,26 @@ class TestGaussLegendrePath:
         def refuse(*args, **kwargs):
             raise AssertionError("the nu tail integral ran on the query path")
 
-        monkeypatch.setattr(phase, "nu_tail_with_bound", refuse)
+        for mod in (phase, cli):
+            monkeypatch.setattr(mod, "nu_tail_with_bound", refuse)
         ctx = SpectralContext(box_data)
         t = 40.0
-        for xi in (-5.1, 0.3, 0.5, 7.3):
-            q_asymptotic(-4.0 * xi * t, t, ctx)
-        assert len(ctx.phase_memo) == 4
+        phases = cli._ray_phases(ctx, [(-4.0 * xi * t, t) for xi in (-5.1, 0.3, 0.5, 7.3)])
+        for ph in phases.values():
+            q_asymptotic(ph, t)
+        assert len(phases) == 4
 
-    def test_memo_keeps_nearby_xi_apart(self, box_data, monkeypatch):
+    def test_memo_keeps_nearby_xi_apart(self, box_ctx, monkeypatch):
+        # the CLI's phase data are keyed by the float xi, one sweep for all of them
         calls = []
-        monkeypatch.setattr(asymptotics, "phase_data",
-                            lambda ctx, xi: calls.append(xi) or phase_data(ctx, xi))
-        ctx = SpectralContext(box_data)
+        monkeypatch.setattr(cli, "phase_data",
+                            lambda ctx, xi: calls.append(list(xi)) or phase_data(ctx, xi))
         t = 40.0
-        for xi in (0.5, 0.5 + 3e-13, 0.5):
-            q_asymptotic(-4.0 * xi * t, t, ctx)
-        keys = sorted(ctx.phase_memo)
+        phases = cli._ray_phases(box_ctx, [(-4.0 * xi * t, t) for xi in (0.5, 0.5 + 3e-13, 0.5)])
+        keys = sorted(phases)
         assert len(keys) == 2 and keys[0] != keys[1]
         assert round(keys[0], 12) == round(keys[1], 12)
-        assert len(calls) == 2
+        assert calls == [list(phases)]
 
     def test_sweep_equals_single_calls(self, box_ctx, accept_gauss_ctx):
         # knots (0.5, -5, 0), a few ulps above 0.5, 1e-308 above the knot 0 (offsets
@@ -470,8 +478,6 @@ class TestGaussLegendrePath:
                 for f in dataclasses.fields(ph):
                     assert _same_bits(getattr(ph, f.name), getattr(single, f.name)), f.name
                 assert _same_bits(ph.nu_at_xi, nu)
-                assert ph.delta0 == delta0(ctx, float(xi))
-            assert list(delta0(ctx, xis)) == [ph.delta0 for ph in swept]
             assert phase_data(ctx, xis[:0]) == []
 
     def test_sweep_refuses_what_one_xi_refuses(self, box_ctx):
