@@ -31,15 +31,17 @@ One kernel, `_propagate`, applies these exponentials to a list of columns;
 z[::-1] == -z it sums each series exponential once per +-z pair, as
 E(-z) = J E(z)^T J with J = sigma1, and still steps the -z columns through
 their own product (see `_propagate`).  In the step control, `_refine`,
-[-X, X] is cut once into a plan of pieces with a quarter of 2 int(32 X)
-steps, and the candidate levels take each piece's count times 4, 8, 16
-and 32, each accepted or not on a Richardson estimate against the level
-before, the plan itself for the first.  The step ratio is exact in every
-piece, and the first check costs a quarter of a level.  A smooth q starts
-at 384 steps or more; the box, on which CF4 is exact between breakpoints,
-has no such floor.  Each level is a single pass; the plan is cut at 0, so
-Y(0) and Y(+X) of the accepted level are the result and nothing is
-integrated twice.
+[-X, X] is cut once into a plan of pieces read off q, and the candidate
+levels take each piece's count times 4, 8, 16 and 32, each accepted or not
+on a Richardson estimate against the level before, the plan itself for the
+first.  A piece where q is constant takes one plan step, as CF4 is exact
+there (more only where |q| h would reach 8).  On a smooth q the first
+candidate takes max(2 int(32 X), ceil(8 X k_sig / 0.85)) steps for the
+signal bandwidth k_sig: steps of at most about 1/32, which keeps
+z_max h <= 1/2 on a |z| <= 16 window, and of at most 0.2125 / k_sig; the
+rule does not read z_max.  Each level is a single pass; the plan is cut
+at 0, so Y(0) and Y(+X) of the accepted level are the result and nothing
+is integrated twice.
 """
 
 from __future__ import annotations
@@ -200,10 +202,13 @@ def _cf4_steps(potential, segments):
 def _refine(level, potential, nodes):
     """Accept the first candidate level whose Richardson estimate passes.
 
-    The plan is the `_split` of [-X, X] at `nodes` with a quarter of the
-    first candidate's 2 int(32 X) steps, at least 384 for a smooth q, as a
-    short support may hold narrow features (a gaussian of width 0.1 stalls
-    without them), while CF4 is exact on a box.  `level(segments)`
+    The plan is the `_split` of [-X, X] at `nodes`.  Where q is constant
+    between its breakpoints, CF4 is exact: one step per piece, more only
+    where |q| h would reach 8 (|bc| 16, in the series' range).  A smooth q
+    takes a quarter of n1 = max(2 int(32 X), ceil(8 X k_sig / 0.85)) steps,
+    so the first candidate's step is at most about 1/32 (z_max h <= 1/2 on
+    a |z| <= 16 window) and at most 0.2125 / k_sig, for the bandwidth k_sig
+    of q; the rule does not read z_max.  `level(segments)`
     integrates a list of pieces and returns (end, result).  The MAX_REFINE
     candidates take each plan count times 4, 8, 16, ...; the first is
     checked against the plan, each later one against the one before.  At
@@ -217,10 +222,12 @@ def _refine(level, potential, nodes):
     IntegratorDivergence when no candidate gets there.
     """
     X = potential.scatter_halfwidth()
-    n_first = 2 * int(32 * X)
-    if potential.kind != "box":
-        n_first = max(384, n_first)
-    plan = _split(potential, -X, X, (n_first + 3) // 4, nodes)
+    if potential.breakpoints() is None:
+        n_first = max(2 * int(32 * X), int(np.ceil(8.0 * X * potential.signal_bandwidth / 0.85)))
+        n_plan = (n_first + 3) // 4
+    else:
+        n_plan = 1 + int(X * abs(potential.amplitude) / 4.0)
+    plan = _split(potential, -X, X, n_plan, nodes)
     prev = level(plan)[0]
     for k in range(MAX_REFINE):
         segments = [(a, b, n << (k + 2)) for a, b, n in plan]

@@ -51,19 +51,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadInput, BoundaryContamination, NonpositiveTime, StepTooLarge
-from .potentials import Potential
+from .potentials import BAND_LEVEL, Potential
 
 T = 2.0                       # lens time: t in [0, inf) maps to tau in [0, T)
 OUTER_BAND = 0.1              # fraction of the y box counted as its edge
 CONTAMINATION_LIMIT = 1e-6    # |v|^2 mass fraction on the edge or in the top
                               # half of the spectrum that aborts
-BAND_LEVEL = 1e-10            # |q0| / max |q0| and |qhat| / max |qhat| counted as signal
 MONITOR_EVERY = 100           # steps between edge checks
 
 
 def mirror(q: np.ndarray) -> np.ndarray:
     """Samples of q(-x) on the symmetric periodic grid."""
-    return np.roll(q[::-1], 1)
+    return np.concatenate((q[:1], q[:0:-1]))
 
 
 def nonlocal_mass(q: np.ndarray, dx: float) -> complex:
@@ -99,17 +98,6 @@ class FieldSnapshot:
         return _field(self, self.grid)
 
 
-def signal_bandwidth(q: np.ndarray, L: float) -> float:
-    """Largest |k| whose spectral amplitude exceeds BAND_LEVEL * max |qhat|."""
-    N = len(q)
-    k = 2.0 * np.pi * np.fft.fftfreq(N, d=2.0 * L / N)
-    mag = np.abs(np.fft.fft(q))
-    hot = mag > BAND_LEVEL * mag.max(initial=0.0)
-    if not hot.any():
-        return 0.0
-    return float(np.abs(k[hot]).max())
-
-
 def _lens_box(x: np.ndarray, q0: np.ndarray, k_sig: float) -> tuple[float, int]:
     """Half-width Y and point count n of the y box for q0 sampled at x."""
     mag = np.abs(q0)
@@ -122,23 +110,16 @@ def _lens_box(x: np.ndarray, q0: np.ndarray, k_sig: float) -> tuple[float, int]:
     return Y, n
 
 
-def _initial(potential: Potential) -> tuple[float, FieldSnapshot]:
-    """k_sig of q0 and the t = 0 snapshot on the lens box sized from q0."""
+def snapshot_from_potential(potential: Potential) -> FieldSnapshot:
+    """The t = 0 snapshot that `evolve` starts from, on the lens box sized from q0."""
     x = potential.grid()
-    q0 = potential(x)
-    k_sig = signal_bandwidth(q0, potential.L)
-    Y, n = _lens_box(x, q0, k_sig)
+    Y, n = _lens_box(x, potential(x), potential.signal_bandwidth)
     y = -Y + (2.0 * Y / n) * np.arange(n)
     v = np.exp(-1j * y * y / (4.0 * T)) * potential(y)
-    return k_sig, FieldSnapshot(
+    return FieldSnapshot(
         t=0.0, L=potential.L, N=potential.N, sigma=potential.sigma, v=v, Y=Y,
         nonlocal_mass=nonlocal_mass(v, 2.0 * Y / n), step_count=0,
     )
-
-
-def snapshot_from_potential(potential: Potential) -> FieldSnapshot:
-    """The t = 0 snapshot that `evolve` starts from."""
-    return _initial(potential)[1]
 
 
 def _free_flow(q: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -173,9 +154,10 @@ def _run(v, Y, sigma, w):
     tau = T * (1.0 - w * w)
     lin = np.diff(np.concatenate([tau[:1], 0.5 * (tau[1:] + tau[:-1]), tau[-1:]]))
     c = 4j * sigma * T * np.log(w[:-1] / w[1:])
-    v = _free_flow(v, np.exp(-1j * eta * eta * lin[0]))
+    phase = -1j * eta * eta
+    v = _free_flow(v, np.exp(phase * lin[0]))
     for step, c_step in enumerate(c):
-        v = _free_flow(_pt_flow(v, c_step), np.exp(-1j * eta * eta * lin[step + 1]))
+        v = _free_flow(_pt_flow(v, c_step), np.exp(phase * lin[step + 1]))
         if (step + 1) % MONITOR_EVERY == 0 or step == len(c) - 1:
             dens = np.abs(v) ** 2
             spec = np.abs(np.fft.fft(v)) ** 2
@@ -234,7 +216,7 @@ def evolve(potential: Potential, times, dt: float) -> list[FieldSnapshot]:
         raise NonpositiveTime(f"final time must be positive, got {times[-1]}")
     if times[0] < 0:
         raise BadInput(f"snapshot times must not be negative, got {times[0]}")
-    k_sig, snap = _initial(potential)
+    k_sig, snap = potential.signal_bandwidth, snapshot_from_potential(potential)
     plan = _schedule(times, dt)
     h_max = max(T * float(np.max(w[:-1] ** 2 - w[1:] ** 2, initial=0.0)) for _, w in plan)
     if h_max * k_sig ** 2 > 0.5:

@@ -13,6 +13,7 @@ at the Gauss points of each step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import BadInput
 
 #: |q| below this level counts as numerically absent (truncation criterion)
 TAIL_LEVEL = 1e-12
+#: |q0| / max |q0| and |qhat| / max |qhat| counted as signal
+BAND_LEVEL = 1e-10
 
 _KINDS = ("zero", "box", "gaussian", "samples")
 _NUMERIC_PARAMS = ("width", "center", "chirp", "left", "right")
@@ -172,6 +175,14 @@ class Potential:
         """conj(q(-x)), the partner sample entering the PT-symmetric product."""
         return np.conj(self(-np.asarray(x, dtype=float)))
 
+    @cached_property
+    def signal_bandwidth(self) -> float:
+        """Largest |k| whose spectral amplitude on the grid exceeds BAND_LEVEL * max |qhat|."""
+        k = 2.0 * np.pi * np.fft.fftfreq(self.N, d=2.0 * self.L / self.N)
+        mag = np.abs(np.fft.fft(self(self.grid())))
+        hot = mag > BAND_LEVEL * mag.max(initial=0.0)
+        return float(np.abs(k[hot]).max(initial=0.0))
+
     # -- geometry -----------------------------------------------------------
 
     def scatter_halfwidth(self) -> float:
@@ -194,7 +205,10 @@ class Potential:
         return min(max(abs(x[hot[0]]), abs(x[hot[-1]])) + 4.0 * self.L / self.N, self.L)
 
     def breakpoints(self) -> list[float] | None:
-        """Discontinuity locations of x -> (q(x), conj(q(-x))); None if smooth."""
+        """Jumps of x -> (q(x), conj(q(-x))), both constant between them; None if smooth.
+
+        `_cf4` plans one step per piece between them, where CF4 is exact.
+        """
         if self.kind != "box":
             return None
         left, right = self.params["left"], self.params["right"]

@@ -69,11 +69,16 @@ def jost_nodes(potential, z, nodes, n_steps):
     level's pieces cut at 0.  Returns one 4-tuple (Y11, Y12, Y21, Y22) of
     (nz,) arrays per node.
     """
+    X = potential.scatter_halfwidth()
+    return jost_legs(potential, z, nodes, _cf4._split(potential, -X, X, n_steps, nodes))
+
+
+def jost_legs(potential, z, nodes, pieces):
+    """`jost_nodes` over given pieces (seg_from, seg_to, n) of [-X, X], cut at `nodes`."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
     sp, sm = _cf4._phase_diag(z, X)
     cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
-    pieces = _cf4._split(potential, -X, X, n_steps, nodes)
     x_cur, out = -X, []
     for x in nodes:
         leg = [p for p in pieces if x_cur < p[1] <= x]

@@ -20,7 +20,7 @@ from nonlocal_nls._cf4 import (
 )
 from nonlocal_nls.errors import IntegratorDivergence
 
-from conftest import jost_nodes, series_entries
+from conftest import jost_legs, jost_nodes, series_entries
 
 
 def _identity_cols(z):
@@ -140,13 +140,13 @@ def test_first_candidate_estimate_is_honest(kind, monkeypatch):
 
 
 def test_refine_takes_the_step_ratio_of_clipped_segments(box_plus, monkeypatch):
-    # box_plus's outer pieces |x| in [1, 1.125] are 1/18 of [-X, X]: 1 step
-    # of the plan's 18.  A fourth-order error that sits in those pieces
-    # alone is estimated within a factor 2, and candidate k takes exactly
-    # 4 2^k times each of the plan's counts
+    # box_plus is constant on each of its pieces, so the plan takes one step
+    # on each, the outer pieces |x| in [1, 1.125] too.  A fourth-order error
+    # that sits in those pieces alone is estimated within a factor 2, and
+    # candidate k takes exactly 4 2^k times each of the plan's counts
     X = box_plus.scatter_halfwidth()
-    plan = _split(box_plus, -X, X, 18, (0.0,))
-    assert [n for *_, n in plan] == [1, 8, 8, 1]
+    plan = _split(box_plus, -X, X, 1, (0.0,))
+    assert [n for *_, n in plan] == [1, 1, 1, 1]
     seen = []
 
     def level(segments):
@@ -159,7 +159,7 @@ def test_refine_takes_the_step_ratio_of_clipped_segments(box_plus, monkeypatch):
     assert true / 2.0 <= est <= 2.0 * true
     seen.clear()
     monkeypatch.setattr(_cf4, "RTOL", 0.0)
-    with pytest.raises(IntegratorDivergence, match="stalled at 576 steps"):
+    with pytest.raises(IntegratorDivergence, match="stalled at 128 steps"):
         _cf4._refine(level, box_plus, nodes=(0.0,))
     assert seen[0] == plan and len(seen) == 1 + _cf4.MAX_REFINE
     for k, segments in enumerate(seen[1:]):
@@ -167,37 +167,81 @@ def test_refine_takes_the_step_ratio_of_clipped_segments(box_plus, monkeypatch):
 
 
 def test_smooth_input_stops_one_level_earlier(box_plus, zgrid_wide, monkeypatch):
-    # each input passes on its first candidate, 4 times the plan's steps,
-    # about 2 int(32 X): the acceptance gaussian (X = 19.3, plan 155 steps
-    # each side of 0) and the box, which has no step floor as CF4 is exact
-    # between its breakpoints
+    # each input passes on its first candidate, 4 times the plan's steps:
+    # about 2 int(32 X) on the smooth inputs of the benchmark and the README
+    # (the acceptance gaussian has X = 19.3, a plan of 155 steps each side
+    # of 0), and one plan step per piece on the box, as CF4 is exact
+    # between its breakpoints.  im_nu is the README's Im nu example, on its
+    # 8/1025 window
     gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1,
                       params={"width": 2.6}, L=512.0, N=2 ** 15)
+    im_nu = Potential(kind="gaussian", amplitude=0.3, sigma=-1, L=32.0, N=1024,
+                      params={"width": 1.5, "center": 2.0})
     levels = _level_steps(monkeypatch)
-    for pot, want in ((gauss, [310, 1240]), (box_plus, [18, 72])):
+    for pot, z, want in ((gauss, zgrid_wide, [310, 1240]), (box_plus, zgrid_wide, [4, 16]),
+                         (_chirped_samples(), zgrid_wide, [236, 944]),
+                         (im_nu, np.linspace(-8.0, 8.0, 1025), [214, 856])):
         levels.clear()
-        compute_scattering(pot, zgrid_wide)
+        compute_scattering(pot, z)
         assert levels == want
 
 
-def test_narrow_smooth_input_keeps_the_step_floor(monkeypatch):
-    # X = 0.77 gives 2 int(32 X) = 48 steps, too coarse for a width of 0.1:
-    # from there MAX_REFINE candidates end at 384 steps and stall, so a
-    # smooth q starts at 384 and passes on the doubling after it
+def test_narrow_smooth_input_takes_its_bandwidth(monkeypatch):
+    # X = 0.77 gives 2 int(32 X) = 48 steps, too coarse for a width of 0.1;
+    # its signal bandwidth k_sig = 67.8 sets 8 X k_sig / 0.85 = 488 steps on
+    # the first candidate, which passes
     narrow = Potential(kind="gaussian", amplitude=0.5, sigma=1,
                        params={"width": 0.1}, L=16.0, N=4096)
+    assert narrow.signal_bandwidth == pytest.approx(67.8, abs=0.1)
     levels = _level_steps(monkeypatch)
     y_matrix_batch(narrow, np.linspace(-16.0, 16.0, 65).astype(complex))
-    assert levels == [96, 384, 768]
+    assert levels == [122, 488]
+
+
+@pytest.mark.parametrize("width, centre, steps", [(0.1, 10.0, 6880), (0.1, 20.0, 13264),
+                                                  (0.05, 10.0, 13264)])
+def test_narrow_far_gaussian_passes_on_the_first_candidate(width, centre, steps,
+                                                           monkeypatch):
+    # a narrow feature far from the origin: 2 int(32 X) steps stall, the
+    # signal bandwidth sets the plan, and the reported error is within a
+    # factor 2 of the deviation from a level with 4 times the steps
+    pot = Potential(kind="gaussian", amplitude=0.5, sigma=1, L=32.0, N=4096,
+                    params={"width": width, "center": centre})
+    z = np.linspace(-16.0, 16.0, 257).astype(complex)
+    levels = _level_steps(monkeypatch)
+    (_, S), err = y_matrix_batch(pot, z)
+    assert levels == [steps // 4, steps]
+    ref = jost_nodes(pot, z, [0.0, pot.scatter_halfwidth()], 4 * steps)[1]
+    dev = max(float(np.abs(s - r).max()) for s, r in zip(S, ref))
+    assert dev / 2.0 <= err <= 2.0 * dev
+
+
+def test_box_matches_its_oracle_to_roundoff(box_data, box_plus, zgrid_wide):
+    # one CF4 step per constant piece is the exact exponential of the piece
+    exact = exact_box_scattering(box_plus, zgrid_wide)
+    got = (box_data.a, box_data.b, box_data.a_breve, box_data.b_breve)
+    assert max(float(np.abs(g - e).max()) for g, e in zip(got, exact)) <= 1e-14
+
+
+def test_wide_strong_box_stays_in_the_series_range():
+    # one step on each half of this box would give |q| h = 20, |bc| = 100,
+    # past the series exponential's 64; the plan takes 3 steps on each
+    box = Potential(kind="box", amplitude=1.0, sigma=-1,
+                    params={"left": -20.0, "right": 20.0}, L=32.0, N=256)
+    z = np.linspace(-16.0, 16.0, 513)
+    data = compute_scattering(box, z)
+    exact = exact_box_scattering(box, z)
+    for got, want in zip((data.a, data.b, data.a_breve, data.b_breve), exact):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_step_splits_round_exactly(monkeypatch):
     # a lone piece gets n_steps: on the gaussian n |seg| / total rounds to
     # 96.00000000000001, so the ratio comes first.  Where the ratio itself
-    # rounds up, the plan keeps the extra step and every level multiplies
-    # it: on the box [-0.39, 0.59] (X = 0.715, plan 11 steps) 0.39 / 1.43
-    # is 3/11 plus an ulp, so [-0.39, 0] and [0, 0.39] take 4 plan steps
-    # where exact arithmetic gives 3, and 16 on the first candidate
+    # rounds up, the split keeps the extra step: on the box [-0.39, 0.59]
+    # (X = 0.715, 11 steps) 0.39 / 1.43 is 3/11 plus an ulp, so [-0.39, 0]
+    # and [0, 0.39] take 4 steps where exact arithmetic gives 3.  The box's
+    # plan takes one step on each of its 6 pieces, 24 on the first candidate
     gauss = Potential(kind="gaussian", amplitude=0.1, sigma=1, params={"width": 2.6},
                       L=512.0, N=2 ** 15)
     [(_, b, _)] = _cf4._cf4_steps(gauss, _split(gauss, -0.674625, 0.0, 96))
@@ -208,7 +252,7 @@ def test_step_splits_round_exactly(monkeypatch):
     assert [n for *_, n in _split(box, -X, X, 11, (0.0,))] == [1, 2, 4, 4, 2, 1]
     levels = _level_steps(monkeypatch)
     y_matrix_batch(box, np.array([0.5], dtype=complex))
-    assert levels == [14, 56]
+    assert levels == [6, 24]
 
 
 def test_subnormal_piece_takes_one_step():
@@ -270,13 +314,14 @@ def test_sinhc_at_zero():
 
 
 def test_nodes_are_the_accepted_level_legs(box_plus):
-    # the box passes on its first candidate of 72 steps (see
-    # test_smooth_input_stops_one_level_earlier); Y(0) and Y(X) are its leg
-    # transfers -X -> 0 -> X, each with its share of the steps
+    # the box passes on its first candidate, 4 steps on each of its 4 pieces
+    # (see test_smooth_input_stops_one_level_earlier); Y(0) and Y(X) are
+    # its leg transfers -X -> 0 -> X
     z = np.array([0.3, -1.7], dtype=complex)
     X = box_plus.scatter_halfwidth()
     nodes, _ = y_matrix_batch(box_plus, z)
-    for got, want in zip(nodes, jost_nodes(box_plus, z, [0.0, X], 72)):
+    pieces = [(a, b, 4) for a, b, _ in _split(box_plus, -X, X, 1, (0.0,))]
+    for got, want in zip(nodes, jost_legs(box_plus, z, [0.0, X], pieces)):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 

@@ -136,7 +136,7 @@ class TestEvolve:
 
         monkeypatch.setattr(pde, "_run", no_steps)
         pot = _compact_gauss(2048)
-        k_sig = pde.signal_bandwidth(pot(pot.grid()), pot.L)
+        k_sig = pot.signal_bandwidth
         dt = 0.45 / k_sig ** 2
         tau = 1.45 * dt
         with pytest.raises(StepTooLarge, match=r"dt k_sig\^2 = 0\.65"):

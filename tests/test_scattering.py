@@ -87,7 +87,7 @@ class TestExactBoxOracle:
 def _trajectory(potential, z, n_nodes=129):
     """Y(z, x) as (n_nodes, 2, 2) on n_nodes points over [-X, X].
 
-    The legs share 384 steps, the level the box accepts.
+    The legs share 384 steps, many more than the box's constant pieces need.
     """
     X = potential.scatter_halfwidth()
     Y = jost_nodes(potential, z, np.linspace(-X, X, n_nodes), 384)
