@@ -3,7 +3,7 @@ steepest-descent phase functions, the parabolic-cylinder model problem,
 closed-form long-time asymptotics, and a split-step spectral oracle."""
 
 from . import errors
-from .asymptotics import AsymptoticEvaluation, alpha, q_asymptotic
+from .asymptotics import alpha, q_asymptotic
 from .model import ModelCoefficients, connection_coefficients, jump_matrix, psi
 from .pde import FieldSnapshot, evolve, spectral_interpolate
 from .phase import (
@@ -26,10 +26,9 @@ from .weber import weber_D
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticEvaluation", "FieldSnapshot", "GenericityReport",
-    "ModelCoefficients", "PhaseData", "Potential", "ScatteringData", "alpha",
-    "beta", "check_genericity", "compute_scattering",
-    "connection_coefficients", "delta_boundary", "errors", "evolve",
-    "exact_box_scattering", "jump_matrix", "phase_data", "psi", "q_asymptotic",
-    "spectral_interpolate", "stationary_point", "weber_D",
+    "FieldSnapshot", "GenericityReport", "ModelCoefficients", "PhaseData",
+    "Potential", "ScatteringData", "alpha", "beta", "check_genericity",
+    "compute_scattering", "connection_coefficients", "delta_boundary", "errors",
+    "evolve", "exact_box_scattering", "jump_matrix", "phase_data", "psi",
+    "q_asymptotic", "spectral_interpolate", "stationary_point", "weber_D",
 ]

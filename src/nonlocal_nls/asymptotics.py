@@ -31,25 +31,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .errors import BadInput, NonpositiveTime, RouteDisagreement, ValidityViolation
+from .errors import NonpositiveTime, RouteDisagreement, ValidityViolation
 from .model import connection_coefficients
 from .phase import PhaseData
 
 IM_NU_LIMIT = 0.25
 MARGIN = 0.02
-T_MIN_DEFAULT = 10.0
-
-
-@dataclass
-class AsymptoticEvaluation:
-    t: float
-    xi: float
-    alpha: complex
-    q_leading: complex
-    validity: str            # "valid" | "marginal"
-    im_nu: float
 
 
 def _serves(z_lo: float, z_hi: float, xi: float) -> bool:
@@ -95,17 +83,15 @@ def _gate(nu: complex) -> str:
     return "valid" if abs(im) < IM_NU_LIMIT - MARGIN else "marginal"
 
 
-def q_asymptotic(phase: PhaseData, t: float,
-                 t_min: float = T_MIN_DEFAULT) -> AsymptoticEvaluation:
-    """Leading-order q(x, t) on the ray xi = phase.xi = -x/(4t), with validity
-    diagnostics.
+def q_asymptotic(phase: PhaseData, t: float) -> tuple[complex, str]:
+    """(q, validity) of the leading term on the ray xi = phase.xi = -x/(4t); validity
+    is "valid" or "marginal", and ValidityViolation refuses the ray.
 
     Both the alpha route and the 2 beta1/sqrt(8t) route are computed; they
     are the same algebra regrouped, and their agreement (1e-10) guards the
-    assembly, not the mathematics.
+    assembly, not the mathematics.  The t >= t_min rule is the input's: the
+    config checks its times and `io.read_queries` each query.
     """
-    if t < t_min:
-        raise BadInput(f"t = {t} below configured t_min = {t_min}")
     nu = phase.nu_at_xi
     validity = _gate(nu)
 
@@ -121,7 +107,4 @@ def q_asymptotic(phase: PhaseData, t: float,
             "alpha-route and beta1-route disagree: "
             f"{q_model} vs {q_closed}"
         )
-    return AsymptoticEvaluation(
-        t=float(t), xi=phase.xi, alpha=a,
-        q_leading=q_model, validity=validity, im_nu=float(nu.imag),
-    )
+    return q_model, validity

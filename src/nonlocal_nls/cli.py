@@ -104,14 +104,13 @@ def _ray_phases(spectral: SpectralContext, queries) -> dict:
     return dict(zip(xis, phase_data(spectral, xis))) if xis else {}
 
 
-def _leading(x, t, phases: dict, cfg: ExperimentConfig):
+def _leading(x, t, phases: dict):
     """(q, validity, Im nu) of the leading term; NaN and "invalid" where it is refused:
     at a xi that `phases` lacks (one the ray formula does not serve) or by the Im nu gate."""
     ph = phases.get(stationary_point(x, t))
     if ph is not None:
         try:
-            ev = q_asymptotic(ph, t, t_min=cfg.t_min)
-            return ev.q_leading, ev.validity, ev.im_nu
+            return (*q_asymptotic(ph, t), ph.nu_at_xi.imag)
         except ValidityViolation:
             pass
     return complex(math.nan, math.nan), "invalid", math.nan
@@ -161,7 +160,7 @@ def asym(ctx, queries_path):
     phases = _ray_phases(SpectralContext(_scatter_data(cfg)), queries)
     rows = []
     for x, t in queries:
-        q, validity, im_nu = _leading(x, t, phases, cfg)
+        q, validity, im_nu = _leading(x, t, phases)
         rows.append({"x": x, "t": t, "xi": -x / (4.0 * t), "re_q": q.real, "im_q": q.imag,
                      "abs_q": abs(q), "im_nu": im_nu, "validity": validity})
     nio.write_asym_csv(rows, out / "asym.csv")
@@ -219,7 +218,7 @@ def compare(ctx):
                 continue
             q_num = spectral_interpolate(snap, x)
             try:
-                q_asym, validity, _ = _leading(x, t, phases, cfg)
+                q_asym, validity, _ = _leading(x, t, phases)
             except NonlocalNLSError as exc:
                 # flush what we have with a failure marker, then propagate
                 q_asym, validity = complex(math.nan, math.nan), "failed"

@@ -64,15 +64,16 @@ class ExperimentConfig:
         window, pde = doc.get("window", {}), doc.get("pde", {})
         if not (isinstance(window, dict) and isinstance(pde, dict)):
             raise BadInput("config 'window' and 'pde' must be JSON objects")
+
+        def floats(values):
+            return [_json_float(v) for v in values]
+
+        # (field, section, key, reader): a key the document lacks takes the field's default
+        keys = (("z_max", window, "z_max", _json_float), ("nz", window, "n", _json_int),
+                ("rays", doc, "rays", floats), ("times", doc, "times", floats),
+                ("dt", pde, "dt", _json_float), ("t_min", doc, "t_min", _json_float))
         try:
-            return cls(
-                potential=Potential.from_json_dict(doc["potential"]),
-                z_max=_json_float(window.get("z_max", 16.0)),
-                nz=_json_int(window.get("n", 2049)),
-                rays=[_json_float(v) for v in doc.get("rays", [])],
-                times=[_json_float(v) for v in doc.get("times", [])],
-                dt=_json_float(pde.get("dt", 5e-3)),
-                t_min=_json_float(doc.get("t_min", 10.0)),
-            )
+            return cls(potential=Potential.from_json_dict(doc["potential"]),
+                       **{name: read(sec[key]) for name, sec, key, read in keys if key in sec})
         except (TypeError, ValueError) as exc:
             raise BadInput(f"bad config value: {exc}") from exc

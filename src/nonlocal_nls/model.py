@@ -76,8 +76,6 @@ class ModelCoefficients:
     r_xi: complex
     r_breve_xi: complex
     delta0: complex
-    xi: float
-    t: float
     rho: complex
     rho_hat: complex
     beta1: complex
@@ -111,8 +109,8 @@ def connection_coefficients(phase, t) -> ModelCoefficients:
     beta2 = (1j * rho / rg
              * cmath.exp(math.pi * nu / 2.0 - _PIQ) / _SQRT2PI)
     return ModelCoefficients(
-        nu=nu, r_xi=r_xi, r_breve_xi=r_breve_xi, delta0=delta0, xi=float(xi),
-        t=float(t), rho=rho, rho_hat=rho_hat, beta1=beta1, beta2=beta2,
+        nu=nu, r_xi=r_xi, r_breve_xi=r_breve_xi, delta0=delta0,
+        rho=rho, rho_hat=rho_hat, beta1=beta1, beta2=beta2,
     )
 
 

@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadInput, BoundaryContamination, NonpositiveTime, StepTooLarge
-from .potentials import BAND_LEVEL, Potential
+from .potentials import BAND_LEVEL, Potential, uniform_grid
 
 T = 2.0                       # lens time: t in [0, inf) maps to tau in [0, T)
 OUTER_BAND = 0.1              # fraction of the y box counted as its edge
@@ -77,7 +77,6 @@ class FieldSnapshot:
     t: float
     L: float
     N: int
-    sigma: int
     v: np.ndarray
     Y: float
     nonlocal_mass: complex
@@ -85,7 +84,7 @@ class FieldSnapshot:
 
     @property
     def grid(self) -> np.ndarray:
-        return -self.L + (2.0 * self.L / self.N) * np.arange(self.N)
+        return uniform_grid(self.L, self.N)
 
     @property
     def x_reach(self) -> float:
@@ -114,10 +113,10 @@ def snapshot_from_potential(potential: Potential) -> FieldSnapshot:
     """The t = 0 snapshot that `evolve` starts from, on the lens box sized from q0."""
     x = potential.grid()
     Y, n = _lens_box(x, potential(x), potential.signal_bandwidth)
-    y = -Y + (2.0 * Y / n) * np.arange(n)
+    y = uniform_grid(Y, n)
     v = np.exp(-1j * y * y / (4.0 * T)) * potential(y)
     return FieldSnapshot(
-        t=0.0, L=potential.L, N=potential.N, sigma=potential.sigma, v=v, Y=Y,
+        t=0.0, L=potential.L, N=potential.N, v=v, Y=Y,
         nonlocal_mass=nonlocal_mass(v, 2.0 * Y / n), step_count=0,
     )
 
@@ -147,7 +146,7 @@ def _run(v, Y, sigma, w):
     spectrum are checked for contamination.
     """
     n = len(v)
-    y = -Y + (2.0 * Y / n) * np.arange(n)
+    y = uniform_grid(Y, n)
     eta = np.pi / Y * np.fft.fftfreq(n, d=1.0 / n)
     outer = np.abs(y) > (1.0 - OUTER_BAND) * Y
     top = np.abs(eta) > np.pi * n / (4.0 * Y)
@@ -228,10 +227,10 @@ def evolve(potential: Potential, times, dt: float) -> list[FieldSnapshot]:
     dy = 2.0 * snap.Y / len(v)
     for t, w in plan:
         if len(w) > 1:
-            v = _run(v, snap.Y, snap.sigma, w)
+            v = _run(v, snap.Y, potential.sigma, w)
             steps_done += len(w) - 1
         out.append(FieldSnapshot(
-            t=t, L=snap.L, N=snap.N, sigma=snap.sigma, v=v, Y=snap.Y,
+            t=t, L=snap.L, N=snap.N, v=v, Y=snap.Y,
             nonlocal_mass=nonlocal_mass(v, dy), step_count=steps_done,
         ))
     return out

@@ -20,11 +20,12 @@ All of it is read off one `SpectralContext`, the only input of every
 function here; it refuses non-finite r or rbreve, data whose genericity
 report fails, and any xi whose integration range leaves its grid (NaN too).
 nu is one function of s, the same bits alone or in an array (1 - r rbreve is
-formed in real arithmetic, on the grid too).  delta0 and the nu tail integral
-use composite Gauss-Legendre on the spline knots (nu from the node table, one
-spline call on the last, partial interval; `phase_data` takes a 1-d array of xi
-too and makes that call once for all of them), with the embedded half rule as
-error estimate; `phase_data` reads r, rbreve and nu at xi off that same call.
+formed in real arithmetic, on the grid and by the genericity check too).  delta0
+and the nu tail integral use composite Gauss-Legendre on the spline knots (nu
+from the node table, one spline call on the last, partial interval; `phase_data`
+takes a 1-d array of xi too and makes that call once for all of them), with the
+embedded half rule as error estimate; `phase_data` reads r, rbreve and nu at xi
+off that same call.
 The boundary values of delta and `beta` at general z use the independent oracle
 `quad`: adaptive Gauss-Legendre 21 with |G21 - G10| as error estimate,
 vectorized, with no knot alignment.
@@ -51,7 +52,7 @@ from .errors import (
 )
 from .model import nu_over_w, rgamma
 from .potentials import UniformSpline
-from .scattering import EPS_GENERIC, ScatteringData, check_genericity
+from .scattering import EPS_GENERIC, ScatteringData, _one_minus_rrb, check_genericity
 
 _QUAD_LIMIT = 400
 ERR_GATE = 1e-6      # largest accepted quadrature error estimate
@@ -70,16 +71,6 @@ def _gate(err: float) -> float:
     if not err <= ERR_GATE:  # a NaN estimate fails too
         raise QuadratureFailure(f"quadrature error estimate {err:.2e}")
     return err
-
-
-def _one_minus_rrb(v):
-    """1 - r rbreve from the real columns v[0..3] (re r, im r, re rbreve, im rbreve) in
-    real arithmetic, as numpy's array complex product fuses multiply-adds and its 0-d one
-    does not."""
-    w = np.empty(np.shape(v[0]), complex)
-    w.real = 1.0 - (v[0] * v[2] - v[1] * v[3])
-    w.imag = 0.0 - (v[0] * v[3] + v[1] * v[2])
-    return w
 
 
 def _branch_nu(w, arg_ref):
@@ -116,7 +107,7 @@ class SpectralContext:
         # real columns: a complex stack would round nu differently
         self._spline = UniformSpline(z, np.stack(
             [data.r.real, data.r.imag, data.r_breve.real, data.r_breve.imag, arg]))
-        nu_grid = -(np.log(np.abs(w)) + 1j * arg) / (2.0 * math.pi)
+        nu_grid = _branch_nu(w, arg)
         # left-edge magnitude for tail estimates; a window maximum is used so
         # an oscillation node at the very end cannot fake a small tail
         edge = max(4, len(z) // 20)

@@ -47,6 +47,11 @@ def _json_float(value) -> float:
     return float(value)
 
 
+def uniform_grid(h: float, n: int) -> np.ndarray:
+    """The n-point periodic grid x_j = -h + j * (2h/n) on [-h, h)."""
+    return -h + (2.0 * h / n) * np.arange(n)
+
+
 def _solve_141(d):
     """Solve m_{i-1} + 4 m_i + m_{i+1} = d_i along the last axis, m = 0 past both ends.
 
@@ -154,7 +159,7 @@ class Potential:
 
     def grid(self) -> np.ndarray:
         """Uniform symmetric grid x_j = -L + j * (2L/N), j = 0..N-1."""
-        return -self.L + (2.0 * self.L / self.N) * np.arange(self.N)
+        return uniform_grid(self.L, self.N)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -263,22 +268,19 @@ class Potential:
         if not isinstance(doc, dict):
             raise BadInput("potential descriptor must be a JSON object")
         try:
-            kind = doc["kind"]
-            amp = doc.get("amplitude", [0.0, 0.0])
-            amplitude = complex(_json_float(amp[0]), _json_float(amp[1]))
+            # a key the document lacks takes the field's default
+            fields = {"kind": doc["kind"]}
+            if "amplitude" in doc:
+                amp = doc["amplitude"]
+                fields["amplitude"] = complex(_json_float(amp[0]), _json_float(amp[1]))
             params = dict(doc.get("params", {}))
             params.update((k, _json_float(params[k])) for k in _NUMERIC_PARAMS if k in params)
             if "samples" in params:
                 arr = np.array([(_json_float(re), _json_float(im))
                                 for re, im in params["samples"]])
                 params["samples"] = arr[:, 0] + 1j * arr[:, 1]
-            return cls(
-                kind=kind,
-                amplitude=amplitude,
-                sigma=_json_int(doc.get("sigma", 1)),
-                L=_json_float(doc.get("L", 64.0)),
-                N=_json_int(doc.get("N", 4096)),
-                params=params,
-            )
+            fields.update((key, read(doc[key])) for key, read in (
+                ("sigma", _json_int), ("L", _json_float), ("N", _json_int)) if key in doc)
+            return cls(params=params, **fields)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise BadInput(f"bad potential descriptor: {exc}") from exc

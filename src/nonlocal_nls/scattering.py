@@ -183,6 +183,16 @@ def _turns(f):
     return int(np.round((arg[-1] - np.angle(f[-1])) / (2.0 * np.pi)))
 
 
+def _one_minus_rrb(v):
+    """1 - r rbreve from the real columns v[0..3] (re r, im r, re rbreve, im rbreve) in
+    real arithmetic, as numpy's array complex product fuses multiply-adds and its 0-d one
+    does not."""
+    w = np.empty(np.shape(v[0]), complex)
+    w.real = 1.0 - (v[0] * v[2] - v[1] * v[3])
+    w.imag = 0.0 - (v[0] * v[3] + v[1] * v[2])
+    return w
+
+
 def check_genericity(data: ScatteringData) -> GenericityReport:
     """Report min |a|, min |1 - r rbreve| and the zero counts of a and abreve.
 
@@ -205,7 +215,8 @@ def check_genericity(data: ScatteringData) -> GenericityReport:
     Data that does not remember its potential has N = inf: the real axis counts.
     """
     min_a = float(np.abs(data.a).min())
-    min_w = float(np.abs(1.0 - data.r * data.r_breve).min())
+    min_w = float(np.abs(_one_minus_rrb(
+        (data.r.real, data.r.imag, data.r_breve.real, data.r_breve.imag))).min())
     # capped where I0 stays finite (1e302); every bound >= 1 counts on the real axis
     n_bar = np.inf if data.potential is None else data.potential.l1_bound()
     bound = float(np.i0(min(2.0 * n_bar, 700.0))) - 1.0

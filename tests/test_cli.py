@@ -253,6 +253,17 @@ def test_asym_nonpositive_t_min_exits_1(tmp_path, runner):
     assert "t_min must be positive" in res.output
 
 
+@pytest.mark.parametrize("command", ["asym", "compare"])
+def test_times_below_t_min_exit_1_and_write_nothing(tmp_path, runner, command):
+    # the config's rule is the only t >= t_min guard on the rays-and-times query path
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, t_min=10.0, times=[5.0, 20.0])
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+    assert res.exit_code == 1, res.output
+    assert "times must all be >= t_min" in res.output
+    assert not out.exists()
+
+
 def test_phase_ray_reaching_past_window_exits_1(tmp_path, runner):
     # delta0 integrates over [xi - 1, xi], so xi = -15.5 needs z >= -16.5
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT, rays=[-15.5],

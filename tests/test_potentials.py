@@ -165,6 +165,26 @@ def test_nonpositive_t_min_is_bad_input(t_min, times):
         ExperimentConfig.from_json_dict(doc)
 
 
+def test_absent_keys_take_the_field_defaults():
+    cfg = ExperimentConfig.from_json_dict({"potential": {"kind": "zero"}})
+    assert cfg == ExperimentConfig(potential=Potential(kind="zero"))
+
+
+@pytest.mark.parametrize("path", [
+    ("potential", "amplitude"), ("potential", "sigma"), ("potential", "L"), ("potential", "N"),
+    ("window", "z_max"), ("window", "n"), ("rays",), ("times",), ("pde", "dt"), ("t_min",)])
+def test_null_config_value_is_bad_input(path):
+    # a null is a bad value, not an absent key: it never takes the default
+    doc = _config_doc("box")
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = None
+    with pytest.raises(BadInput):
+        ExperimentConfig.from_json_dict(doc)
+
+
 @pytest.mark.parametrize("key,value", [("window", 5), ("pde", [1])])
 def test_non_object_section_is_bad_input(key, value):
     doc = dict(_config_doc("box"), **{key: value})
