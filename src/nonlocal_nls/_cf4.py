@@ -20,7 +20,8 @@ Each exponential is exp([[d, b], [c, -d]]) with d = -i z h / 2 fixed over a
 smooth segment; only the scalar eps = b c changes from step to step.  It
 equals C(w) I + S(w) [[d, b], [c, -d]] with w = d^2 + eps, where C and S are
 entire in w, so `_series_coefficients` expands them in eps about d^2 once
-per segment.  A step is then a short sum of coefficient rows times powers of
+per segment (once per level for the mirror segments of its two legs, see
+`y_matrix_batch`).  A step is then a short sum of coefficient rows times powers of
 eps plus the column update, with no transcendental function in the step
 loop.  The expansion is an identity, truncated where the remaining terms
 fall below 2^-55 of the entries, so it matches the closed form
@@ -261,13 +262,16 @@ def _series_sums(coef, b, c):
         yield p @ coef, bk, ck
 
 
-def _propagate(potential, z, segments, cols):
+def _propagate(potential, z, segments, cols, coefs):
     """Apply the CF4 steps of `segments` to a list of columns (u, v).
 
     The exponentials act one at a time, in the order `_cf4_steps` yields
     them, each summed from its piece's `_series_coefficients` by
     `_series_sums`; each is exp(h (a A1 + a' A2)) of the phi-frame.
-    Returns the new list.
+    Returns the new list.  `coefs` holds the coefficient sets built so far
+    for this z, keyed by the (h, max |bc|, max(|b|, |c|)) they are built
+    from; a piece whose key is there reads its set, the same bits a new
+    build would give, and any other adds its own.
 
     The fold.  d(-z) = -d(z) and w0 = d^2 is the same at +-z, so the
     coefficients at -z are those at z with the rows C + S d and C - S d
@@ -299,8 +303,10 @@ def _propagate(potential, z, segments, cols):
         d = -1j * zh * (h / 2.0)  # diagonal of each combo: h*(a1+a2)*(-i z)
         eps_max = float(np.abs(b * c).max())
         g_max = max(float(np.abs(b).max()), float(np.abs(c).max()))
-        coef = _series_coefficients(d, eps_max, g_max)
-        for e, bk, ck in _series_sums(coef, b, c):
+        key = (h, eps_max, g_max)
+        if key not in coefs:
+            coefs[key] = _series_coefficients(d, eps_max, g_max)
+        for e, bk, ck in _series_sums(coefs[key], b, c):
             diag, s = e[:2 * m].reshape(2, m), e[2 * m:]
             e11, e22 = diag[:pairs], diag[::-1][:pairs]
             # u, v = e11 u + s b v, s c u + e22 v
@@ -327,7 +333,10 @@ def y_matrix_batch(potential, z):
     Y a 4-tuple (Y11, Y12, Y21, Y22) of (nz,) arrays.  The plan is cut at 0,
     so a level is one pass that carries the columns of the identity over
     its pieces left of 0, where Y(0) is read, and then over the rest;
-    `_refine` accepts it on Y(+X).
+    `_refine` accepts it on Y(+X).  The two legs share their coefficient
+    sets: on a q with |q(-x)| = |q(x)|, such as the gaussian and the box,
+    mirror pieces ask for the same set, which is built once per level and
+    dropped with it.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
@@ -336,9 +345,9 @@ def y_matrix_batch(potential, z):
     def level(segments):
         cut = sum(b <= 0.0 for _, b, _ in segments)
         cols = [(np.ones_like(z), np.zeros_like(z)), (np.zeros_like(z), np.ones_like(z))]
-        Y = []
+        Y, coefs = [], {}
         for x, leg in ((0.0, segments[:cut]), (X, segments[cut:])):
-            cols = _propagate(potential, z, leg, cols)
+            cols = _propagate(potential, z, leg, cols, coefs)
             # Y(x) = e^{i x z s3} T e^{i X z s3}, T = [cols[0] | cols[1]]
             (t11, t21), (t12, t22) = cols
             ep, em = _phase_diag(z, x)

@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import io as nio
-from .asymptotics import _serves, q_asymptotic
+from .asymptotics import _refused, _serves, q_asymptotic
 from .config import ExperimentConfig
 from .errors import (
     BadInput,
@@ -29,6 +29,7 @@ from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, snapshot_from_potential, spectral_interpolate
 from .phase import (
     SpectralContext,
+    _phase_batch,
     delta_boundary,
     nu_tail_with_bound,
     phase_data,
@@ -96,12 +97,20 @@ def _scatter_data(cfg: ExperimentConfig):
     return compute_scattering(cfg.potential, cfg.z_grid())
 
 
+def _distinct_served(spectral: SpectralContext, xis):
+    """The distinct xi of the 1-d `xis` that the ray formula serves, ascending, and
+    for each entry of `xis` its position among them, or -1."""
+    distinct, where = np.unique(xis, return_inverse=True)
+    served = _serves(spectral.z_lo, spectral.z_hi, distinct)
+    pos = np.where(served, np.cumsum(served) - 1, -1)
+    return distinct[served], pos[where]
+
+
 def _ray_phases(spectral: SpectralContext, queries) -> dict:
     """{xi: PhaseData} at every distinct xi = -x/(4t) of the (x, t) queries that the
-    ray formula serves, in first-seen order, from one `phase_data` sweep."""
-    xis = [xi for xi in dict.fromkeys(stationary_point(x, t) for x, t in queries)
-           if _serves(spectral.z_lo, spectral.z_hi, xi)]
-    return dict(zip(xis, phase_data(spectral, xis))) if xis else {}
+    ray formula serves, from one `phase_data` sweep."""
+    xis, _ = _distinct_served(spectral, [stationary_point(x, t) for x, t in queries])
+    return dict(zip(xis.tolist(), phase_data(spectral, xis))) if xis.size else {}
 
 
 def _leading(x, t, phases: dict):
@@ -157,12 +166,22 @@ def asym(ctx, queries_path):
         queries = [(-4.0 * xi * t, t) for xi in cfg.rays for t in cfg.times]
     if not queries:
         raise BadInput("no queries: pass --queries or configure rays and times")
-    phases = _ray_phases(SpectralContext(_scatter_data(cfg)), queries)
-    rows = []
-    for x, t in queries:
-        q, validity, im_nu = _leading(x, t, phases)
-        rows.append({"x": x, "t": t, "xi": -x / (4.0 * t), "re_q": q.real, "im_q": q.imag,
-                     "abs_q": abs(q), "im_nu": im_nu, "validity": validity})
+    x, t = np.array(queries, dtype=float).reshape(-1, 2).T
+    xi = stationary_point(x, t)
+    spectral = SpectralContext(_scatter_data(cfg))
+    xis, pos = _distinct_served(spectral, xi)
+    q = np.full(xi.size, complex(math.nan, math.nan))
+    im_nu = np.full(xi.size, math.nan)
+    validity = np.full(xi.size, "invalid", dtype="<U8")
+    if xis.size:
+        batch = _phase_batch(spectral, xis)
+        # a xi the Im nu gate refuses keeps its "invalid" rows, as an unserved one does
+        ok = pos >= 0
+        ok[ok] = ~_refused(batch.nu_at_xi)[pos[ok]]
+        rays = batch.take(pos[ok])
+        q[ok], validity[ok] = q_asymptotic(rays, t[ok])
+        im_nu[ok] = rays.nu_at_xi.imag
+    rows = zip(*(col.tolist() for col in (x, t, xi, q.real, q.imag, np.abs(q), im_nu, validity)))
     nio.write_asym_csv(rows, out / "asym.csv")
     click.echo(f"wrote {out / 'asym.csv'}")
 

@@ -139,28 +139,53 @@ def write_summary_txt(lines: list, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_QUERY_KEYS = frozenset(("x", "t"))
+
+
+def _query(doc, t_min: float) -> tuple:
+    """(x, t) of one decoded query: an object with exactly the keys x and t, JSON
+    numbers (never a bool or a numeric string), finite, with t >= t_min."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"query {doc!r} is not a JSON object")
+    if doc.keys() != _QUERY_KEYS:
+        raise ValueError(f"query keys {sorted(doc)}: a query has exactly the keys x and t")
+    x, t = _json_float(doc["x"]), _json_float(doc["t"])
+    if not (math.isfinite(x) and math.isfinite(t) and t >= t_min):
+        raise ValueError(f"bad query x={x}, t={t}: need finite x, t "
+                         f"and t >= t_min = {t_min}")
+    return x, t
+
+
 def read_queries(path, t_min: float) -> list:
-    """(x, t) per non-blank line {"x": .., "t": ..} of a JSON-lines file: JSON numbers
-    (never a bool or a numeric string), finite, with t >= t_min."""
-    queries = []
+    """(x, t) per non-blank line {"x": .., "t": ..} of a JSON-lines file, each as
+    `_query` reads it; a bad line is refused by its number.
+
+    The lines are decoded by one `json.loads` of them all as an array.  A valid
+    query holds exactly one "{", so when every line starts with "{" and ends with
+    "}" and the file holds as many "{" as lines, query k is line k.  Any other file,
+    or one with a bad query, is read again line by line to name the first bad line.
+    """
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    doc = json.loads(line)
-                    if not isinstance(doc, dict):
-                        raise ValueError(f"query {line!r} is not a JSON object")
-                    x, t = _json_float(doc["x"]), _json_float(doc["t"])
-                    if not (math.isfinite(x) and math.isfinite(t) and t >= t_min):
-                        raise ValueError(f"bad query x={x}, t={t}: need finite x, t "
-                                         f"and t >= t_min = {t_min}")
-                    queries.append((x, t))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
         raise BadInput(f"bad queries file: {exc}") from exc
+    lines = [(n, s) for n, s in enumerate(map(str.strip, text.split("\n")), start=1) if s]
+    joined = ",".join(s for _, s in lines)
+    if joined.count("{") == len(lines) and all(s[0] == "{" and s[-1] == "}" for _, s in lines):
+        try:
+            return [_query(doc, t_min) for doc in json.loads(f"[{joined}]")]
+        except ValueError:
+            pass
+    queries = []
+    for n, line in lines:
+        try:
+            queries.append(_query(json.loads(line), t_min))
+        except ValueError as exc:
+            raise BadInput(f"bad queries file: line {n}: {exc}") from exc
     return queries
 
 
-def write_asym_csv(rows: list, path):
-    header = "x,t,xi,re_q,im_q,abs_q,im_nu,validity"
-    _write_table(header, map(itemgetter(*header.split(",")), rows), path)
+def write_asym_csv(rows, path):
+    """One row per query: its cells in the order of the header, Python floats and the
+    validity text."""
+    _write_table("x,t,xi,re_q,im_q,abs_q,im_nu,validity", rows, path)

@@ -45,29 +45,37 @@ _LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
             -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
 
 
-def rgamma(z: complex) -> complex:
-    """1/Gamma(z), entire: the Lanczos series for Re z >= 1/2, reflection below."""
-    z = complex(z)
-    if z.real < 0.5:
-        return cmath.sin(math.pi * z) / (math.pi * rgamma(1.0 - z))
-    z -= 1.0
+def _positive_time(t):
+    """Refuse unless every t is > 0 (a NaN is refused too)."""
+    bad = ~(np.asarray(t) > 0)
+    if bad.any():
+        raise NonpositiveTime(f"t must be positive, got {np.asarray(t)[bad][0]}")
+
+
+def rgamma(z):
+    """1/Gamma(z), entire, elementwise: the Lanczos series for Re z >= 1/2,
+    reflection below."""
+    z = np.asarray(z, dtype=complex)
+    left = z.real < 0.5
+    u = np.where(left, 1.0 - z, z) - 1.0
     s = _LANCZOS[0]
     for k in range(1, 9):
-        s += _LANCZOS[k] / (z + k)
-    t = z + 7.5    # z + g + 1/2
-    return cmath.exp(t - (z + 0.5) * cmath.log(t)) / (_SQRT2PI * s)
+        s = s + _LANCZOS[k] / (u + k)
+    t = u + 7.5    # u + g + 1/2
+    lanczos = np.exp(t - (u + 0.5) * np.log(t)) / (_SQRT2PI * s)
+    return np.where(left, np.sin(math.pi * z) / (math.pi * lanczos), lanczos)[()]
 
 
-def nu_over_w(nu: complex, w: complex) -> complex:
-    """nu / (r rbreve) continued through w = 0.
+def nu_over_w(nu, w):
+    """nu / (r rbreve) continued through w = 0, elementwise.
 
     nu = -log(1 - w)/(2 pi) makes this -log(1-w)/(2 pi w), analytic at w = 0
     with value 1/(2 pi); the series is used below |w| = 1e-4.
     """
-    if abs(w) > 1e-4:
-        return nu / w
+    w = np.asarray(w, dtype=complex)
+    big = np.abs(w) > 1e-4
     s = 1.0 + w * (0.5 + w * (1.0 / 3.0 + w * (0.25 + w / 5.0)))
-    return s / (2.0 * math.pi)
+    return np.where(big, nu / np.where(big, w, 1.0), s / (2.0 * math.pi))[()]
 
 
 @dataclass
@@ -84,30 +92,29 @@ class ModelCoefficients:
 
 def connection_coefficients(phase, t) -> ModelCoefficients:
     """Scaled jump data and the explicit-solution coefficients beta1, beta2 of the
-    `phase.PhaseData` at xi, with its `ray_factors`.
+    `phase.PhaseData` at xi, with its `ray_factors`; elementwise over a batch of rays
+    and times t, whose coefficients are arrays.
 
     t > 0 is required; the reflectionless degeneracies are handled by the
     stabilized products (see module docstring), never by dividing by r(xi).
     """
-    if not t > 0:
-        raise NonpositiveTime(f"t must be positive, got {t}")
+    _positive_time(t)
     r_xi, r_breve_xi, delta0, xi = phase.r_xi, phase.r_breve_xi, phase.delta0, phase.xi
     nu = phase.nu_at_xi
     rg, nw = phase.ray_factors
-    log8t = cmath.log(8.0 * t)
-    phase_t = cmath.exp(1j * nu * log8t)            # (8t)^{i nu}
-    osc = cmath.exp(-4j * t * xi * xi)              # e^{-i x^2/(4t)}, x = -4 t xi
+    phase_t = np.exp(1j * nu * np.log(8.0 * t))    # (8t)^{i nu}
+    osc = np.exp(-4j * t * xi * xi)                 # e^{-i x^2/(4t)}, x = -4 t xi
     rho = r_xi * delta0 ** -2 * phase_t * osc
     rho_hat = r_breve_xi * delta0 ** 2 / phase_t / osc
     # beta1 = sqrt(2pi) e^{i pi/4 - pi nu/2} / (rho Gamma(-i nu)), stabilized
     # through 1/Gamma(-i nu) = -i nu / Gamma(1 - i nu) and nu/r = rbreve*(nu/w),
     # with the entire 1/Gamma(1 - i nu):
-    core = _SQRT2PI * cmath.exp(_PIQ - math.pi * nu / 2.0) * rg
+    core = _SQRT2PI * np.exp(_PIQ - math.pi * nu / 2.0) * rg
     beta1 = core * (-1j) * r_breve_xi * nw * delta0 ** 2 / phase_t / osc
     # beta2 = nu/beta1 in the same pole-free style; Gamma(1 - i nu) = 1/rg
     # exactly, its poles lying at Im nu <= -1
     beta2 = (1j * rho / rg
-             * cmath.exp(math.pi * nu / 2.0 - _PIQ) / _SQRT2PI)
+             * np.exp(math.pi * nu / 2.0 - _PIQ) / _SQRT2PI)
     return ModelCoefficients(
         nu=nu, r_xi=r_xi, r_breve_xi=r_breve_xi, delta0=delta0,
         rho=rho, rho_hat=rho_hat, beta1=beta1, beta2=beta2,

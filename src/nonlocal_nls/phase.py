@@ -46,11 +46,10 @@ from .errors import (
     BranchViolation,
     CutEvaluation,
     GenericityViolation,
-    NonpositiveTime,
     QuadratureFailure,
     WindowExceeded,
 )
-from .model import nu_over_w, rgamma
+from .model import _positive_time, nu_over_w, rgamma
 from .potentials import UniformSpline
 from .scattering import EPS_GENERIC, ScatteringData, _one_minus_rrb, check_genericity
 
@@ -61,9 +60,8 @@ _NODE_CHUNK = 4096   # nodes per nu evaluation while the node table is built
 
 
 def stationary_point(x: float, t: float) -> float:
-    """xi = -x/(4t), the zero of the phase derivative."""
-    if not t > 0:
-        raise NonpositiveTime(f"t must be positive, got {t}")
+    """xi = -x/(4t), the zero of the phase derivative; elementwise over arrays."""
+    _positive_time(t)
     return -x / (4.0 * t)
 
 
@@ -318,7 +316,8 @@ def nu_tail_with_bound(ctx: SpectralContext, xi: float):
 
 @dataclass
 class PhaseData:
-    """The inputs of the leading ray term at the stationary point xi."""
+    """The inputs of the leading ray term at the stationary point xi: one ray, or a
+    batch whose fields are 1-d arrays of equal length."""
     xi: float
     nu_at_xi: complex
     delta0: complex
@@ -332,13 +331,28 @@ class PhaseData:
         nu = self.nu_at_xi
         return rgamma(1.0 - 1j * nu), nu_over_w(nu, self.r_xi * self.r_breve_xi)
 
+    def take(self, idx) -> PhaseData:
+        """The rays at the positions idx of a batch, with their ray factors read off
+        this batch's, so each is computed once per xi however often idx repeats it."""
+        out = PhaseData(self.xi[idx], self.nu_at_xi[idx], self.delta0[idx],
+                        self.r_xi[idx], self.r_breve_xi[idx])
+        out.ray_factors = tuple(f[idx] for f in self.ray_factors)
+        return out
+
+
+def _phase_batch(ctx: SpectralContext, xi) -> PhaseData:
+    """The leading term's inputs at every xi of a 1-d array, as one batch PhaseData,
+    read off one `_sweep` (one spline call)."""
+    xis, cols, nus, d0s = _sweep(ctx, xi)
+    return PhaseData(xi=xis, nu_at_xi=nus, delta0=d0s, r_xi=cols[0] + 1j * cols[1],
+                     r_breve_xi=cols[2] + 1j * cols[3])
+
 
 def phase_data(ctx: SpectralContext, xi):
     """The leading term's inputs at xi: a PhaseData for a float, a list of them for
     a 1-d array or sequence, all read off one `_sweep` (one spline call)."""
-    xis, cols, nus, d0s = _sweep(ctx, xi)
-    r, rb = cols[0] + 1j * cols[1], cols[2] + 1j * cols[3]
+    b = _phase_batch(ctx, xi)
     out = [PhaseData(xi=float(x), nu_at_xi=complex(nu), delta0=complex(d0),
-                     r_xi=complex(a), r_breve_xi=complex(b))
-           for x, nu, d0, a, b in zip(xis, nus, d0s, r, rb)]
+                     r_xi=complex(a), r_breve_xi=complex(rb))
+           for x, nu, d0, a, rb in zip(b.xi, b.nu_at_xi, b.delta0, b.r_xi, b.r_breve_xi)]
     return out if np.ndim(xi) else out[0]

@@ -74,7 +74,9 @@ def jost_nodes(potential, z, nodes, n_steps):
 
 
 def jost_legs(potential, z, nodes, pieces):
-    """`jost_nodes` over given pieces (seg_from, seg_to, n) of [-X, X], cut at `nodes`."""
+    """`jost_nodes` over given pieces (seg_from, seg_to, n) of [-X, X], cut at `nodes`.
+
+    Each leg builds its own coefficient sets, where `y_matrix_batch` shares them."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     X = potential.scatter_halfwidth()
     sp, sm = _cf4._phase_diag(z, X)
@@ -83,7 +85,7 @@ def jost_legs(potential, z, nodes, pieces):
     for x in nodes:
         leg = [p for p in pieces if x_cur < p[1] <= x]
         if leg:
-            cols = _cf4._propagate(potential, z, leg, cols)
+            cols = _cf4._propagate(potential, z, leg, cols, {})
             x_cur = leg[-1][1]
         (t11, t21), (t12, t22) = cols
         ep, em = _cf4._phase_diag(z, x_cur)

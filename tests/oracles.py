@@ -7,14 +7,16 @@ None of these is on a command's path; the tests import them from here.
     row_ode_residual  Weber-type residual of both rows of Psi
     nu_at             nu(s) at one point of a SpectralContext
     delta             delta(z) off the cut, by the quad oracle
+    q_leading         the ray formula for one ray and one t, in cmath
 """
 
 import cmath
+import math
 
 import numpy as np
 
 from nonlocal_nls.errors import CutEvaluation
-from nonlocal_nls.model import ModelCoefficients, psi
+from nonlocal_nls.model import _LANCZOS, ModelCoefficients, psi
 from nonlocal_nls.phase import SpectralContext, _cauchy_nu, _finite_point
 from nonlocal_nls.weber import _check_box, _D
 
@@ -79,3 +81,36 @@ def delta(ctx: SpectralContext, xi: float, z: complex) -> complex:
         raise CutEvaluation(f"z = {z} lies on the cut (-inf, {xi}]")
     ctx._window(xi, xi)
     return cmath.exp(1j * _cauchy_nu(ctx, xi, z, xi))
+
+
+def _rgamma(z: complex) -> complex:
+    """1/Gamma(z): the Lanczos series (g = 7, 9 terms) for Re z >= 1/2, reflection below."""
+    if z.real < 0.5:
+        return cmath.sin(math.pi * z) / (math.pi * _rgamma(1.0 - z))
+    z -= 1.0
+    s = _LANCZOS[0]
+    for k in range(1, 9):
+        s += _LANCZOS[k] / (z + k)
+    t = z + 7.5
+    return cmath.exp(t - (z + 0.5) * cmath.log(t)) / (math.sqrt(2.0 * math.pi) * s)
+
+
+def q_leading(nu, delta0, r_xi, r_breve_xi, xi, t) -> complex:
+    """The leading term 2 beta1 / sqrt(8t) on the ray xi at one t, in scalar cmath
+    arithmetic: the reference of the elementwise `asymptotics.q_asymptotic`.
+
+    beta1 = sqrt(2 pi) e^{i pi/4 - pi nu/2} (-i) rbreve (nu/w) delta0^2
+            / (Gamma(1 - i nu) (8t)^{i nu} e^{-4 i t xi^2}),  w = r rbreve,
+    with nu/w continued through w = 0 by its series below |w| = 1e-4.
+    """
+    w = r_xi * r_breve_xi
+    if abs(w) > 1e-4:
+        nw = nu / w
+    else:
+        nw = (1.0 + w * (0.5 + w * (1.0 / 3.0 + w * (0.25 + w / 5.0)))) / (2.0 * math.pi)
+    phase_t = cmath.exp(1j * nu * cmath.log(8.0 * t))
+    osc = cmath.exp(-4j * t * xi * xi)
+    core = (math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi - math.pi * nu / 2.0)
+            * _rgamma(1.0 - 1j * nu))
+    beta1 = core * (-1j) * r_breve_xi * nw * delta0 ** 2 / phase_t / osc
+    return 2.0 * beta1 / math.sqrt(8.0 * t)

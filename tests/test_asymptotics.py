@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from nonlocal_nls import (
     Potential,
     alpha,
+    asymptotics,
     cli,
     compute_scattering,
     connection_coefficients,
@@ -14,10 +16,10 @@ from nonlocal_nls import (
     q_asymptotic,
     stationary_point,
 )
-from nonlocal_nls.errors import NonpositiveTime, ValidityViolation
-from nonlocal_nls.phase import SpectralContext
+from nonlocal_nls.errors import NonpositiveTime, RouteDisagreement, ValidityViolation
+from nonlocal_nls.phase import PhaseData, SpectralContext
 
-from oracles import nu_at
+from oracles import nu_at, q_leading
 
 
 def test_zero_potential_leading_term_vanishes():
@@ -140,3 +142,63 @@ def test_nonpositive_time_is_typed(box_ctx, t):
         connection_coefficients(ph, t)
     with pytest.raises(NonpositiveTime):
         q_asymptotic(ph, t)
+
+
+# 18 ulp: the array path and the cmath reference round differently (numpy fuses
+# the multiply-adds of a complex product and divides through a reciprocal), and
+# the reference's own 1/Gamma is off mpmath's by up to 1.9e-15.  Over 10^6
+# uniform draws of the ranges below the largest gap was 3.07e-15, and 2.6e-4 of
+# the draws lay above 2e-15
+REFERENCE_RTOL = 4e-15
+
+
+def _ray(nu_re, nu_im, d0_abs, d0_arg, rb_abs, rb_arg):
+    """(nu, delta0, r, rbreve) with r rbreve = 1 - e^{-2 pi nu}, as on a real ray."""
+    nu = complex(nu_re, nu_im)
+    rb = rb_abs * np.exp(1j * rb_arg)
+    return nu, d0_abs * np.exp(1j * d0_arg), -np.expm1(-2.0 * np.pi * nu) / rb, rb
+
+
+_RAYS = st.lists(st.tuples(
+    st.floats(-0.5, 1.0), st.floats(-0.25, 0.25, exclude_min=True, exclude_max=True),
+    st.floats(0.25, 4.0), st.floats(-np.pi, np.pi), st.floats(1e-3, 1.0),
+    st.floats(-np.pi, np.pi), st.floats(-16.0, 16.0), st.floats(10.0, 2560.0)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rays=_RAYS)
+def test_array_path_matches_the_scalar_reference(rays):
+    # one batch of rays, each at its own t, against the ray formula in cmath,
+    # one ray and one t at a time
+    data = [(*_ray(*ray), xi, t) for *ray, xi, t in rays]
+    nu, d0, r, rb, xi, t = map(np.array, zip(*data))
+    q, validity = q_asymptotic(PhaseData(xi, nu, d0, r, rb), t)
+    want = np.array([q_leading(*ray) for ray in data])
+    assert np.all(np.abs(q - want) <= REFERENCE_RTOL * np.abs(want))
+    edge = asymptotics.IM_NU_LIMIT - asymptotics.MARGIN
+    assert validity.tolist() == ["valid" if abs(v.imag) < edge else "marginal" for v in nu]
+
+
+def test_float_t_returns_a_complex_and_a_str(box_ctx):
+    ph = phase_data(box_ctx, 0.3)
+    q, validity = q_asymptotic(ph, 40.0)
+    assert isinstance(q, complex) and isinstance(validity, str)
+    assert validity == "valid"
+    want = q_leading(ph.nu_at_xi, ph.delta0, ph.r_xi, ph.r_breve_xi, ph.xi, 40.0)
+    assert abs(q - want) <= REFERENCE_RTOL * abs(want)
+
+
+def test_one_disagreeing_element_raises(box_ctx, monkeypatch):
+    # the 1e-10 route check runs on every element of a batch
+    xis = np.array([0.2, 0.3, 0.5, 1.5])
+    batch = PhaseData(*(np.array(field) for field in zip(*(
+        (ph.xi, ph.nu_at_xi, ph.delta0, ph.r_xi, ph.r_breve_xi)
+        for ph in phase_data(box_ctx, xis)))))
+    t = np.array([20.0, 40.0, 80.0, 160.0])
+    q_asymptotic(batch, t)
+    alpha = asymptotics.alpha
+    monkeypatch.setattr(asymptotics, "alpha",
+                        lambda ph, t: alpha(ph, t) * np.where(xis == 0.5, 1.0 + 1e-9, 1.0))
+    with pytest.raises(RouteDisagreement, match="disagree"):
+        q_asymptotic(batch, t)

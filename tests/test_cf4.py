@@ -31,7 +31,7 @@ def _transfer(potential, z, x_from, x_to, n_steps):
     """Entries (T11, T12, T21, T22) of the phi-frame transfer matrix."""
     (t11, t21), (t12, t22) = _propagate(potential, z,
                                         _split(potential, x_from, x_to, n_steps),
-                                        _identity_cols(z))
+                                        _identity_cols(z), {})
     return t11, t12, t21, t22
 
 
@@ -83,11 +83,11 @@ def _level_steps(monkeypatch):
     levels = []
     propagate = _cf4._propagate
 
-    def spy(potential, z, segments, cols):
+    def spy(potential, z, segments, *args):
         if segments[0][0] == -potential.scatter_halfwidth():
             levels.append(0)
         levels[-1] += sum(n for *_, n in segments)
-        return propagate(potential, z, segments, cols)
+        return propagate(potential, z, segments, *args)
 
     monkeypatch.setattr(_cf4, "_propagate", spy)
     return levels
@@ -325,6 +325,28 @@ def test_nodes_are_the_accepted_level_legs(box_plus):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("name, builds", [("gauss_small", 2), ("box_plus", 4)])
+def test_mirror_legs_share_their_coefficient_sets(name, builds, zgrid_wide, request,
+                                                   monkeypatch):
+    # |q(-x)| = |q(x)|, so the leg 0 -> X asks for the coefficient sets of the leg
+    # -X -> 0: one per level on the gaussian, two on the box (its outer and inner
+    # pieces), over the plan and the accepted level.  Y(0) and Y(+X) are the bytes
+    # of legs that each build their own sets
+    pot = request.getfixturevalue(name)
+    z = zgrid_wide.astype(complex)
+    sizes = _series_sizes(monkeypatch)
+    legs = []
+    propagate = _cf4._propagate
+    monkeypatch.setattr(_cf4, "_propagate",
+                        lambda p, z, segments, *args: legs.append(segments)
+                        or propagate(p, z, segments, *args))
+    nodes, _ = y_matrix_batch(pot, z)
+    assert len(legs) == 4 and len(sizes) == builds
+    X = pot.scatter_halfwidth()
+    for got, want in zip(nodes, jost_legs(pot, z, [0.0, X], legs[-2] + legs[-1])):
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def _antisymmetric_grid(n, z_max=16.0):
     g = np.linspace(-z_max, z_max, n)
     return (0.5 * (g - g[::-1])).astype(complex)
@@ -340,10 +362,10 @@ def test_folded_grid_matches_its_halves_run_alone(name, n, request):
     z = _antisymmetric_grid(n)
     X = pot.scatter_halfwidth()
     segments = _split(pot, -X, X, 256, (0.0,))
-    folded = [e for col in _propagate(pot, z, segments, _identity_cols(z)) for e in col]
+    folded = [e for col in _propagate(pot, z, segments, _identity_cols(z), {}) for e in col]
     tol = 1e-15 * (1.0 + max(float(np.abs(e).max()) for e in folded))
     for part in (slice(0, n - n // 2), slice(n // 2, n)):
-        alone = _propagate(pot, z[part], segments, _identity_cols(z[part]))
+        alone = _propagate(pot, z[part], segments, _identity_cols(z[part]), {})
         for f, a in zip(folded, (e for col in alone for e in col)):
             assert np.abs(f[part] - a).max() <= tol
 
@@ -354,7 +376,7 @@ def test_folded_step_matches_expm(gauss_small):
     z = _antisymmetric_grid(33)
     piece = [(-0.25, 0.25, 1)]
     [(h, b, c)] = _cf4_steps(gauss_small, piece)
-    (t11, t21), (t12, t22) = _propagate(gauss_small, z, piece, _identity_cols(z))
+    (t11, t21), (t12, t22) = _propagate(gauss_small, z, piece, _identity_cols(z), {})
     for k in range(z.size):
         d = -0.5j * z[k] * h
         want = np.eye(2)

@@ -13,6 +13,7 @@ import nonlocal_nls
 from nonlocal_nls import Potential, asymptotics, compute_scattering, model, phase, scattering
 from nonlocal_nls import cli
 from nonlocal_nls.cli import main
+from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import IntegratorDivergence
 from nonlocal_nls.potentials import UniformSpline
 
@@ -334,6 +335,65 @@ def test_asym_query_not_an_object_exits_1(tmp_path, runner, query):
     assert not (out / "asym.csv").exists()
 
 
+@pytest.mark.parametrize("bad, line, named", [
+    ('{"x": -40.0, "t": 25.0', 3, "line 3: Expecting"),
+    ('{"x": -40.0, "t": 25.0, "y": 1.0}', 3, "line 3: query keys ['t', 'x', 'y']"),
+    ('{"x": -40.0, "t": 25.0}, {"x": -96.0, "t": 60.0}', 3, "line 3: Extra data"),
+    ('{"x": -40.0\n"t": 25.0}, {"x": -96.0, "t": 60.0}', 3, "line 3: Expecting"),
+], ids=["malformed", "unknown-key", "two-objects", "split-object"])
+def test_asym_bad_query_line_is_named(tmp_path, runner, bad, line, named):
+    # the file is decoded as one array only when query k is line k; the split
+    # object decodes as two queries over two lines, and is refused at its first
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    qf = tmp_path / "queries.jsonl"
+    qf.write_text('{"x": -40.0, "t": 25.0}\n\n' + bad + '\n{"x": -96.0, "t": 60.0}\n')
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "asym", "--queries", str(qf)])
+    assert res.exit_code == 1, res.output
+    assert f"error: bad queries file: {named}" in res.output
+    assert not (out / "asym.csv").exists()
+
+
+IM_NU_POT = {"kind": "gaussian", "amplitude": [0.3, 0.0], "sigma": -1, "L": 32.0,
+             "N": 1024, "params": {"width": 1.5, "center": 2.0}}
+
+
+def test_asym_rows_match_per_query_evaluation(tmp_path, runner, monkeypatch):
+    # the README's Im nu example with the gate lowered to 0.125: xi = +-0.24
+    # (|Im nu| 0.128) are refused and 0.2 (0.122) is marginal; 7.9 and -7.5 are
+    # not served, and 0.2 and 1.0 repeat (1.0 at the same t).  Every row is the
+    # query evaluated alone
+    monkeypatch.setattr(asymptotics, "IM_NU_LIMIT", 0.125)
+    window = {"z_max": 8.0, "n": 1025}
+    cfg = _write_config(tmp_path / "cfg.json", IM_NU_POT, window=window)
+    queries = [(-4.0 * xi * t, t) for xi, t in (
+        (0.24, 40.0), (0.2, 40.0), (7.9, 20.0), (1.0, 80.0), (-0.24, 12.0), (0.2, 2560.0),
+        (-7.5, 40.0), (1.0, 80.0), (0.1, 640.0), (-3.0, 160.0))]
+    qf = tmp_path / "queries.jsonl"
+    qf.write_text("".join(json.dumps({"x": x, "t": t}) + "\n" for x, t in queries))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "asym", "--queries", str(qf)])
+    assert res.exit_code == 0, res.output
+    lines = (out / "asym.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [row["validity"] for row in rows] == [
+        "invalid", "marginal", "invalid", "valid", "invalid", "marginal", "invalid", "valid",
+        "valid", "valid"]
+    config = ExperimentConfig.from_json_file(cfg)
+    ctx = phase.SpectralContext(compute_scattering(config.potential, config.z_grid()))
+    phases = cli._ray_phases(ctx, queries)
+    for row, (x, t) in zip(rows, queries):
+        q, validity, im_nu = cli._leading(x, t, phases)
+        assert (row["validity"], row["im_nu"]) == (validity, str(im_nu))
+        got = complex(float(row["re_q"]), float(row["im_q"]))
+        if validity == "invalid":
+            assert row["re_q"] == row["im_q"] == "nan"
+        else:
+            assert abs(got - q) <= 4e-15 * abs(q)
+
+
 def test_evolve_csv_and_binary(tmp_path, runner):
     pot = {"kind": "gaussian", "amplitude": [0.1, 0.0], "sigma": 1,
            "L": 64.0, "N": 1024, "params": {"width": 1.0}}
@@ -466,7 +526,8 @@ def test_ray_at_the_exact_pad_is_served(tmp_path, runner):
 
 def test_asym_sweeps_every_distinct_xi_once(tmp_path, runner, monkeypatch):
     # M distinct served xi make one array spline call (xi and its 8 nodes each), which
-    # gives r, rbreve and nu at xi too, so no 0-d call; 1/Gamma runs once per xi
+    # gives r, rbreve and nu at xi too, so no 0-d call; 1/Gamma runs once per xi, all
+    # of them in one array call
     calls, gammas = [], []
     spline = UniformSpline.__call__
     monkeypatch.setattr(UniformSpline, "__call__",
@@ -481,7 +542,7 @@ def test_asym_sweeps_every_distinct_xi_once(tmp_path, runner, monkeypatch):
     # besides the sweep, only the node table: one call of 8 nodes per knot interval
     assert sorted(shape for shape in calls if shape) == [(9 * len(served),), (8 * 256,)]
     assert calls.count(()) == 0
-    assert len(gammas) == len(served)
+    assert [np.size(z) for z in gammas] == [len(served)]
 
 
 def test_compare_sweeps_every_ray_once(tmp_path, runner, monkeypatch):
