@@ -6,21 +6,10 @@ from . import errors
 from .asymptotics import alpha, q_asymptotic
 from .model import ModelCoefficients, connection_coefficients, jump_matrix, psi
 from .pde import FieldSnapshot, evolve, spectral_interpolate
-from .phase import (
-    PhaseData,
-    beta,
-    delta_boundary,
-    phase_data,
-    stationary_point,
-)
+from .phase import PhaseData, beta, delta_boundary, phase_data, stationary_point
 from .potentials import Potential
-from .scattering import (
-    GenericityReport,
-    ScatteringData,
-    check_genericity,
-    compute_scattering,
-    exact_box_scattering,
-)
+from .scattering import (GenericityReport, ScatteringData, check_genericity,
+                         compute_scattering, exact_box_scattering)
 from .weber import weber_D
 
 __version__ = "0.1.0"

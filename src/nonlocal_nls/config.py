@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import _serves
 from .errors import BadInput
-from .potentials import Potential, _json_float, _json_int
+from .potentials import Potential, _json_float, _json_int, _read_object
+
+
+#: each JSON object of the config, key -> (field, reader); window and pde hold config fields
+_WINDOW = {"z_max": ("z_max", _json_float), "n": ("nz", _json_int)}
+_PDE = {"dt": ("dt", _json_float)}
+_CONFIG = {"potential": ("potential", Potential.from_json_dict),
+           "window": ("window", lambda doc: _read_object(doc, _WINDOW, "window")),
+           "pde": ("pde", lambda doc: _read_object(doc, _PDE, "pde")),
+           "rays": ("rays", lambda doc: [_json_float(v) for v in doc]),
+           "times": ("times", lambda doc: [_json_float(v) for v in doc]),
+           "t_min": ("t_min", _json_float)}
 
 
 @dataclass
@@ -51,29 +63,12 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
             raise BadInput(f"cannot parse config {path}: {exc}") from exc
         return cls.from_json_dict(doc)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict) or "potential" not in doc:
-            raise BadInput("config must be an object with a 'potential' entry")
-        window, pde = doc.get("window", {}), doc.get("pde", {})
-        if not (isinstance(window, dict) and isinstance(pde, dict)):
-            raise BadInput("config 'window' and 'pde' must be JSON objects")
-
-        def floats(values):
-            return [_json_float(v) for v in values]
-
-        # (field, section, key, reader): a key the document lacks takes the field's default
-        keys = (("z_max", window, "z_max", _json_float), ("nz", window, "n", _json_int),
-                ("rays", doc, "rays", floats), ("times", doc, "times", floats),
-                ("dt", pde, "dt", _json_float), ("t_min", doc, "t_min", _json_float))
-        try:
-            return cls(potential=Potential.from_json_dict(doc["potential"]),
-                       **{name: read(sec[key]) for name, sec, key, read in keys if key in sec})
-        except (TypeError, ValueError) as exc:
-            raise BadInput(f"bad config value: {exc}") from exc
+        fields = _read_object(doc, _CONFIG, "config", required="potential")
+        return cls(**fields.pop("window", {}), **fields.pop("pde", {}), **fields)

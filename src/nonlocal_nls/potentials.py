@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 
@@ -24,11 +23,6 @@ from .errors import BadInput
 TAIL_LEVEL = 1e-12
 #: |q0| / max |q0| and |qhat| / max |qhat| counted as signal
 BAND_LEVEL = 1e-10
-
-_KINDS = ("zero", "box", "gaussian", "samples")
-_NUMERIC_PARAMS = ("width", "center", "chirp", "left", "right")
-_DEFAULTS = {"box": {"left": -1.0, "right": 1.0},
-             "gaussian": {"width": 1.0, "center": 0.0, "chirp": 0.0}}
 
 
 def _json_int(value) -> int:
@@ -45,6 +39,45 @@ def _json_float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _complex_values(value) -> np.ndarray:
+    """Complex values: an array, or from JSON a list of [re, im] pairs of two numbers."""
+    if isinstance(value, np.ndarray):
+        return value.astype(complex)
+    pairs = [(_json_float(re), _json_float(im)) for re, im in value]
+    return np.array(pairs).reshape(-1, 2).view(complex).ravel()
+
+
+def _read_object(doc, table: dict, section: str, required=None) -> dict:
+    """{field: reader(doc[key])} for each key of the JSON object `doc`, by `table`, key ->
+    (field, reader).  A key `doc` lacks keeps its field's default; a key `table` does not
+    define, a bad value and a `doc` without the key `required` are refused."""
+    if not isinstance(doc, dict) or (required and required not in doc):
+        raise BadInput(f"{section} must be a JSON object"
+                       + (f" with the key {required!r}" if required else ""))
+    fields = {}
+    for key, value in doc.items():
+        if key not in table:
+            raise BadInput(f"unknown key {key!r} in {section}, which defines {list(table)}")
+        field, read = table[key]
+        try:
+            fields[field] = read(value)
+        except (TypeError, ValueError) as exc:
+            raise BadInput(f"bad {key!r} in {section}: {exc}") from exc
+    return fields
+
+
+#: the params of each kind, key -> (default, reader); samples has no default
+_PARAMS = {"zero": {}, "box": {"left": (-1.0, _json_float), "right": (1.0, _json_float)},
+           "gaussian": {"width": (1.0, _json_float), "center": (0.0, _json_float),
+                        "chirp": (0.0, _json_float)},
+           "samples": {"samples": (None, _complex_values)}}
+#: the potential object, key -> (field, reader); Potential reads its params by the kind's table
+_POTENTIAL = {"kind": ("kind", str),
+              "amplitude": ("amplitude", lambda pair: complex(_complex_values([pair])[0])),
+              "sigma": ("sigma", _json_int), "L": ("L", _json_float), "N": ("N", _json_int),
+              "params": ("params", lambda params: params)}
 
 
 def uniform_grid(h: float, n: int) -> np.ndarray:
@@ -119,7 +152,7 @@ class Potential:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in tuple(_PARAMS):
             raise BadInput(f"unknown potential kind {self.kind!r}")
         if self.sigma not in (1, -1):
             raise BadInput("sigma must be +1 or -1")
@@ -127,14 +160,15 @@ class Potential:
             raise BadInput("domain halfwidth L must be positive")
         if self.N < 4 or self.N & (self.N - 1):
             raise BadInput("N must be a power of two >= 4")
+        table = _PARAMS[self.kind]
+        given = _read_object(self.params, {key: (key, read) for key, (_, read) in table.items()},
+                             f"{self.kind} params")
+        self.params = {key: given.get(key, default) for key, (default, _) in table.items()}
         self.amplitude = complex(self.amplitude)
         numbers = [self.amplitude.real, self.amplitude.imag, self.L]
-        numbers += [float(self.params[k]) for k in _NUMERIC_PARAMS if k in self.params]
+        numbers += [v for v in self.params.values() if isinstance(v, float)]
         if not all(np.isfinite(numbers)):
             raise BadInput("amplitude, L and numeric params must be finite")
-        defaults = _DEFAULTS.get(self.kind, {})
-        self.params = {**self.params,
-                       **{k: float(self.params.get(k, v)) for k, v in defaults.items()}}
         self._spline = None
         if self.kind == "box":
             left, right = self.params["left"], self.params["right"]
@@ -148,11 +182,9 @@ class Potential:
             if self.tail_bound() > TAIL_LEVEL:
                 raise BadInput("gaussian tail exceeds 1e-12 at the edge of [-L, L]")
         elif self.kind == "samples":
-            vals = np.asarray(self.params["samples"], dtype=complex)
-            if vals.shape != (self.N,):
-                raise BadInput("samples array must have length N")
-            if not np.all(np.isfinite(vals.view(float))):
-                raise BadInput("samples must be finite")
+            vals = self.params["samples"]
+            if vals is None or vals.shape != (self.N,) or not np.isfinite(vals).all():
+                raise BadInput("samples params need 'samples': N finite values")
             self._spline = UniformSpline(self.grid(), vals, natural=True)
 
     # -- evaluation ---------------------------------------------------------
@@ -201,7 +233,7 @@ class Potential:
             amp = max(abs(self.amplitude), TAIL_LEVEL)
             reach = w * np.sqrt(2.0 * np.log(amp / (TAIL_LEVEL * 0.1)))
             return min(abs(x0) + reach, self.L)
-        q = np.abs(np.asarray(self.params["samples"], dtype=complex))
+        q = np.abs(self.params["samples"])
         thresh = TAIL_LEVEL * (1.0 + q.max(initial=0.0))
         hot = np.nonzero(q > thresh)[0]
         if hot.size == 0:
@@ -229,7 +261,7 @@ class Potential:
         if self.kind in ("zero", "box"):
             return 0.0
         if self.kind == "samples":
-            vals = np.abs(np.asarray(self.params["samples"], dtype=complex))
+            vals = np.abs(self.params["samples"])
             edge = max(4, self.N // 64)
             return float(max(vals[:edge].max(), vals[-edge:].max()))
         w, x0 = self.params["width"], self.params["center"]
@@ -264,23 +296,5 @@ class Potential:
     # -- serialization ------------------------------------------------------
 
     @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "Potential":
-        if not isinstance(doc, dict):
-            raise BadInput("potential descriptor must be a JSON object")
-        try:
-            # a key the document lacks takes the field's default
-            fields = {"kind": doc["kind"]}
-            if "amplitude" in doc:
-                amp = doc["amplitude"]
-                fields["amplitude"] = complex(_json_float(amp[0]), _json_float(amp[1]))
-            params = dict(doc.get("params", {}))
-            params.update((k, _json_float(params[k])) for k in _NUMERIC_PARAMS if k in params)
-            if "samples" in params:
-                arr = np.array([(_json_float(re), _json_float(im))
-                                for re, im in params["samples"]])
-                params["samples"] = arr[:, 0] + 1j * arr[:, 1]
-            fields.update((key, read(doc[key])) for key, read in (
-                ("sigma", _json_int), ("L", _json_float), ("N", _json_int)) if key in doc)
-            return cls(params=params, **fields)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise BadInput(f"bad potential descriptor: {exc}") from exc
+    def from_json_dict(cls, doc: dict) -> "Potential":
+        return cls(**_read_object(doc, _POTENTIAL, "potential", required="kind"))

@@ -81,6 +81,15 @@ def test_malformed_json_exits_1(tmp_path, runner):
     assert res.exit_code == 1
 
 
+def test_non_utf8_config_exits_1(tmp_path, runner):
+    # undecodable bytes are malformed input, not a numerical failure (exit 3)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    res = runner.invoke(main, ["--config", str(bad), "scatter"])
+    assert res.exit_code == 1, res.output
+    assert "cannot parse config" in res.output
+
+
 def test_missing_config_exits_1(runner):
     res = runner.invoke(main, ["scatter"])
     assert res.exit_code == 1
@@ -101,6 +110,23 @@ def test_scatter_non_integral_integer_exits_1(tmp_path, runner, section, key, va
     assert res.exit_code == 1, res.output
     assert "expected an integer" in res.output
     assert not (out / "scattering.csv").exists()
+
+
+@pytest.mark.parametrize("potential, over, named", [
+    (BOX_POT, {"window": {"zmax": 6.0}, "tmin": 50.0}, [("zmax", "window"), ("tmin", "config")]),
+    (dict(BOX_POT, amplitude=[0.3, 0.0, 7.0]), {}, [("amplitude", "potential")]),
+    (dict(LIGHT_GAUSS, params={"widht": 2.6}), {}, [("widht", "gaussian params")]),
+    (dict(LIGHT_GAUSS, params={"width": 2.0, "left": -1.0}, centre=1.0), {"ray": [0.3]},
+     [("left", "gaussian params"), ("centre", "potential"), ("ray", "config")]),
+], ids=["misspelt-window-and-top", "three-entry-amplitude", "misspelt-param", "foreign-keys"])
+def test_scatter_undefined_key_exits_1(tmp_path, runner, potential, over, named):
+    # a key the config does not define is refused, never dropped for a default
+    cfg = _write_config(tmp_path / "cfg.json", potential, **over)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "scatter"])
+    assert res.exit_code == 1, res.output
+    assert any(f"{key!r} in {section}" in res.output for key, section in named), res.output
+    assert not out.exists()
 
 
 def test_genericity_violation_exits_2(tmp_path, runner):

@@ -1,3 +1,10 @@
+import dataclasses
+import importlib.util
+import json
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +16,13 @@ from nonlocal_nls._cf4 import (
     _series_coefficients,
     _split,
 )
-from nonlocal_nls.config import ExperimentConfig
+from nonlocal_nls.config import _CONFIG, _PDE, _WINDOW, ExperimentConfig
 from nonlocal_nls.errors import BadInput
-from nonlocal_nls.potentials import UniformSpline
+from nonlocal_nls.potentials import _PARAMS, _POTENTIAL, UniformSpline
 
 from conftest import series_entries
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 def _lax_entries(pot, x, h=1e-6):
@@ -188,7 +197,7 @@ def test_null_config_value_is_bad_input(path):
 @pytest.mark.parametrize("key,value", [("window", 5), ("pde", [1])])
 def test_non_object_section_is_bad_input(key, value):
     doc = dict(_config_doc("box"), **{key: value})
-    with pytest.raises(BadInput, match="must be JSON objects"):
+    with pytest.raises(BadInput, match=f"{key} must be a JSON object"):
         ExperimentConfig.from_json_dict(doc)
 
 
@@ -234,11 +243,91 @@ def test_non_finite_config_is_bad_input(kind, data, value):
 
 @pytest.mark.parametrize("kind,key", [("box", "width"), ("gaussian", "left")])
 def test_non_finite_unread_param_is_bad_input(kind, key):
-    # a numeric param the kind never reads is still checked
+    # a param the kind does not define is refused, whatever its value
     doc = _config_doc(kind)
     doc["potential"]["params"][key] = float("nan")
-    with pytest.raises(BadInput, match="must be finite"):
+    with pytest.raises(BadInput, match=f"unknown key '{key}' in {kind} params"):
         ExperimentConfig.from_json_dict(doc)
+
+
+def test_samples_potential_without_samples_is_bad_input():
+    # samples is the one param without a default
+    with pytest.raises(BadInput, match="samples params need 'samples'"):
+        Potential(kind="samples", L=4.0, N=4)
+
+
+def test_unknown_param_of_the_constructor_is_bad_input():
+    # the library constructor refuses what the config reader refuses
+    with pytest.raises(BadInput, match="unknown key 'widht' in gaussian params"):
+        Potential(kind="gaussian", params={"widht": 2.6})
+
+
+@pytest.mark.parametrize("amplitude", [[0.3], [0.3, 0.0, 7.0]])
+def test_amplitude_is_exactly_two_numbers(amplitude):
+    doc = _config_doc("box")
+    doc["potential"]["amplitude"] = amplitude
+    with pytest.raises(BadInput, match="bad 'amplitude' in potential"):
+        ExperimentConfig.from_json_dict(doc)
+
+
+def test_each_table_fills_exactly_its_fields():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    # window and pde are sections whose tables fill fields of the config itself
+    sections = {_CONFIG[key][0] for key in ("window", "pde")}
+    filled = [name for table in (_CONFIG, _WINDOW, _PDE) for name, _ in table.values()]
+    assert sorted(set(filled) - sections) == sorted(names(ExperimentConfig))
+    assert len(filled) == len(set(filled))
+    assert [name for name, _ in _POTENTIAL.values()] == names(Potential)
+    for kind, table in _PARAMS.items():
+        params = {"samples": np.zeros(4)} if kind == "samples" else {}
+        assert list(Potential(kind=kind, L=4.0, N=4, params=params).params) == list(table)
+
+
+def _documented_configs(tmp_path, monkeypatch):
+    """The example configs of the README and every config perfbench writes for seed 1."""
+    blocks = re.findall(r"```json\n(.*?)```", (_REPO / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    spec = importlib.util.spec_from_file_location("workloads", _REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        workloads.build(name, 1, tmp_path / name)
+    configs = sorted(tmp_path.rglob("*.json"))
+    assert len(configs) == 5
+    return [json.loads(b) for b in blocks] + [json.loads(p.read_text()) for p in configs]
+
+
+def _read_key_by_key(doc):
+    """The config that reading each key of `doc` into its field gives."""
+    pot = doc["potential"]
+    params = dict(pot.get("params", {}))
+    if "samples" in params:
+        params["samples"] = np.array([complex(re, im) for re, im in params["samples"]])
+    window, pde = doc.get("window", {}), doc.get("pde", {})
+    fields = {"z_max": window.get("z_max"), "nz": window.get("n"), "rays": doc.get("rays"),
+              "times": doc.get("times"), "dt": pde.get("dt"), "t_min": doc.get("t_min")}
+    potential = Potential(kind=pot["kind"], amplitude=complex(*pot["amplitude"]),
+                          sigma=pot["sigma"], L=pot["L"], N=pot["N"], params=params)
+    return ExperimentConfig(potential=potential,
+                            **{name: value for name, value in fields.items() if value is not None})
+
+
+def _comparable(cfg):
+    pot = cfg.potential
+    params = {key: np.asarray(value).tobytes() for key, value in pot.params.items()}
+    return (dataclasses.replace(cfg, potential=None),
+            (pot.kind, pot.amplitude, pot.sigma, pot.L, pot.N, params))
+
+
+def test_documented_configs_parse_as_before(tmp_path, monkeypatch):
+    # every key of the README examples and of the benchmark inputs is defined,
+    # and each is read into its field as the reader always read it
+    for doc in _documented_configs(tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_json_dict(doc)
+        assert _comparable(cfg) == _comparable(_read_key_by_key(doc))
 
 
 # the uniform-grid spline against scipy's CubicSpline, in range, at both
