@@ -23,13 +23,11 @@ from .errors import (
     GenericityViolation,
     MissingInputs,
     NonlocalNLSError,
-    ValidityViolation,
 )
 from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, snapshot_from_potential, spectral_interpolate
 from .phase import (
     SpectralContext,
-    _phase_batch,
     delta_boundary,
     nu_tail_with_bound,
     phase_data,
@@ -97,32 +95,26 @@ def _scatter_data(cfg: ExperimentConfig):
     return compute_scattering(cfg.potential, cfg.z_grid())
 
 
-def _distinct_served(spectral: SpectralContext, xis):
-    """The distinct xi of the 1-d `xis` that the ray formula serves, ascending, and
-    for each entry of `xis` its position among them, or -1."""
-    distinct, where = np.unique(xis, return_inverse=True)
+def _ray_formula(spectral: SpectralContext, x, t):
+    """(xi, q, validity, Im nu) of the leading term at the 1-d arrays x and t, from one
+    `phase_data` sweep over the distinct xi = -x/(4t) that the ray formula serves and
+    one `q_asymptotic` call; NaN and "invalid" where it is refused: at a xi it does not
+    serve or by the Im nu gate."""
+    xi = stationary_point(x, t)
+    distinct, where = np.unique(xi, return_inverse=True)
     served = _serves(spectral.z_lo, spectral.z_hi, distinct)
-    pos = np.where(served, np.cumsum(served) - 1, -1)
-    return distinct[served], pos[where]
-
-
-def _ray_phases(spectral: SpectralContext, queries) -> dict:
-    """{xi: PhaseData} at every distinct xi = -x/(4t) of the (x, t) queries that the
-    ray formula serves, from one `phase_data` sweep."""
-    xis, _ = _distinct_served(spectral, [stationary_point(x, t) for x, t in queries])
-    return dict(zip(xis.tolist(), phase_data(spectral, xis))) if xis.size else {}
-
-
-def _leading(x, t, phases: dict):
-    """(q, validity, Im nu) of the leading term; NaN and "invalid" where it is refused:
-    at a xi that `phases` lacks (one the ray formula does not serve) or by the Im nu gate."""
-    ph = phases.get(stationary_point(x, t))
-    if ph is not None:
-        try:
-            return (*q_asymptotic(ph, t), ph.nu_at_xi.imag)
-        except ValidityViolation:
-            pass
-    return complex(math.nan, math.nan), "invalid", math.nan
+    pos = np.where(served, np.cumsum(served) - 1, -1)[where]
+    q = np.full(xi.size, complex(math.nan, math.nan))
+    im_nu = np.full(xi.size, math.nan)
+    validity = np.full(xi.size, "invalid", dtype="<U8")
+    if served.any():
+        batch = phase_data(spectral, distinct[served])
+        ok = pos >= 0
+        ok[ok] = ~_refused(batch.nu_at_xi)[pos[ok]]
+        rays = batch.take(pos[ok])
+        q[ok], validity[ok] = q_asymptotic(rays, t[ok])
+        im_nu[ok] = rays.nu_at_xi.imag
+    return xi, q, validity, im_nu
 
 
 @_command()
@@ -147,9 +139,9 @@ def phase(ctx):
     if not cfg.rays:
         raise BadInput("config has no rays")
     spectral = SpectralContext(_scatter_data(cfg))
-    rays = [(ph, nu_tail_with_bound(spectral, xi)[0], spectral.branch_max_arg)
-            for xi, ph in zip(cfg.rays, phase_data(spectral, cfg.rays))]
-    nio.write_phase_json(rays, out / "phase.json")
+    phases = phase_data(spectral, cfg.rays)
+    tails = [nu_tail_with_bound(spectral, xi)[0] for xi in cfg.rays]
+    nio.write_phase_json(phases, out / "phase.json", tails, spectral.branch_max_arg)
     click.echo(f"wrote {out / 'phase.json'}")
 
 
@@ -167,20 +159,7 @@ def asym(ctx, queries_path):
     if not queries:
         raise BadInput("no queries: pass --queries or configure rays and times")
     x, t = np.array(queries, dtype=float).reshape(-1, 2).T
-    xi = stationary_point(x, t)
-    spectral = SpectralContext(_scatter_data(cfg))
-    xis, pos = _distinct_served(spectral, xi)
-    q = np.full(xi.size, complex(math.nan, math.nan))
-    im_nu = np.full(xi.size, math.nan)
-    validity = np.full(xi.size, "invalid", dtype="<U8")
-    if xis.size:
-        batch = _phase_batch(spectral, xis)
-        # a xi the Im nu gate refuses keeps its "invalid" rows, as an unserved one does
-        ok = pos >= 0
-        ok[ok] = ~_refused(batch.nu_at_xi)[pos[ok]]
-        rays = batch.take(pos[ok])
-        q[ok], validity[ok] = q_asymptotic(rays, t[ok])
-        im_nu[ok] = rays.nu_at_xi.imag
+    xi, q, validity, im_nu = _ray_formula(SpectralContext(_scatter_data(cfg)), x, t)
     rows = zip(*(col.tolist() for col in (x, t, xi, q.real, q.imag, np.abs(q), im_nu, validity)))
     nio.write_asym_csv(rows, out / "asym.csv")
     click.echo(f"wrote {out / 'asym.csv'}")
@@ -221,41 +200,34 @@ def compare(ctx):
     out = _outdir(ctx)
     if not cfg.rays or not cfg.times:
         raise BadInput("compare needs both rays and times in the config")
-    # every ray's phase data before the PDE, so that a refused ray costs no evolve
-    phases = _ray_phases(SpectralContext(_scatter_data(cfg)),
-                         [(-4.0 * xi * t, t) for xi in cfg.rays for t in cfg.times])
+    # the leading term of every (ray, time) pair before the PDE, so that a refusal
+    # costs no evolve and writes nothing
+    xi, t = np.meshgrid(cfg.rays, cfg.times, indexing="ij")
+    x = -4.0 * xi * t
+    _, q, validity, _ = _ray_formula(SpectralContext(_scatter_data(cfg)), x.ravel(), t.ravel())
     snaps = evolve(cfg.potential, cfg.times, cfg.dt)
     rows = []
     fits = {}
-    pending_failure = None
-    for xi in cfg.rays:
+    for ray, ts, xs, qs, vs in zip(cfg.rays, *(
+            a.reshape(x.shape).tolist() for a in (t, x, q, validity))):
         errs = []
-        for snap in snaps:
-            t = snap.t
-            x = -4.0 * xi * t
-            if abs(x) > snap.x_reach:
+        for snap, t_k, x_k, q_asym, valid in zip(snaps, ts, xs, qs, vs):
+            if abs(x_k) > snap.x_reach:
                 continue
-            q_num = spectral_interpolate(snap, x)
-            try:
-                q_asym, validity, _ = _leading(x, t, phases)
-            except NonlocalNLSError as exc:
-                # flush what we have with a failure marker, then propagate
-                q_asym, validity = complex(math.nan, math.nan), "failed"
-                pending_failure = exc
+            q_num = spectral_interpolate(snap, x_k)
             err = abs(q_num - q_asym)
             rows.append({
-                "xi": xi, "t": t,
+                "xi": ray, "t": t_k,
                 "re_qnum": q_num.real, "im_qnum": q_num.imag,
                 "re_qasym": q_asym.real, "im_qasym": q_asym.imag,
-                "abs_err": err, "validity": validity,
+                "abs_err": err, "validity": valid,
             })
-            if validity not in ("invalid", "failed"):
-                errs.append((t, err))
+            if valid != "invalid":
+                errs.append((t_k, err))
         if len(errs) >= 3 and all(e > 0 for _, e in errs):
-            ts = np.log([t for t, _ in errs])
-            es = np.log([e for _, e in errs])
-            fits[str(xi)] = {
-                "exponent": float(np.polyfit(ts, es, 1)[0]),
+            log_t, log_e = np.log(errs).T
+            fits[str(ray)] = {
+                "exponent": float(np.polyfit(log_t, log_e, 1)[0]),
                 "n_points": len(errs),
                 "monotone_decreasing": all(
                     errs[i + 1][1] < errs[i][1] for i in range(len(errs) - 1)
@@ -264,8 +236,6 @@ def compare(ctx):
     nio.write_compare_csv(rows, out / "compare.csv")
     nio.write_fit_json(fits, out / "fits.json")
     click.echo(f"wrote {out / 'compare.csv'} and {out / 'fits.json'}")
-    if pending_failure is not None:
-        raise pending_failure
 
 
 @_command()

@@ -46,15 +46,17 @@ def write_genericity_json(report: GenericityReport, path):
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_phase_json(rays: list, path):
-    """One row per ray from (PhaseData, nu tail integral, branch_max_arg)."""
+def write_phase_json(phases, path, nu_tails, branch_max_arg: float):
+    """One row per ray of the batch `phases` (a `phase.PhaseData`), with its nu tail
+    integral and the data set's branch_max_arg."""
     rows = [{
-        "xi": ph.xi,
-        "nu": [ph.nu_at_xi.real, ph.nu_at_xi.imag],
-        "delta0": [ph.delta0.real, ph.delta0.imag],
+        "xi": xi,
+        "nu": [nu.real, nu.imag],
+        "delta0": [d0.real, d0.imag],
         "nu_tail": [tail.real, tail.imag],
         "branch_max_arg": branch_max_arg,
-    } for ph, tail, branch_max_arg in rays]
+    } for xi, nu, d0, tail in zip(phases.xi.tolist(), phases.nu_at_xi.tolist(),
+                                  phases.delta0.tolist(), nu_tails)]
     Path(path).write_text(json.dumps({"rays": rows}, indent=2) + "\n")
 
 
@@ -83,7 +85,10 @@ def read_compare_csv(path) -> list:
 
     The header must be COMPARE_COLUMNS: cells are read by position."""
     names = COMPARE_COLUMNS.split(",")
-    header, *lines = Path(path).read_text().strip().splitlines() or [""]
+    try:
+        header, *lines = Path(path).read_text().strip().splitlines() or [""]
+    except (OSError, ValueError) as exc:   # unreadable, or not UTF-8
+        raise BadInput(f"{path}: {exc}") from exc
     if header != COMPARE_COLUMNS:
         raise BadInput(f"{path}: header {header!r}, expected {COMPARE_COLUMNS!r}")
     rows = []
@@ -106,7 +111,7 @@ def read_fit_json(path) -> dict:
     """fits.json as `write_fit_json` writes it: ray -> {exponent, monotone_decreasing, ...}."""
     try:
         fits = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise BadInput(f"{path}: not JSON: {exc}") from exc
     if not isinstance(fits, dict):
         raise BadInput(f"{path}: expected an object keyed by ray, "

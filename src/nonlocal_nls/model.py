@@ -83,7 +83,6 @@ class ModelCoefficients:
     nu: complex
     r_xi: complex
     r_breve_xi: complex
-    delta0: complex
     rho: complex
     rho_hat: complex
     beta1: complex
@@ -115,10 +114,7 @@ def connection_coefficients(phase, t) -> ModelCoefficients:
     # exactly, its poles lying at Im nu <= -1
     beta2 = (1j * rho / rg
              * np.exp(math.pi * nu / 2.0 - _PIQ) / _SQRT2PI)
-    return ModelCoefficients(
-        nu=nu, r_xi=r_xi, r_breve_xi=r_breve_xi, delta0=delta0,
-        rho=rho, rho_hat=rho_hat, beta1=beta1, beta2=beta2,
-    )
+    return ModelCoefficients(nu, r_xi, r_breve_xi, rho, rho_hat, beta1, beta2)
 
 
 def jump_matrix(coeffs: ModelCoefficients) -> np.ndarray:

@@ -14,7 +14,7 @@ Definitions used throughout (normative properties in parentheses):
 The delta exponent carries a single factor of i so that the stated jump
 holds; the beta integrand carries 1/(s - z) for the same reason.  `beta`
 integrates the removable sqrt-type endpoint behavior at s = xi with the
-substitution s = xi - u^2; delta0 needs none (see `_sweep`).
+substitution s = xi - u^2; delta0 needs none (see `phase_data`).
 
 All of it is read off one `SpectralContext`, the only input of every
 function here; it refuses non-finite r or rbreve, data whose genericity
@@ -23,9 +23,9 @@ nu is one function of s, the same bits alone or in an array (1 - r rbreve is
 formed in real arithmetic, on the grid and by the genericity check too).  delta0
 and the nu tail integral use composite Gauss-Legendre on the spline knots (nu
 from the node table, one spline call on the last, partial interval; `phase_data`
-takes a 1-d array of xi too and makes that call once for all of them), with the
-embedded half rule as error estimate; `phase_data` reads r, rbreve and nu at xi
-off that same call.
+takes a 1-d array of xi too, makes that call once for all of them and returns one
+batch `PhaseData`), with the embedded half rule as error estimate; `phase_data`
+reads r, rbreve and nu at xi off that same call.
 The boundary values of delta and `beta` at general z use the independent oracle
 `quad`: adaptive Gauss-Legendre 21 with |G21 - G10| as error estimate,
 vectorized, with no knot alignment.
@@ -276,30 +276,6 @@ def _last_intervals(ctx: SpectralContext, xis: np.ndarray):
     return ks, hp, d, v[:, :n], nu[:n], nu[n:].reshape(d.shape)
 
 
-def _sweep(ctx: SpectralContext, xi):
-    """xi as a 1-d array, and the spline columns, nu and delta0 = e^{i B} at every xi:
-    B = int_{z_lo}^{xi} (nu(s) - nu(xi))/(s - xi) ds - nu(xi) log(xi - z_lo), analytic on
-    every knot interval, by Gauss-Legendre with nu from the node table below z_k and from
-    `_last_intervals` on [z_k, xi].  Each xi keeps its own sums and error gate."""
-    xis = _rays(xi)
-    for x in xis:
-        ctx._window(x - 1.0, x)
-    s, half, nu, _, _ = ctx._nodes
-    ks, hp, d, cols, nu_xis, nu_nodes = _last_intervals(ctx, xis)
-    d0 = np.empty(xis.size, complex)
-    for i, (x, k, nu_xi) in enumerate(zip(xis, ks, nu_xis)):
-        vals = nu[:k] - nu_xi
-        vals *= 1.0 / (s[:k] - x)
-        q, e = ctx._rule(vals, half[:k])
-        # offsets below the least normal double (xi within 1e-307 above the knot 0) add 0
-        vp = np.divide(nu_nodes[i] - nu_xi, d[i], out=np.zeros_like(nu_nodes[i]),
-                       where=d[i] <= -np.finfo(float).tiny)
-        qp, ep = ctx._rule(vp, hp[i:i + 1])
-        _gate(e.sum() + ep.sum())
-        d0[i] = cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(x - ctx.z_lo)))
-    return xis, cols, nu_xis, d0
-
-
 def nu_tail_with_bound(ctx: SpectralContext, xi: float):
     """(int_{-inf}^{xi} nu(s) ds over the grid, estimated truncation error)."""
     ctx._window(xi, xi)
@@ -340,19 +316,27 @@ class PhaseData:
         return out
 
 
-def _phase_batch(ctx: SpectralContext, xi) -> PhaseData:
-    """The leading term's inputs at every xi of a 1-d array, as one batch PhaseData,
-    read off one `_sweep` (one spline call)."""
-    xis, cols, nus, d0s = _sweep(ctx, xi)
-    return PhaseData(xi=xis, nu_at_xi=nus, delta0=d0s, r_xi=cols[0] + 1j * cols[1],
-                     r_breve_xi=cols[2] + 1j * cols[3])
-
-
-def phase_data(ctx: SpectralContext, xi):
-    """The leading term's inputs at xi: a PhaseData for a float, a list of them for
-    a 1-d array or sequence, all read off one `_sweep` (one spline call)."""
-    b = _phase_batch(ctx, xi)
-    out = [PhaseData(xi=float(x), nu_at_xi=complex(nu), delta0=complex(d0),
-                     r_xi=complex(a), r_breve_xi=complex(rb))
-           for x, nu, d0, a, rb in zip(b.xi, b.nu_at_xi, b.delta0, b.r_xi, b.r_breve_xi)]
-    return out if np.ndim(xi) else out[0]
+def phase_data(ctx: SpectralContext, xi) -> PhaseData:
+    """The leading term's inputs at xi: one ray of Python scalars for a float, a batch for
+    a 1-d array or sequence, read off one spline call.  delta0 = e^{i B} with
+    B = int_{z_lo}^{xi} (nu(s) - nu(xi))/(s - xi) ds - nu(xi) log(xi - z_lo), analytic on
+    every knot interval, by Gauss-Legendre with nu from the node table below z_k and from
+    `_last_intervals` on [z_k, xi].  Each xi keeps its own sums and error gate."""
+    xis = _rays(xi)
+    for x in xis:
+        ctx._window(x - 1.0, x)
+    s, half, nu, _, _ = ctx._nodes
+    ks, hp, d, cols, nu_xis, nu_nodes = _last_intervals(ctx, xis)
+    d0 = np.empty(xis.size, complex)
+    for i, (x, k, nu_xi) in enumerate(zip(xis, ks, nu_xis)):
+        vals = nu[:k] - nu_xi
+        vals *= 1.0 / (s[:k] - x)
+        q, e = ctx._rule(vals, half[:k])
+        # offsets below the least normal double (xi within 1e-307 above the knot 0) add 0
+        vp = np.divide(nu_nodes[i] - nu_xi, d[i], out=np.zeros_like(nu_nodes[i]),
+                       where=d[i] <= -np.finfo(float).tiny)
+        qp, ep = ctx._rule(vp, hp[i:i + 1])
+        _gate(e.sum() + ep.sum())
+        d0[i] = cmath.exp(1j * (q.sum() + qp.sum() - nu_xi * math.log(x - ctx.z_lo)))
+    fields = (xis, nu_xis, d0, cols[0] + 1j * cols[1], cols[2] + 1j * cols[3])
+    return PhaseData(*fields) if np.ndim(xi) else PhaseData(*(f[0].item() for f in fields))

@@ -38,8 +38,8 @@ def test_library_knobs_are_pinned():
         "GenericityReport": ["min_abs_a", "min_abs_one_minus_rr", "winding", "winding_breve",
                              "contour_radius", "a_pass", "rr_pass", "winding_pass", "route",
                              "bound"],
-        "ModelCoefficients": ["nu", "r_xi", "r_breve_xi", "delta0", "rho", "rho_hat",
-                              "beta1", "beta2"],
+        "ModelCoefficients": ["nu", "r_xi", "r_breve_xi", "rho", "rho_hat", "beta1",
+                              "beta2"],
         "PhaseData": ["xi", "nu_at_xi", "delta0", "r_xi", "r_breve_xi"],
         "Potential": ["kind", "amplitude", "sigma", "L", "N", "params"],
         "ScatteringData": ["z_grid", "a", "a_breve", "b", "b_breve", "r", "r_breve",

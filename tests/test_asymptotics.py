@@ -19,7 +19,7 @@ from nonlocal_nls import (
 from nonlocal_nls.errors import NonpositiveTime, RouteDisagreement, ValidityViolation
 from nonlocal_nls.phase import PhaseData, SpectralContext
 
-from oracles import nu_at, q_leading
+from oracles import REFERENCE_RTOL, nu_at, q_leading
 
 
 def test_zero_potential_leading_term_vanishes():
@@ -46,9 +46,9 @@ def test_alpha_modulus_t_independent(box_ctx):
 
 def test_route_equivalence_ten_pairs(box_ctx, make_synthetic):
     # real-nu pipeline data plus complex-nu synthetic data
-    for ph in phase_data(box_ctx, [0.2, 0.45]):
-        for t in (25.0, 60.0, 110.0):
-            q_asymptotic(ph, t)  # raises if routes split
+    batch = phase_data(box_ctx, [0.2, 0.45])
+    for t in (25.0, 60.0, 110.0):
+        q_asymptotic(batch, t)  # raises if routes split
     z = np.linspace(-8, 8, 1025)
     ctx = make_synthetic(
         z,
@@ -115,12 +115,16 @@ def test_marginal_band_flagged(make_synthetic):
     assert 0.23 <= abs(ph.nu_at_xi.imag) < 0.25
 
 
-def test_window_exceeded(box_ctx, tmp_path):
+def test_window_exceeded(box_ctx, tmp_path, monkeypatch):
     # 15.99 lies on the grid [-16, 16] but not 1% of its width inside: the CLI sweeps
     # no phase data for it, and `asym` writes its row "invalid"
     t = 50.0
     queries = [(-4 * 15.99 * t, t), (-4 * 0.3 * t, t)]
-    assert list(cli._ray_phases(box_ctx, queries)) == [stationary_point(*queries[1])]
+    swept = []
+    monkeypatch.setattr(cli, "phase_data",
+                        lambda ctx, xi: swept.append(xi.tolist()) or phase_data(ctx, xi))
+    cli._ray_formula(box_ctx, *np.array(queries).T)
+    assert swept == [[stationary_point(*queries[1])]]
     box = {"kind": "box", "amplitude": [0.3, 0.0], "sigma": 1, "L": 8.0, "N": 256,
            "params": {"left": -1.0, "right": 1.0}}
     cfg, lines, out = tmp_path / "cfg.json", tmp_path / "q.jsonl", tmp_path / "o"
@@ -142,14 +146,6 @@ def test_nonpositive_time_is_typed(box_ctx, t):
         connection_coefficients(ph, t)
     with pytest.raises(NonpositiveTime):
         q_asymptotic(ph, t)
-
-
-# 18 ulp: the array path and the cmath reference round differently (numpy fuses
-# the multiply-adds of a complex product and divides through a reciprocal), and
-# the reference's own 1/Gamma is off mpmath's by up to 1.9e-15.  Over 10^6
-# uniform draws of the ranges below the largest gap was 3.07e-15, and 2.6e-4 of
-# the draws lay above 2e-15
-REFERENCE_RTOL = 4e-15
 
 
 def _ray(nu_re, nu_im, d0_abs, d0_arg, rb_abs, rb_arg):
@@ -192,9 +188,7 @@ def test_float_t_returns_a_complex_and_a_str(box_ctx):
 def test_one_disagreeing_element_raises(box_ctx, monkeypatch):
     # the 1e-10 route check runs on every element of a batch
     xis = np.array([0.2, 0.3, 0.5, 1.5])
-    batch = PhaseData(*(np.array(field) for field in zip(*(
-        (ph.xi, ph.nu_at_xi, ph.delta0, ph.r_xi, ph.r_breve_xi)
-        for ph in phase_data(box_ctx, xis)))))
+    batch = phase_data(box_ctx, xis)
     t = np.array([20.0, 40.0, 80.0, 160.0])
     q_asymptotic(batch, t)
     alpha = asymptotics.alpha

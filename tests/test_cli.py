@@ -17,6 +17,8 @@ from nonlocal_nls.config import ExperimentConfig
 from nonlocal_nls.errors import IntegratorDivergence
 from nonlocal_nls.potentials import UniformSpline
 
+from oracles import REFERENCE_RTOL, q_leading
+
 
 def _write_config(path, potential, **over):
     doc = {
@@ -265,6 +267,22 @@ def test_report_permuted_compare_header_exits_1(tmp_path, runner):
     assert not (out / "plot_long.csv").exists()
 
 
+@pytest.mark.parametrize("unreadable", ["compare.csv", "fits.json", "non-utf8"])
+def test_report_unreadable_input_exits_1(tmp_path, runner, unreadable):
+    # a compare.csv that is not UTF-8, or an input that is a directory
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "compare.csv").write_bytes(b"\xff\xfe")
+    (out / "fits.json").write_text(FIT)
+    if unreadable != "non-utf8":
+        (out / unreadable).unlink()
+        (out / unreadable).mkdir()
+    res = runner.invoke(main, ["--out", str(out), "report"])
+    assert res.exit_code == 1, res.output
+    assert "error:" in res.output and unreadable.replace("non-utf8", "decode") in res.output
+    assert not (out / "plot_long.csv").exists()
+
+
 def test_report_missing_out_exits_4_and_creates_nothing(tmp_path, runner):
     out = tmp_path / "missing"
     res = runner.invoke(main, ["--out", str(out), "report"])
@@ -388,8 +406,8 @@ IM_NU_POT = {"kind": "gaussian", "amplitude": [0.3, 0.0], "sigma": -1, "L": 32.0
 def test_asym_rows_match_per_query_evaluation(tmp_path, runner, monkeypatch):
     # the README's Im nu example with the gate lowered to 0.125: xi = +-0.24
     # (|Im nu| 0.128) are refused and 0.2 (0.122) is marginal; 7.9 and -7.5 are
-    # not served, and 0.2 and 1.0 repeat (1.0 at the same t).  Every row is the
-    # query evaluated alone
+    # not served, and 0.2 and 1.0 repeat (1.0 at the same t).  Every served row is
+    # the ray formula of its xi's phase data, in scalar cmath, at its t
     monkeypatch.setattr(asymptotics, "IM_NU_LIMIT", 0.125)
     window = {"z_max": 8.0, "n": 1025}
     cfg = _write_config(tmp_path / "cfg.json", IM_NU_POT, window=window)
@@ -409,15 +427,15 @@ def test_asym_rows_match_per_query_evaluation(tmp_path, runner, monkeypatch):
         "valid", "valid"]
     config = ExperimentConfig.from_json_file(cfg)
     ctx = phase.SpectralContext(compute_scattering(config.potential, config.z_grid()))
-    phases = cli._ray_phases(ctx, queries)
     for row, (x, t) in zip(rows, queries):
-        q, validity, im_nu = cli._leading(x, t, phases)
-        assert (row["validity"], row["im_nu"]) == (validity, str(im_nu))
+        if row["validity"] == "invalid":
+            assert row["re_q"] == row["im_q"] == row["im_nu"] == "nan"
+            continue
+        ph = phase.phase_data(ctx, phase.stationary_point(x, t))
+        assert row["im_nu"] == str(ph.nu_at_xi.imag)
+        want = q_leading(ph.nu_at_xi, ph.delta0, ph.r_xi, ph.r_breve_xi, ph.xi, t)
         got = complex(float(row["re_q"]), float(row["im_q"]))
-        if validity == "invalid":
-            assert row["re_q"] == row["im_q"] == "nan"
-        else:
-            assert abs(got - q) <= 4e-15 * abs(q)
+        assert abs(got - want) <= REFERENCE_RTOL * abs(want)
 
 
 def test_evolve_csv_and_binary(tmp_path, runner):
@@ -656,38 +674,67 @@ def test_verify_ray_far_left_exits_0(tmp_path, runner):
     assert "FAIL" not in res.output
 
 
-def test_route_disagreement_fails_rows_exits_3(tmp_path, runner, monkeypatch):
+def test_compare_rows_match_the_scalar_reference(tmp_path, runner):
+    cfg = _write_config(tmp_path / "cfg.json", LIGHT_GAUSS, **{**LIGHT_RUN, "rays": [0.25, -0.3]})
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "compare"])
+    assert res.exit_code == 0, res.output
+    lines = (out / "compare.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(float(row["xi"]), float(row["t"])) for row in rows] == [
+        (xi, t) for xi in (0.25, -0.3) for t in LIGHT_RUN["times"]]
+    config = ExperimentConfig.from_json_file(cfg)
+    ctx = phase.SpectralContext(compute_scattering(config.potential, config.z_grid()))
+    for row in rows:
+        xi, t = float(row["xi"]), float(row["t"])
+        ph = phase.phase_data(ctx, phase.stationary_point(-4.0 * xi * t, t))
+        want = q_leading(ph.nu_at_xi, ph.delta0, ph.r_xi, ph.r_breve_xi, ph.xi, t)
+        got = complex(float(row["re_qasym"]), float(row["im_qasym"]))
+        assert row["validity"] == "valid"
+        assert abs(got - want) <= REFERENCE_RTOL * abs(want)
+
+
+def test_route_disagreement_exits_3_before_the_pde(tmp_path, runner, monkeypatch):
+    # compare evaluates every (ray, time) pair before it evolves, as asym does, so a
+    # forced route split exits 3 with no PDE run and nothing written
+    def refuse(*args, **kwargs):
+        raise AssertionError("the PDE ran after a route disagreement")
+
     alpha = asymptotics.alpha
     monkeypatch.setattr(asymptotics, "alpha", lambda ph, t: alpha(ph, t) * (1.0 + 1e-6))
+    monkeypatch.setattr(cli, "evolve", refuse)
     cfg = _write_config(tmp_path / "cfg.json", LIGHT_GAUSS, **LIGHT_RUN)
     out = tmp_path / "out"
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "compare"])
-    assert res.exit_code == 3
+    assert res.exit_code == 3, res.output
     assert "disagree" in res.output
-    rows = (out / "compare.csv").read_text().strip().splitlines()[1:]
-    assert len(rows) == 3 and all(row.endswith(",failed") for row in rows)
+    assert not (out / "compare.csv").exists()
 
 
 def test_workload_commands_import_no_scipy(tmp_path):
-    # scatter and asym in a fresh interpreter load no scipy or mpmath module;
-    # verify loads no scipy module either, only mpmath on first use for the
-    # model jump of its ray
-    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    # scatter, asym, phase and compare in a fresh interpreter load no scipy or
+    # mpmath module (phase and compare on a light gaussian: the PDE refuses a
+    # box); verify loads no scipy module either, only mpmath on first use for
+    # the model jump of its ray
+    box = _write_config(tmp_path / "box.json", BOX_POT)
+    gauss = _write_config(tmp_path / "gauss.json", LIGHT_GAUSS, **LIGHT_RUN)
     script = f"""
 import sys
 from nonlocal_nls.cli import main
 
-def run(command):
+def run(cfg, command):
     try:
-        main(["--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}, command])
+        main(["--config", cfg, "--out", {str(tmp_path / "out")!r}, command])
     except SystemExit as exc:
         assert not exc.code, (command, exc.code)
 
-run("scatter")
-run("asym")
+run({str(box)!r}, "scatter")
+run({str(box)!r}, "asym")
+run({str(gauss)!r}, "phase")
+run({str(gauss)!r}, "compare")
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
 assert not loaded, loaded[:5]
-run("verify")
+run({str(box)!r}, "verify")
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 assert "mpmath" in sys.modules

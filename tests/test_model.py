@@ -66,8 +66,8 @@ class TestConnectionCoefficients:
         # |rho_hat| = |rbreve| |delta0|^2 e^{+Im nu log 8t},
         # |rho|     = |r|     |delta0|^-2 e^{-Im nu log 8t}
         t = 50.0
+        d0 = abs(0.9 + 0.3j)
         co = coeffs_from(nu, rh, t=t, delta0=0.9 + 0.3j)
-        d0 = abs(co.delta0)
         scale = math.exp(nu.imag * math.log(8 * t))
         assert abs(co.rho_hat) == pytest.approx(
             abs(co.r_breve_xi) * d0 ** 2 * scale, rel=1e-12)

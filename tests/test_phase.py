@@ -16,7 +16,6 @@ from nonlocal_nls import (
     exact_box_scattering,
     phase,
     phase_data,
-    q_asymptotic,
     stationary_point,
 )
 from nonlocal_nls.errors import (
@@ -276,7 +275,8 @@ class TestOnePathPerValue:
                             lambda self, x: reads.append(np.atleast_1d(x)) or spline(self, x))
         monkeypatch.setattr(phase, "_branch_nu", recorded_nu)
         xs = np.random.default_rng(9).uniform(ctx.z_lo + 1.0, ctx.z_hi, 200)
-        nu_at_xi = {ph.xi: ph.nu_at_xi for ph in phase_data(ctx, xs)}
+        batch = phase_data(ctx, xs)
+        nu_at_xi = dict(zip(batch.xi.tolist(), batch.nu_at_xi))
         matched = 0
         for points, nus in zip(reads[::2], reads[1::2]):
             for s, nu in zip(points, nus):
@@ -445,22 +445,20 @@ class TestGaussLegendrePath:
             monkeypatch.setattr(mod, "nu_tail_with_bound", refuse)
         ctx = SpectralContext(box_data)
         t = 40.0
-        phases = cli._ray_phases(ctx, [(-4.0 * xi * t, t) for xi in (-5.1, 0.3, 0.5, 7.3)])
-        for ph in phases.values():
-            q_asymptotic(ph, t)
-        assert len(phases) == 4
+        xis = np.array([-5.1, 0.3, 0.5, 7.3])
+        _, q, validity, _ = cli._ray_formula(ctx, -4.0 * xis * t, np.full(xis.size, t))
+        assert np.isfinite(q).all() and "invalid" not in validity
 
     def test_memo_keeps_nearby_xi_apart(self, box_ctx, monkeypatch):
-        # the CLI's phase data are keyed by the float xi, one sweep for all of them
+        # the CLI's phase data are swept once, at every distinct float xi
         calls = []
         monkeypatch.setattr(cli, "phase_data",
-                            lambda ctx, xi: calls.append(list(xi)) or phase_data(ctx, xi))
-        t = 40.0
-        phases = cli._ray_phases(box_ctx, [(-4.0 * xi * t, t) for xi in (0.5, 0.5 + 3e-13, 0.5)])
-        keys = sorted(phases)
-        assert len(keys) == 2 and keys[0] != keys[1]
-        assert round(keys[0], 12) == round(keys[1], 12)
-        assert calls == [list(phases)]
+                            lambda ctx, xi: calls.append(xi.tolist()) or phase_data(ctx, xi))
+        t = np.full(3, 40.0)
+        xi, q, _, _ = cli._ray_formula(box_ctx, -4.0 * np.array([0.5, 0.5 + 3e-13, 0.5]) * t, t)
+        assert len(calls) == 1 and calls[0] == sorted(set(xi.tolist()))
+        assert len(calls[0]) == 2 and round(calls[0][0], 12) == round(calls[0][1], 12)
+        assert q[0] == q[2]
 
     def test_sweep_equals_single_calls(self, box_ctx, accept_gauss_ctx):
         # knots (0.5, -5, 0), a few ulps above 0.5, 1e-308 above the knot 0 (offsets
@@ -471,14 +469,15 @@ class TestGaussLegendrePath:
         xis = np.array([0.5, -5.0, 0.0, *above[1:], 1e-308, -15.0, 16.0, -13.7, 7.3])
         for ctx in (box_ctx, accept_gauss_ctx):
             swept = phase_data(ctx, xis)
-            assert isinstance(swept, list) and len(swept) == xis.size
-            for xi, nu, ph in zip(xis, ctx.nu(xis), swept):
+            assert isinstance(swept, phase.PhaseData) and swept.xi.shape == xis.shape
+            for i, (xi, nu) in enumerate(zip(xis, ctx.nu(xis))):
                 single = phase_data(ctx, float(xi))
-                assert isinstance(single, phase.PhaseData)
-                for f in dataclasses.fields(ph):
-                    assert _same_bits(getattr(ph, f.name), getattr(single, f.name)), f.name
-                assert _same_bits(ph.nu_at_xi, nu)
-            assert phase_data(ctx, xis[:0]) == []
+                for f in dataclasses.fields(single):
+                    value = getattr(single, f.name)
+                    assert type(value) in (float, complex), f.name
+                    assert _same_bits(getattr(swept, f.name)[i], value), f.name
+                assert _same_bits(swept.nu_at_xi[i], nu)
+            assert phase_data(ctx, xis[:0]).xi.size == 0
 
     def test_sweep_refuses_what_one_xi_refuses(self, box_ctx):
         for xi in (float("nan"), -15.5, 16.5):
