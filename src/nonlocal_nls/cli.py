@@ -1,13 +1,13 @@
 """Batch harness: scatter / phase / asym / evolve / compare / report / verify.
 
-Exit codes: 1 malformed input, 2 genericity violation, 3 numerical failure,
-4 missing inputs for the report stage.  Identical configs produce
-byte-identical outputs; there is no randomness anywhere in the pipeline.
+Exit codes: 1 malformed input, a usage error or an output that cannot be
+written, 2 genericity violation, 3 numerical failure, 4 missing inputs for
+the report stage.  Identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -23,6 +23,7 @@ from .errors import (
     GenericityViolation,
     MissingInputs,
     NonlocalNLSError,
+    NonpositiveTime,
 )
 from .model import connection_coefficients, jump_matrix, psi
 from .pde import evolve, snapshot_from_potential, spectral_interpolate
@@ -37,49 +38,60 @@ from .scattering import check_genericity, compute_scattering, exact_box_scatteri
 
 
 def _fail(exc: BaseException, code: int):
-    click.echo(f"error: {exc}", err=True)
+    if isinstance(exc, click.UsageError):
+        exc.show()   # click's usage line, help hint and message
+    else:
+        click.echo(f"error: {exc}", err=True)
     sys.exit(code)
 
 
-@click.group()
+@contextlib.contextmanager
+def _exit_codes():
+    """The one map from an error to the exit code of the invocation."""
+    try:
+        yield
+    except (BadInput, NonpositiveTime, OSError, click.UsageError) as exc:
+        _fail(exc, 1)
+    except GenericityViolation as exc:
+        _fail(exc, 2)
+    except MissingInputs as exc:
+        _fail(exc, 4)
+    except (NonlocalNLSError, ArithmeticError, ValueError) as exc:
+        _fail(exc, 3)
+
+
+class _Group(click.Group):
+    """A group whose argument parsing and subcommand runs exit through `_exit_codes`."""
+
+    def parse_args(self, ctx, args):
+        with _exit_codes():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _exit_codes():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 @click.option("--config", "config_path", default=None, help="JSON experiment config")
 @click.option("--out", "out_dir", default="out", help="output directory")
-@click.option("--tol-scale", default=1.0, type=float, help="scale the tolerances of verify")
 @click.pass_context
-def main(ctx, config_path, out_dir, tol_scale):
+def main(ctx, config_path, out_dir):
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path
     ctx.obj["out"] = Path(out_dir)
-    ctx.obj["tol_scale"] = tol_scale
 
 
 def _command(name=None):
-    """Register fn(ctx, **options) as a subcommand whose errors exit with their code."""
-    def register(fn):
-        @functools.wraps(fn)
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except BadInput as exc:
-                _fail(exc, 1)
-            except GenericityViolation as exc:
-                _fail(exc, 2)
-            except MissingInputs as exc:
-                _fail(exc, 4)
-            except (NonlocalNLSError, ArithmeticError, ValueError) as exc:
-                _fail(exc, 3)
-        return main.command(name=name)(click.pass_context(run))
-    return register
+    """Register fn(ctx, **options) as a subcommand."""
+    return lambda fn: main.command(name=name)(click.pass_context(fn))
 
 
 def _load_config(ctx) -> ExperimentConfig:
     path = ctx.obj.get("config_path")
     if not path:
         raise BadInput("--config is required for this subcommand")
-    cfg = ExperimentConfig.from_json_file(path)
-    if not 0 < ctx.obj["tol_scale"] < math.inf:
-        raise BadInput("--tol-scale must be finite and positive")
-    return cfg
+    return ExperimentConfig.from_json_file(path)
 
 
 def _outdir(ctx) -> Path:
@@ -177,15 +189,10 @@ def evolve_cmd(ctx, t_final, fmt):
         if not cfg.times:
             raise BadInput("no final time: pass --t or configure times")
         t_final = cfg.times[-1]
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise BadInput(f"final time must be finite and positive, got {t_final}")
     snap = evolve(cfg.potential, [t_final], cfg.dt)[-1]
-    if fmt == "csv":
-        nio.write_snapshot_csv(snap, out / "snapshot.csv")
-        click.echo(f"wrote {out / 'snapshot.csv'}")
-    else:
-        nio.write_snapshot_binary(snap, out / "snapshot.bin")
-        click.echo(f"wrote {out / 'snapshot.bin'}")
+    path = out / f"snapshot.{fmt}"
+    (nio.write_snapshot_csv if fmt == "csv" else nio.write_snapshot_binary)(snap, path)
+    click.echo(f"wrote {path}")
     m0 = snapshot_from_potential(cfg.potential).nonlocal_mass
     drift = abs(snap.nonlocal_mass - m0)
     scale = max(abs(snap.nonlocal_mass), 1e-300)
@@ -216,12 +223,8 @@ def compare(ctx):
                 continue
             q_num = spectral_interpolate(snap, x_k)
             err = abs(q_num - q_asym)
-            rows.append({
-                "xi": ray, "t": t_k,
-                "re_qnum": q_num.real, "im_qnum": q_num.imag,
-                "re_qasym": q_asym.real, "im_qasym": q_asym.imag,
-                "abs_err": err, "validity": valid,
-            })
+            rows.append((ray, t_k, q_num.real, q_num.imag, q_asym.real, q_asym.imag, err,
+                         valid))
             if valid != "invalid":
                 errs.append((t_k, err))
         if len(errs) >= 3 and all(e > 0 for _, e in errs):
@@ -229,9 +232,7 @@ def compare(ctx):
             fits[str(ray)] = {
                 "exponent": float(np.polyfit(log_t, log_e, 1)[0]),
                 "n_points": len(errs),
-                "monotone_decreasing": all(
-                    errs[i + 1][1] < errs[i][1] for i in range(len(errs) - 1)
-                ),
+                "monotone_decreasing": all(e1 < e0 for (_, e0), (_, e1) in zip(errs, errs[1:])),
             }
     nio.write_compare_csv(rows, out / "compare.csv")
     nio.write_fit_json(fits, out / "fits.json")
@@ -274,7 +275,6 @@ def verify(ctx):
     checks = []
 
     def record(name, value, tol):
-        tol *= ctx.obj["tol_scale"]
         checks.append((name, value, tol, value <= tol))
 
     pot = cfg.potential
@@ -317,12 +317,10 @@ def verify(ctx):
             jr = max(jr, float(np.abs(up - dn @ V).max()))
         record("model jump |Psi+ - Psi- V|", jr, 1e-6)
     width = max(len(c[0]) for c in checks)
-    all_ok = True
     for name, value, tol, ok in checks:
-        all_ok &= ok
         click.echo(f"[{'PASS' if ok else 'FAIL'}] {name:<{width}} "
                    f"{value:.3e} (tol {tol:.1e})")
-    if not all_ok:
+    if not all(ok for *_, ok in checks):
         sys.exit(3)
 
 

@@ -44,8 +44,11 @@ class ExperimentConfig:
             if not _serves(-self.z_max, self.z_max, xi):
                 raise BadInput(f"ray xi = {xi} is not served: it must lie at least 1% of the "
                                f"window's width inside it, with xi - 1 >= -z_max = {-self.z_max}")
-        if list(self.times) != sorted(self.times):
-            raise BadInput("times must be sorted ascending")
+        if len(set(self.rays)) < len(self.rays):
+            raise BadInput(f"ray xi = {max(self.rays, key=self.rays.count)} is repeated")
+        for t0, t1 in zip(self.times, self.times[1:]):
+            if not t0 < t1:
+                raise BadInput(f"times must be strictly increasing, got {t1} after {t0}")
         if self.t_min <= 0:
             raise BadInput("t_min must be positive")
         if self.times and self.times[0] < self.t_min:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +76,7 @@ COMPARE_COLUMNS = "xi,t,re_qnum,im_qnum,re_qasym,im_qasym,abs_err,validity"
 
 
 def write_compare_csv(rows: list, path):
-    _write_table(COMPARE_COLUMNS, map(itemgetter(*COMPARE_COLUMNS.split(",")), rows), path)
+    _write_table(COMPARE_COLUMNS, rows, path)
 
 
 def read_compare_csv(path) -> list:

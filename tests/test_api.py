@@ -66,7 +66,7 @@ def test_settings_are_pinned():
     # every knob a user can set; a new one has to change this test
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
         "potential", "z_max", "nz", "rays", "times", "dt", "t_min"]
-    assert [p.name for p in main.params] == ["config_path", "out_dir", "tol_scale"]
+    assert [p.name for p in main.params] == ["config_path", "out_dir"]
     assert {name: [p.name for p in cmd.params] for name, cmd in main.commands.items()} == {
         "scatter": [], "phase": [], "asym": ["queries_path"], "evolve": ["t_final", "fmt"],
         "compare": [], "report": [], "verify": []}

@@ -479,6 +479,11 @@ def test_evolve_nonlinear_step_too_large_exits_3(tmp_path, runner):
     assert not (out / "snapshot.csv").exists()
 
 
+# evolve's own refusals: NonpositiveTime for a final time <= 0, BadInput for one not finite
+FINAL_TIME_REFUSALS = {"-5": "final time must be positive", "0": "final time must be positive",
+                       "nan": "need finite snapshot times", "inf": "need finite snapshot times"}
+
+
 @pytest.mark.parametrize("t_final", ["-5", "0", "nan", "inf"])
 def test_evolve_bad_final_time_exits_1(tmp_path, runner, t_final):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT, times=[])
@@ -486,17 +491,79 @@ def test_evolve_bad_final_time_exits_1(tmp_path, runner, t_final):
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
                                "evolve", "--t", t_final])
     assert res.exit_code == 1, res.output
-    assert "final time must be finite and positive" in res.output
+    assert f"error: {FINAL_TIME_REFUSALS[t_final]}" in res.output
     assert not (out / "snapshot.csv").exists()
 
 
-@pytest.mark.parametrize("tol_scale", ["inf", "nan", "-1", "0"])
-def test_bad_tol_scale_option_exits_1(tmp_path, runner, tol_scale):
+@pytest.mark.parametrize("args, message", [
+    (["--bogus", "scatter"], "No such option '--bogus'"),
+    (["nope"], "No such command 'nope'"),
+    (["scatter", "--config", "x"], "No such option '--config'"),
+    (["evolve", "--format", "xyz"], "Invalid value for '--format': 'xyz' is not one of"),
+    (["evolve", "--t", "abc"], "Invalid value for '--t': 'abc' is not a valid float"),
+    (["--tol-scale", "2", "verify"], "No such option '--tol-scale'"),
+    (["--config"], "Option '--config' requires an argument"),
+], ids=["unknown-option", "unknown-command", "command-option", "bad-choice", "bad-float",
+        "tol-scale", "config-without-value"])
+def test_usage_error_exits_1(tmp_path, runner, args, message):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
-    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"),
-                               "--tol-scale", tol_scale, "verify"])
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--out", str(out), "--config", str(cfg), *args])
     assert res.exit_code == 1, res.output
-    assert "--tol-scale must be finite and positive" in res.output
+    assert f"Error: {message}" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["evolve", "--help"]])
+def test_help_exits_0(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("Usage:")
+
+
+def test_unwritable_output_exits_1(tmp_path, runner):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    out = tmp_path / "out"
+    (out / "scattering.csv").mkdir(parents=True)
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "scatter"])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1, res.output
+
+
+def test_benchmark_calling_convention(tmp_path):
+    # the call the benchmark harness makes: no standalone mode, so an exit code
+    # arrives as SystemExit and a success returns
+    def call(cfg, *args):
+        return main.main(args=["--config", str(cfg), "--out", str(tmp_path / "out"), *args],
+                         prog_name="nonlocal-nls", standalone_mode=False)
+
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    assert call(cfg, "scatter") is None
+    with pytest.raises(SystemExit) as exc:
+        call(cfg, "--bogus", "scatter")
+    assert exc.value.code == 1
+    generic = _write_config(tmp_path / "generic.json", dict(BOX_POT, amplitude=[4.5, 0.0],
+                                                            sigma=-1))
+    with pytest.raises(SystemExit) as exc:
+        call(generic, "scatter")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["scatter", "compare"])
+@pytest.mark.parametrize("over, named", [
+    ({"rays": [0.3, 0.3, 0.5]}, "ray xi = 0.3 is repeated"),
+    ({"times": [40.0, 40.0, 80.0, 160.0]}, "got 40.0 after 40.0"),
+    ({"times": [40.0, 80.0, 60.0]}, "got 60.0 after 80.0"),
+], ids=["repeated-ray", "repeated-time", "unsorted-times"])
+def test_repeated_ray_or_time_exits_1_and_writes_nothing(tmp_path, runner, command, over,
+                                                         named):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT, **over)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+    assert res.exit_code == 1, res.output
+    assert named in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["scatter", "report"])
