@@ -501,16 +501,27 @@ def test_evolve_bad_final_time_exits_1(tmp_path, runner, t_final):
     (["scatter", "--config", "x"], "No such option '--config'"),
     (["evolve", "--format", "xyz"], "Invalid value for '--format': 'xyz' is not one of"),
     (["evolve", "--t", "abc"], "Invalid value for '--t': 'abc' is not a valid float"),
-    (["--tol-scale", "2", "verify"], "No such option '--tol-scale'"),
     (["--config"], "Option '--config' requires an argument"),
 ], ids=["unknown-option", "unknown-command", "command-option", "bad-choice", "bad-float",
-        "tol-scale", "config-without-value"])
+        "config-without-value"])
 def test_usage_error_exits_1(tmp_path, runner, args, message):
     cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
     out = tmp_path / "out"
     res = runner.invoke(main, ["--out", str(out), "--config", str(cfg), *args])
     assert res.exit_code == 1, res.output
     assert f"Error: {message}" in res.output
+    assert not out.exists()
+
+
+# --tol-scale is gone: giving it any value is now a usage error
+@pytest.mark.parametrize("tol_scale", ["inf", "nan", "-1", "0"])
+def test_bad_tol_scale_option_exits_1(tmp_path, runner, tol_scale):
+    cfg = _write_config(tmp_path / "cfg.json", BOX_POT)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                               "--tol-scale", tol_scale, "verify"])
+    assert res.exit_code == 1, res.output
+    assert "Error: No such option '--tol-scale'" in res.output
     assert not out.exists()
 
 
